@@ -6,20 +6,20 @@ the intersection/sweep tables the symbolic calculus consults.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
-from jsonschema import validate as _js_validate
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ScenarioParameterError
 from .gauge import (
     BaseDescriptor,
     BasePoint,
-    ExtReal,
     GaugeDomain,
-    INFINITE,
     MetricSpec,
     TangentVector,
     codisk_domain,
@@ -134,27 +134,35 @@ def ellipsoid_round_domain(n: int, a: float) -> GaugeDomain:
     )
 
 
-def _page_circle_loop(x: np.ndarray, sign: int, radius_fn=None) -> Loop:
+def _page_circle_loop(x: np.ndarray, sign: int) -> Loop:
     """Loop rotating the circle over page point x of the sphere open book:
     t -> (x, rho cos(2 pi s t), rho sin(2 pi s t)) with rho = sqrt(1-|x|^2)."""
     x = np.asarray(x, dtype=float)
+    k = x.shape[0]
     rho = math.sqrt(max(0.0, 1.0 - float(x @ x)))
     w = TWO_PI * sign
 
-    def point(t: float) -> BasePoint:
-        ang = w * t
-        return BasePoint(
-            np.concatenate([x, [rho * math.cos(ang), rho * math.sin(ang)]]), "embedding"
-        )
+    def points(ts: np.ndarray) -> np.ndarray:
+        ang = w * ts
+        out = np.empty((ts.shape[0], k + 2))
+        out[:, :k] = x
+        out[:, k] = rho * np.cos(ang)
+        out[:, k + 1] = rho * np.sin(ang)
+        return out
 
-    def deriv(t: float) -> TangentVector:
-        ang = w * t
-        vel = np.concatenate(
-            [np.zeros_like(x), [-w * rho * math.sin(ang), w * rho * math.cos(ang)]]
-        )
-        return TangentVector(vel, point(t))
+    def velocities(ts: np.ndarray) -> np.ndarray:
+        ang = w * ts
+        out = np.zeros((ts.shape[0], k + 2))
+        out[:, k] = -w * rho * np.sin(ang)
+        out[:, k + 1] = w * rho * np.cos(ang)
+        return out
 
-    return Loop(point, deriv, metadata=f"page circle at x={x.tolist()}, sign={sign:+d}")
+    return Loop(
+        points=points,
+        velocities=velocities,
+        chart="embedding",
+        metadata=f"page circle at x={x.tolist()}, sign={sign:+d}",
+    )
 
 
 def _page_grid(page_dim: int) -> ParamGrid:
@@ -231,20 +239,22 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         r = float(params[0])
         c = math.sqrt(max(0.0, 1.0 - r * r))
 
-        def point(t: float) -> BasePoint:
-            coords = np.zeros(n + 1)
-            coords[0] = c
-            coords[n - 1] = r * math.cos(TWO_PI * t)
-            coords[n] = r * math.sin(TWO_PI * t)
-            return BasePoint(coords, "embedding")
+        def points(ts: np.ndarray) -> np.ndarray:
+            out = np.zeros((ts.shape[0], n + 1))
+            out[:, 0] = c
+            out[:, n - 1] = r * np.cos(TWO_PI * ts)
+            out[:, n] = r * np.sin(TWO_PI * ts)
+            return out
 
-        def deriv(t: float) -> TangentVector:
-            vel = np.zeros(n + 1)
-            vel[n - 1] = -TWO_PI * r * math.sin(TWO_PI * t)
-            vel[n] = TWO_PI * r * math.cos(TWO_PI * t)
-            return TangentVector(vel, point(t))
+        def velocities(ts: np.ndarray) -> np.ndarray:
+            out = np.zeros((ts.shape[0], n + 1))
+            out[:, n - 1] = -TWO_PI * r * np.sin(TWO_PI * ts)
+            out[:, n] = TWO_PI * r * np.cos(TWO_PI * ts)
+            return out
 
-        return Loop(point, deriv, metadata=f"diagonal orbit, r={r}")
+        return Loop(
+            points=points, velocities=velocities, chart="embedding", metadata=f"diagonal orbit, r={r}"
+        )
 
     families = {
         "orbits": LoopFamily("orbits", ParamGrid((GridAxis(0.0, 1.0, 17),)), orbit_loop)
@@ -299,18 +309,14 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     lo = eps / 2.0 + delta
     hi = eps / 2.0 + 2.0 * delta
 
-    def oracle(q: BasePoint, v: TangentVector) -> ExtReal:
+    def oracle(q: BasePoint, v: TangentVector):
         w = v.components
-        if not np.any(w):
-            return ExtReal.of(0.0)
-        if np.any(w[:-1] != 0.0):
-            return INFINITE
-        c = float(w[-1])
-        if c < 0.0:
-            return ExtReal.of(-c * lo)
-        if q.chart_id == "camel:q1zero":
-            return ExtReal.of(c * hi)
-        return INFINITE
+        c = w[:, -1]
+        finite = ~np.any(w[:, :-1] != 0.0, axis=1)
+        if q.chart_id != "camel:q1zero":
+            finite &= c <= 0.0
+        values = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
+        return values, finite
 
     return GaugeDomain(base, oracle, metadata=f"camel domain, eps={eps}, delta={delta}")
 
@@ -322,20 +328,21 @@ def _torus_line_loop(
     closure check folds back into the fundamental domain."""
     fixed = np.asarray(prefix, dtype=float)
 
-    def point(t: float) -> BasePoint:
-        coords = np.empty(d)
-        coords[:-1] = fixed
-        coords[-1] = sign * t
-        return BasePoint(coords, chart)
+    def points(ts: np.ndarray) -> np.ndarray:
+        out = np.empty((ts.shape[0], d))
+        out[:, :-1] = fixed
+        out[:, -1] = sign * ts
+        return out
 
-    def deriv(t: float) -> TangentVector:
-        vel = np.zeros(d)
-        vel[-1] = sign
-        return TangentVector(vel, point(t))
+    def velocities(ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((ts.shape[0], d))
+        out[:, -1] = sign
+        return out
 
     return Loop(
-        point,
-        deriv,
+        points=points,
+        velocities=velocities,
+        chart=chart,
         metadata=f"torus line loop, prefix={fixed.tolist()}, sign={sign:+d}",
         identify=lambda c: np.mod(c, 1.0),
     )
@@ -457,13 +464,19 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         base_pt = np.array([x0, y0])
         w = np.array([a, -2.0 * y0])
 
-        def point(t: float) -> BasePoint:
-            return BasePoint(base_pt + t * w, "klein")
+        def points(ts: np.ndarray) -> np.ndarray:
+            return base_pt + ts[:, None] * w
 
-        def deriv(t: float) -> TangentVector:
-            return TangentVector(w.copy(), point(t))
+        def velocities(ts: np.ndarray) -> np.ndarray:
+            return np.tile(w, (ts.shape[0], 1))
 
-        return Loop(point, deriv, metadata=f"straight loop, y0={y0}", identify=fold)
+        return Loop(
+            points=points,
+            velocities=velocities,
+            chart="klein",
+            metadata=f"straight loop, y0={y0}",
+            identify=fold,
+        )
 
     def doubled_loop(p: np.ndarray) -> Loop:
         # out along the straight loop and back along its reverse; closes in
@@ -472,20 +485,26 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         base_pt = np.array([x0, y0])
         w = np.array([a, -2.0 * y0])
 
-        def point(t: float) -> BasePoint:
-            t = t % 1.0
-            s = cutoff(2.0 * t) if t < 0.5 else cutoff(2.0 - 2.0 * t)
-            return BasePoint(base_pt + s * w, "klein")
+        def split(ts: np.ndarray):
+            t = np.mod(ts, 1.0)
+            outward = t < 0.5
+            return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
 
-        def deriv(t: float) -> TangentVector:
-            t = t % 1.0
-            if t < 0.5:
-                ds = 2.0 * cutoff_deriv(2.0 * t)
-            else:
-                ds = -2.0 * cutoff_deriv(2.0 - 2.0 * t)
-            return TangentVector(ds * w, point(t))
+        def points(ts: np.ndarray) -> np.ndarray:
+            _, s = split(ts)
+            return base_pt + cutoff(s)[:, None] * w
 
-        return Loop(point, deriv, metadata=f"doubled straight loop, y0={y0}", identify=fold)
+        def velocities(ts: np.ndarray) -> np.ndarray:
+            rate, s = split(ts)
+            return (rate * cutoff_deriv(s))[:, None] * w
+
+        return Loop(
+            points=points,
+            velocities=velocities,
+            chart="klein",
+            metadata=f"doubled straight loop, y0={y0}",
+            identify=fold,
+        )
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
     families = {
@@ -575,15 +594,16 @@ def open_book_scenario(
             def make(p: np.ndarray) -> Loop:
                 u = float(p[0])
 
-                def point(t: float) -> BasePoint:
-                    return BasePoint(np.array([u, sign * t]), "torus")
+                def points(ts: np.ndarray) -> np.ndarray:
+                    return np.column_stack([np.full(ts.shape[0], u), sign * ts])
 
-                def deriv(t: float) -> TangentVector:
-                    return TangentVector(np.array([0.0, float(sign)]), point(t))
+                def velocities(ts: np.ndarray) -> np.ndarray:
+                    return np.tile([0.0, float(sign)], (ts.shape[0], 1))
 
                 return Loop(
-                    point,
-                    deriv,
+                    points=points,
+                    velocities=velocities,
+                    chart="torus",
                     metadata=f"fiber loop at u={u}, sign={sign:+d}",
                     identify=lambda c: np.mod(c, 1.0),
                 )
@@ -667,9 +687,31 @@ SCENARIO_SCHEMA = {
 }
 
 
+def lazy_validator(schema: dict) -> Callable[[dict], None]:
+    """``jsonschema.validate(instance, schema)`` with the same errors, but the
+    schema is checked against its metaschema and its validator built once, on
+    first use, instead of on every call."""
+
+    @functools.cache
+    def validator():
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        return cls(schema)
+
+    def validate(instance: dict) -> None:
+        error = best_match(validator().iter_errors(instance))
+        if error is not None:
+            raise error
+
+    return validate
+
+
+_validate_scenario = lazy_validator(SCENARIO_SCHEMA)
+
+
 def build_scenario(config: dict) -> Scenario:
     """Construct a scenario from a schema-validated configuration mapping."""
-    _js_validate(config, SCENARIO_SCHEMA)
+    _validate_scenario(config)
     name = config["scenario"]
     if name == "ellipsoid1":
         return ellipsoid_scenario(int(config.get("n", 2)), float(config.get("a", 1.0)))

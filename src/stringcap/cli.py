@@ -47,7 +47,7 @@ RUNCONFIG_SCHEMA = {
         "k": {"type": "integer", "minimum": 1},
         "d": {"type": "integer", "minimum": 2},
         "radius": {"type": "number", "minimum": 0},
-        "quad_panels": {"type": "integer", "minimum": 8},
+        "quad_panels": {"type": "integer", "minimum": 8, "multipleOf": 2},
         "refine_budget": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
@@ -58,6 +58,8 @@ RUNCONFIG_SCHEMA = {
 }
 
 _SCENARIO_KEYS = ("scenario", "n", "a", "b", "eps", "delta", "k", "d", "radius")
+
+_validate_runconfig = _catalog.lazy_validator(RUNCONFIG_SCHEMA)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -105,7 +107,7 @@ def run_config_from_args(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
-    jsonschema.validate(config, RUNCONFIG_SCHEMA)
+    _validate_runconfig(config)
     return config
 
 

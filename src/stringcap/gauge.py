@@ -82,19 +82,32 @@ class BaseDescriptor:
 class GaugeDomain:
     """A fiberwise starshaped domain exposed through its support oracle.
 
-    The oracle must be positively 1-homogeneous in v, vanish at v = 0, and may
-    return INFINITE for unbounded fiber directions.
+    The oracle is batched: it takes a BasePoint whose ``coords`` have shape
+    (m, d), one sample per row, all in the point's chart, and a TangentVector
+    attached to it whose ``components`` have shape (m, d).  It returns
+    ``(values, finite)``, two arrays of shape (m,): ``finite[i]`` is false
+    where the fiber is unbounded in direction v_i, and ``values[i]`` is the
+    support h(q_i, v_i) where it is true and +inf where it is false.  The
+    oracle must be positively 1-homogeneous in v and vanish at v = 0.
+
+    ``support_oracle`` is the only way in: quadrature, containment checks and
+    ``support`` all call it, so a domain rebuilt with another oracle through
+    ``dataclasses.replace`` is used everywhere.
     """
 
     base: BaseDescriptor
-    support_oracle: Callable[[BasePoint, TangentVector], ExtReal]
+    support_oracle: Callable[[BasePoint, TangentVector], tuple[np.ndarray, np.ndarray]]
     metadata: str = ""
 
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
     """A Riemannian metric given either as flat or as the pullback of the
-    Euclidean metric under an embedding with Jacobian ``embedding_jacobian``."""
+    Euclidean metric under an embedding with Jacobian ``embedding_jacobian``.
+
+    The codisk oracle calls ``embedding_jacobian`` with a batched point; it
+    returns either one (D, d) matrix for every row or an (m, D, d) stack.
+    """
 
     kind: str  # "embedding-induced" | "flat"
     embedding_jacobian: Optional[Callable[[BasePoint], np.ndarray]] = None
@@ -144,13 +157,17 @@ def _validate_attachment(q: BasePoint, v: TangentVector) -> None:
 
 
 def support(domain: GaugeDomain, q: BasePoint, v: TangentVector) -> ExtReal:
-    """Evaluate the fiber support function of ``domain`` at (q, v)."""
+    """Evaluate the fiber support function of ``domain`` at one pair (q, v)."""
     if q.chart_id not in domain.base.charts:
         raise ChartMismatchError(
             f"chart {q.chart_id!r} not accepted by domain ({domain.base.charts})"
         )
     _validate_attachment(q, v)
-    return domain.support_oracle(q, v)
+    row = BasePoint(np.asarray(q.coords, dtype=float)[None], q.chart_id)
+    values, finite = domain.support_oracle(
+        row, TangentVector(np.asarray(v.components, dtype=float)[None], row)
+    )
+    return ExtReal.of(values[0]) if finite[0] else INFINITE
 
 
 def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:
@@ -163,20 +180,37 @@ def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:
     return metric.radius * float(np.linalg.norm(jac @ v.components))
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (m, d) arrays, in ufuncs only: on the
+    one-row batches a containment plan starts with, the Python layers of
+    ``einsum`` or ``norm`` cost more than the arithmetic."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def _bounded(values: np.ndarray) -> np.ndarray:
+    """The all-true finite mask of a domain whose fibers are bounded."""
+    return ~np.zeros(values.shape, dtype=bool)
+
+
 def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") -> GaugeDomain:
     """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
+    r = metric.radius
     if metric.kind == "flat":
-        r = metric.radius
 
-        def oracle(q: BasePoint, v: TangentVector) -> ExtReal:
-            return ExtReal.of(r * np.linalg.norm(v.components))
+        def oracle(q: BasePoint, v: TangentVector):
+            w = v.components
+            values = r * np.sqrt(_rowdot(w, w))
+            return values, _bounded(values)
 
     else:
-        r = metric.radius
         jac_fn = metric.embedding_jacobian
 
-        def oracle(q: BasePoint, v: TangentVector) -> ExtReal:
-            return ExtReal.of(r * np.linalg.norm(np.asarray(jac_fn(q)) @ v.components))
+        def oracle(q: BasePoint, v: TangentVector):
+            jac = np.asarray(jac_fn(q))
+            w = v.components
+            pushed = w @ jac.T if jac.ndim == 2 else np.einsum("mij,mj->mi", jac, w)
+            values = r * np.sqrt(_rowdot(pushed, pushed))
+            return values, _bounded(values)
 
     return GaugeDomain(base, oracle, metadata or f"codisk bundle, radius {metric.radius}")
 
@@ -298,39 +332,55 @@ class ContainmentResult:
         return self.contained
 
 
-def _sample_pairs(base: BaseDescriptor, plan: SamplePlan):
+def _sample_batches(base: BaseDescriptor, plan: SamplePlan):
+    """The plan's (q, v) pairs as batches of 1, 2, 4, ... rows.
+
+    Sample i is drawn as if the pairs were drawn one at a time: on the sphere
+    a normal point and then a normal vector, projected; on a torus or Klein
+    bottle a uniform point and then a normal vector.
+    """
     rng = np.random.default_rng(plan.seed)
     chart = base.charts[0]
-    if base.kind == "sphere":
-        amb = base.dim + 1
-        for _ in range(plan.count):
-            qc = rng.standard_normal(amb)
-            qc /= np.linalg.norm(qc)
-            w = rng.standard_normal(amb)
-            w -= (w @ qc) * qc
-            q = BasePoint(qc, chart)
-            yield q, TangentVector(w, q)
-    elif base.kind in ("torus", "klein"):
-        for _ in range(plan.count):
-            qc = rng.uniform(0.0, 1.0, base.dim)
-            q = BasePoint(qc, chart)
-            yield q, TangentVector(rng.standard_normal(base.dim), q)
-    else:
+    if base.kind not in ("sphere", "torus", "klein"):
         raise InvalidInputError(f"no sampler for base kind {base.kind!r}")
+    done, size = 0, 1
+    while done < plan.count:
+        k = min(size, plan.count - done)
+        if base.kind == "sphere":
+            # normal draws of one call follow on exactly as in separate calls
+            z = rng.standard_normal((k, 2, base.dim + 1))
+            qc = z[:, 0] / np.sqrt(_rowdot(z[:, 0], z[:, 0]))[:, None]
+            w = z[:, 1] - _rowdot(z[:, 1], qc)[:, None] * qc
+        else:
+            # uniform and normal draws interleave, so they are taken per sample
+            draws = [(rng.uniform(0.0, 1.0, base.dim), rng.standard_normal(base.dim)) for _ in range(k)]
+            qc = np.array([d[0] for d in draws])
+            w = np.array([d[1] for d in draws])
+        q = BasePoint(qc, chart)
+        yield q, TangentVector(w, q)
+        done += k
+        size *= 2
 
 
 def domain_contains(
     inner: GaugeDomain, outer: GaugeDomain, plan: SamplePlan = SamplePlan()
 ) -> ContainmentResult:
-    """True iff support_inner <= support_outer at every sampled (q, v)."""
+    """True iff support_inner <= support_outer at every sampled (q, v).
+
+    Samples are checked in batches that double from one row, so a violation
+    among the first samples is found after a few oracle calls; the witness is
+    the first violating sample in plan order.
+    """
     if inner.base != outer.base:
         raise ChartMismatchError("containment check requires a common base")
-    for q, v in _sample_pairs(inner.base, plan):
-        si = inner.support_oracle(q, v)
-        so = outer.support_oracle(q, v)
-        if not so.finite:
-            continue
-        if not si.finite or si.value > so.value + plan.tol * (1.0 + abs(so.value)):
-            iv = si.value if si.finite else math.inf
-            return ContainmentResult(False, (q, v, iv, so.value))
+    for q, v in _sample_batches(inner.base, plan):
+        si, inner_finite = inner.support_oracle(q, v)
+        so, outer_finite = outer.support_oracle(q, v)
+        bad = outer_finite & (~inner_finite | (si > so + plan.tol * (1.0 + np.abs(so))))
+        hits = bad.nonzero()[0]
+        if hits.size:
+            i = hits[0]
+            qi = BasePoint(q.coords[i], q.chart_id)
+            iv = float(si[i]) if inner_finite[i] else math.inf
+            return ContainmentResult(False, (qi, TangentVector(v.components[i], qi), iv, float(so[i])))
     return ContainmentResult(True)

@@ -1,21 +1,28 @@
 """Loops, loop families, the gauge length functional and its extremization.
 
+A loop is evaluated in array form: ``points(ts)`` and ``velocities(ts)`` map
+parameters ``ts`` of shape (m,) to coordinates of shape (m, d), all in the
+loop's ``chart``.  The catalog writes its loops in that form and gets the
+scalar ``point_fn``/``deriv_fn`` from one-row evaluations; a loop built from
+scalar closures gets its array forms by stacking them, so every length goes
+through the same batched path.
+
 The length of a loop q is the integral over one period of the fiber support
-function evaluated on the velocity, computed with composite Simpson panels
-plus Richardson-style doubling.  Suprema/infima over families are taken on a
-parameter grid and refined with derivative-free local search.
+function evaluated on the velocity.  The integrand is smooth and periodic, so
+the equal-weight trapezoid rule on [0, 1) converges geometrically (Trefethen
+and Weideman, SIAM Review 2014); each level doubles the samples by
+interleaving midpoints and costs one batched support-oracle call.
+Suprema/infima over families are taken on a parameter grid and refined with
+derivative-free local search.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .errors import (
     BasepointMismatchError,
@@ -32,40 +39,76 @@ from .gauge import BasePoint, GaugeDomain, TangentVector
 
 _FD_STEP = 1e-5  # central finite differences when no closed-form derivative
 
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
 
 @dataclass(eq=False)
 class Loop:
     """A parametrized loop t in [0, 1) -> base manifold.
 
-    ``point_fn`` may be a lift (for flat quotients it can leave the
-    fundamental domain); ``identify`` maps raw coordinates to a canonical
-    representative and is used only by validation.
+    Give either the array forms ``points``/``velocities`` (parameters of
+    shape (m,) to coordinates of shape (m, d)) with their ``chart``, or the
+    scalar closures ``point_fn``/``deriv_fn``; the missing forms are derived.
+    Without a velocity form the velocity is a central finite difference.
+    Points may be a lift (for flat quotients they can leave the fundamental
+    domain); ``identify`` maps raw coordinates to a canonical representative
+    and is used only by validation.
     """
 
-    point_fn: Callable[[float], BasePoint]
+    point_fn: Optional[Callable[[float], BasePoint]] = None
     deriv_fn: Optional[Callable[[float], TangentVector]] = None
     periodic: bool = True
     metadata: str = ""
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    points: Optional[ArrayFn] = None
+    velocities: Optional[ArrayFn] = None
+    chart: str = "default"
 
     def __post_init__(self):
         if not self.periodic:
             raise LoopValidationError("loops must be periodic")
+        if self.points is None:
+            if self.point_fn is None:
+                raise LoopValidationError("a loop needs point_fn or points")
+            self.chart = self.point_fn(0.0).chart_id
+            self.points = _stacked_points(self.point_fn, self.chart)
+            if self.deriv_fn is not None and self.velocities is None:
+                df = self.deriv_fn
+                self.velocities = lambda ts: np.array([df(float(t)).components for t in ts], dtype=float)
+        if self.velocities is None:
+            pts = self.points
+
+            def fd(ts: np.ndarray) -> np.ndarray:
+                return (pts(ts + _FD_STEP) - pts(ts - _FD_STEP)) / (2 * _FD_STEP)
+
+            self.velocities = fd
+        if self.point_fn is None:
+            pts, chart = self.points, self.chart
+            self.point_fn = lambda t: BasePoint(pts(np.array([float(t)]))[0], chart)
         if self.deriv_fn is None:
-            pf = self.point_fn
-
-            def fd(t: float) -> TangentVector:
-                hi = pf(t + _FD_STEP).coords
-                lo = pf(t - _FD_STEP).coords
-                return TangentVector((hi - lo) / (2 * _FD_STEP), pf(t))
-
-            self.deriv_fn = fd
+            vel, pf = self.velocities, self.point_fn
+            self.deriv_fn = lambda t: TangentVector(vel(np.array([float(t)]))[0], pf(t))
 
     def point(self, t: float) -> BasePoint:
         return self.point_fn(t)
 
     def velocity(self, t: float) -> TangentVector:
         return self.deriv_fn(t)
+
+
+def _stacked_points(point_fn: Callable[[float], BasePoint], chart: str) -> ArrayFn:
+    """Array form of a scalar point closure: one row per t, all in ``chart``."""
+
+    def points(ts: np.ndarray) -> np.ndarray:
+        rows = []
+        for t in ts:
+            q = point_fn(float(t))
+            if q.chart_id != chart:
+                raise LoopValidationError(f"loop leaves its chart {chart!r} at t={t:.6f}")
+            rows.append(q.coords)
+        return np.array(rows, dtype=float)
+
+    return points
 
 
 def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
@@ -94,35 +137,51 @@ def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
 
 def reverse(loop: Loop) -> Loop:
     """The loop traversed in reverse; an involution up to float roundoff."""
-    pf, df = loop.point_fn, loop.deriv_fn
-
-    def rpoint(t: float) -> BasePoint:
-        return pf(1.0 - t)
-
-    def rderiv(t: float) -> TangentVector:
-        v = df(1.0 - t)
-        return TangentVector(-v.components, rpoint(t))
-
-    return Loop(rpoint, rderiv, metadata=f"reverse({loop.metadata})", identify=loop.identify)
+    pts, vel = loop.points, loop.velocities
+    return Loop(
+        points=lambda ts: pts(1.0 - ts),
+        velocities=lambda ts: -vel(1.0 - ts),
+        chart=loop.chart,
+        metadata=f"reverse({loop.metadata})",
+        identify=loop.identify,
+    )
 
 
-# smooth cutoff: 0 for t <= 0, 1 for t >= 1, flat to all orders at both ends
-def _sigma(t: float) -> float:
-    return math.exp(-1.0 / t) if t > 0 else 0.0
+# smooth cutoff on arrays: 0 for t <= 0, 1 for t >= 1, flat to all orders at
+# both ends
+def _sigma(t: np.ndarray) -> np.ndarray:
+    pos = t > 0.0
+    return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
-def cutoff(t: float) -> float:
+def cutoff(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
     a, b = _sigma(t), _sigma(1.0 - t)
-    return a / (a + b) if (a + b) > 0 else 0.0
+    return a / (a + b)  # one of t, 1 - t is at least 1/2, so a + b > 0
 
 
-def cutoff_deriv(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    a, b = _sigma(t), _sigma(1.0 - t)
-    da = a / (t * t)
-    db = -b / ((1.0 - t) * (1.0 - t))
-    return (da * b - a * db) / ((a + b) ** 2)
+def cutoff_deriv(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    u = np.where(inside, t, 0.5)
+    a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    da = a / (u * u)
+    db = -b / ((1.0 - u) * (1.0 - u))
+    return np.where(inside, (da * b - a * db) / ((a + b) ** 2), 0.0)
+
+
+def _halves(first: np.ndarray, s: np.ndarray, fa: ArrayFn, fb: ArrayFn) -> np.ndarray:
+    """Rows of fa(s) where ``first`` holds and of fb(s) elsewhere, each
+    function evaluated on its own rows only."""
+    if first.all():
+        return fa(s)
+    if not first.any():
+        return fb(s)
+    lo, hi = fa(s[first]), fb(s[~first])
+    out = np.empty((s.shape[0], lo.shape[1]))
+    out[first] = lo
+    out[~first] = hi
+    return out
 
 
 def concatenate(a: Loop, b: Loop) -> Loop:
@@ -136,23 +195,27 @@ def concatenate(a: Loop, b: Loop) -> Loop:
             f"basepoints differ by {np.linalg.norm(pa0.coords - pb0.coords):.3e}"
         )
 
-    def point(t: float) -> BasePoint:
-        t = t % 1.0
-        if t < 0.5:
-            return a.point_fn(cutoff(2.0 * t))
-        return b.point_fn(cutoff(2.0 * t - 1.0))
+    def split(ts: np.ndarray):
+        t = np.mod(ts, 1.0)
+        first = t < 0.5
+        return first, np.where(first, 2.0 * t, 2.0 * t - 1.0)
 
-    def deriv(t: float) -> TangentVector:
-        t = t % 1.0
-        if t < 0.5:
-            s = 2.0 * t
-            inner = a.deriv_fn(cutoff(s))
-            return TangentVector(2.0 * cutoff_deriv(s) * inner.components, point(t))
-        s = 2.0 * t - 1.0
-        inner = b.deriv_fn(cutoff(s))
-        return TangentVector(2.0 * cutoff_deriv(s) * inner.components, point(t))
+    def points(ts: np.ndarray) -> np.ndarray:
+        first, s = split(ts)
+        return _halves(first, cutoff(s), a.points, b.points)
 
-    return Loop(point, deriv, metadata=f"concat({a.metadata},{b.metadata})", identify=a.identify)
+    def velocities(ts: np.ndarray) -> np.ndarray:
+        first, s = split(ts)
+        inner = _halves(first, cutoff(s), a.velocities, b.velocities)
+        return 2.0 * cutoff_deriv(s)[:, None] * inner
+
+    return Loop(
+        points=points,
+        velocities=velocities,
+        chart=a.chart,
+        metadata=f"concat({a.metadata},{b.metadata})",
+        identify=a.identify,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +224,8 @@ def concatenate(a: Loop, b: Loop) -> Loop:
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
-    """Composite Simpson panels with Richardson doubling."""
+    """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
+    doubled up to ``max_doublings`` times until two levels agree to qtol."""
 
     panels: int = 512
     qtol: float = 1e-7
@@ -172,37 +236,29 @@ class QuadratureSpec:
             raise InvalidInputError("panel count must be even and >= 8")
 
 
-def _simpson(fvals: np.ndarray, h: float) -> float:
-    return (h / 3.0) * (
-        fvals[0] + fvals[-1] + 4.0 * fvals[1:-1:2].sum() + 2.0 * fvals[2:-2:2].sum()
-    )
-
-
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Gauge length of ``loop``: Simpson quadrature of the support of the
-    velocity, doubled until the relative change drops below qtol."""
-    oracle = domain.support_oracle
-    pf, df = loop.point_fn, loop.deriv_fn
+    """Gauge length of ``loop``: the periodic trapezoid rule applied to the
+    support of the velocity, one batched oracle call per level, doubled by
+    interleaving midpoints until the relative change drops below qtol."""
+    oracle, pts, vel, chart = domain.support_oracle, loop.points, loop.velocities, loop.chart
 
-    def integrand(t: float) -> float:
-        s = oracle(pf(t), df(t))
-        if not s.finite:
+    def level_sum(ts: np.ndarray) -> float:
+        q = BasePoint(pts(ts), chart)
+        values, finite = oracle(q, TangentVector(vel(ts), q))
+        if not finite.all():
+            t = float(ts[np.argmin(finite)])
             raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
-        return s.value
+        return float(values.sum())
 
     n = quad.panels
-    vals = np.array([integrand(t) for t in np.linspace(0.0, 1.0, n + 1)])
-    prev = _simpson(vals, 1.0 / n)
+    total = level_sum(np.arange(n) / n)
+    prev = total / n
     for _ in range(quad.max_doublings):
-        mids = np.array([integrand(t) for t in (np.arange(n) + 0.5) / n])
+        total += level_sum((np.arange(n) + 0.5) / n)
         n *= 2
-        merged = np.empty(n + 1)
-        merged[0::2] = vals
-        merged[1::2] = mids
-        vals = merged
-        cur = _simpson(vals, 1.0 / n)
+        cur = total / n
         if abs(cur - prev) <= quad.qtol * (1.0 + abs(cur)):
-            return cur + (cur - prev) / 15.0
+            return cur
         prev = cur
     return prev
 
@@ -270,14 +326,6 @@ class ExtremalLengthReport:
     attained_on_grid_closure: bool = True
 
 
-def _map(fn, items):
-    workers = int(os.environ.get("STRINGCAP_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _golden_section(f, lo, hi, budget, xtol):
     """Golden-section minimization of f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -318,7 +366,12 @@ def _refine(f, x0, grid: ParamGrid, budget: int, xtol: float, minimize: bool):
         hi = min(ax.hi, float(x0[0]) + span)
         x, fx, evals = _golden_section(lambda t: wrapped([t]), lo, hi, budget, xtol)
         return np.array([x]), sign * fx, evals
-    res = _sciopt.minimize(
+    # imported here, not with the package: scipy.optimize is more than half of
+    # the package's import time and memory, and only this refinement of
+    # families with two or more parameters uses it
+    from scipy import optimize
+
+    res = optimize.minimize(
         wrapped,
         x0,
         method="Nelder-Mead",
@@ -350,7 +403,7 @@ def extremal_lengths(
             ) from exc
 
     pts = list(family.grid.points())
-    lengths = np.array(_map(length_at, pts))
+    lengths = np.array([length_at(p) for p in pts])
     i_max = int(np.argmax(lengths))
     i_min = int(np.argmin(lengths))
     grid_E = float(lengths[i_max])

@@ -23,7 +23,7 @@ from stringcap.catalog import (
     product_torus_scenario,
 )
 from stringcap.errors import ScenarioParameterError
-from stringcap.gauge import ExtReal, GaugeDomain, INFINITE
+from stringcap.gauge import GaugeDomain
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,8 +115,8 @@ def _scaled_domain(domain: GaugeDomain, lam: float) -> GaugeDomain:
     oracle = domain.support_oracle
 
     def scaled(q, v):
-        s = oracle(q, v)
-        return ExtReal.of(lam * s.value) if s.finite else INFINITE
+        vals, fin = oracle(q, v)
+        return lam * vals, fin
 
     return GaugeDomain(domain.base, scaled, metadata=f"scaled x{lam}: {domain.metadata}")
 

@@ -170,3 +170,114 @@ def test_construction_is_deterministic():
     g1 = np.array(list(s1.families["L+"].grid.points()))
     g2 = np.array(list(s2.families["L+"].grid.points()))
     assert np.array_equal(g1, g2)
+
+
+# per-sample reference forms of the catalog loops, written point by point;
+# the catalog evaluates the same loops on whole sample arrays
+
+def _ref_sigma(t):
+    return math.exp(-1.0 / t) if t > 0 else 0.0
+
+
+def _ref_cutoff(t):
+    a, b = _ref_sigma(t), _ref_sigma(1.0 - t)
+    return a / (a + b)
+
+
+def _ref_cutoff_deriv(t):
+    if t <= 0.0 or t >= 1.0:
+        return 0.0
+    a, b = _ref_sigma(t), _ref_sigma(1.0 - t)
+    da = a / (t * t)
+    db = -b / ((1.0 - t) * (1.0 - t))
+    return (da * b - a * db) / ((a + b) ** 2)
+
+
+def _reference_loop(s, family, p):
+    """(point(t) -> coords, velocity(t) -> components, chart) of the loop of
+    ``family`` at parameters ``p``."""
+    p = np.asarray(p, dtype=float)
+    sign = -1.0 if family.startswith("L-") else 1.0
+    if s.kind in ("ellipsoid1", "open_book") and s.params.get("page", "interval") == "interval":
+        rho = math.sqrt(max(0.0, 1.0 - float(p @ p)))
+        w = TWO_PI * sign
+        return (
+            lambda t: np.concatenate([p, [rho * math.cos(w * t), rho * math.sin(w * t)]]),
+            lambda t: np.concatenate(
+                [np.zeros_like(p), [-w * rho * math.sin(w * t), w * rho * math.cos(w * t)]]
+            ),
+            "embedding",
+        )
+    if s.kind == "open_book":
+        u = float(p[0])
+        return lambda t: np.array([u, sign * t]), lambda t: np.array([0.0, sign]), "torus"
+    if s.kind == "ellipsoid2":
+        n, r = s.params["n"], float(p[0])
+        c = math.sqrt(max(0.0, 1.0 - r * r))
+
+        def point(t):
+            out = np.zeros(n + 1)
+            out[0], out[n - 1], out[n] = c, r * math.cos(TWO_PI * t), r * math.sin(TWO_PI * t)
+            return out
+
+        def velocity(t):
+            out = np.zeros(n + 1)
+            out[n - 1], out[n] = -TWO_PI * r * math.sin(TWO_PI * t), TWO_PI * r * math.cos(TWO_PI * t)
+            return out
+
+        return point, velocity, "embedding"
+    if s.kind in ("product_torus", "camel"):
+        d = s.params["n"] if s.kind == "camel" else s.params["d"]
+        k = 1 if s.kind == "camel" else s.params["k"]
+        prefix = p if sign < 0 else np.concatenate([np.zeros(k), p])
+        chart = "torus" if s.kind == "product_torus" else ("camel" if sign < 0 else "camel:q1zero")
+        vel = np.zeros(d)
+        vel[-1] = sign
+        return lambda t: np.concatenate([prefix, [sign * t]]), lambda t: vel, chart
+    a = s.params["a"]
+    base_pt = np.array([a / 4.0, float(p[0])])
+    w = np.array([a, -2.0 * float(p[0])])
+    if family == "L":
+        return lambda t: base_pt + t * w, lambda t: w, "klein"
+
+    def point(t):
+        t = t % 1.0
+        return base_pt + (_ref_cutoff(2.0 * t) if t < 0.5 else _ref_cutoff(2.0 - 2.0 * t)) * w
+
+    def velocity(t):
+        t = t % 1.0
+        if t < 0.5:
+            return 2.0 * _ref_cutoff_deriv(2.0 * t) * w
+        return -2.0 * _ref_cutoff_deriv(2.0 - 2.0 * t) * w
+
+    return point, velocity, "klein"
+
+
+def test_array_loops_match_per_sample_reference():
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([rng.uniform(0.0, 1.0, 24), [0.0, 0.25, 0.5, 0.75, 1.0, -1e-5, 1.0 + 1e-5, 1.3]])
+    scenarios = _all_scenarios() + [
+        ellipsoid_scenario(3, 0.6),
+        ellipsoid2_scenario(4, 0.8),
+        product_torus_scenario("pt", 4, 2, {"type": "codisk"}),
+        camel_scenario(3, 0.5, 0.02),
+        klein_bottle_scenario(0.5, 2.0),
+    ]
+    for s in scenarios:
+        for name, fam in s.families.items():
+            grid = list(fam.grid.points())
+            lo = np.array([ax.lo for ax in fam.grid.axes])
+            hi = np.array([ax.hi for ax in fam.grid.axes])
+            off_grid = [lo + (hi - lo) * rng.uniform(size=fam.grid.dim) for _ in range(3)]
+            for p in grid[:: max(1, len(grid) // 4)] + off_grid:
+                loop = fam.loop_at(p)
+                point, velocity, chart = _reference_loop(s, name, p)
+                assert loop.chart == chart, (s.id, name)
+                want_q = np.array([point(t) for t in ts])
+                want_v = np.array([velocity(t) for t in ts])
+                np.testing.assert_allclose(loop.points(ts), want_q, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
+                np.testing.assert_allclose(loop.velocities(ts), want_v, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
+                for t, q, v in zip(ts[:4], want_q, want_v):
+                    np.testing.assert_allclose(loop.point(t).coords, q, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(loop.velocity(t).components, v, rtol=0, atol=1e-12)
+                    assert loop.point(t).chart_id == chart

@@ -91,3 +91,10 @@ def test_runs_are_reproducible(tmp_path):
 def test_quad_panel_override_is_validated():
     assert main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
                  "--delta", "0.01", "--quad-panels", "7"]) == 2
+
+
+def test_odd_quad_panel_count_is_a_configuration_error(capsys):
+    code = main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
+                 "--delta", "0.01", "--quad-panels", "9"])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err

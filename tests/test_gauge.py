@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from stringcap.catalog import camel_domain, ellipsoid_domain, flat_torus_domain
+from stringcap.catalog import camel_domain, ellipsoid_domain, ellipsoid_round_domain, flat_torus_domain
 from stringcap.errors import ChartMismatchError, InvalidInputError, RankDeficientError
 from stringcap.gauge import (
     BaseDescriptor,
     BasePoint,
     ExtReal,
+    GaugeDomain,
     MetricSpec,
     SamplePlan,
     TangentVector,
@@ -217,3 +218,138 @@ def test_extreal_infinite_cannot_become_float():
     with pytest.raises(InvalidInputError):
         float(INFINITE)
     assert float(ExtReal.of(2.5)) == 2.5
+
+
+# per-sample references for the batched oracles and the containment plan
+
+def _ref_camel(d, eps, delta, chart, w):
+    lo, hi = eps / 2.0 + delta, eps / 2.0 + 2.0 * delta
+    if not np.any(w):
+        return 0.0
+    if np.any(w[:-1] != 0.0):
+        return math.inf
+    c = float(w[-1])
+    if c < 0.0:
+        return -c * lo
+    return c * hi if chart == "camel:q1zero" else math.inf
+
+
+def _rows(d, rng):
+    """Random vectors plus zero, axis and off-axis rows of both signs."""
+    special = np.zeros((6, d))
+    special[1, -1], special[2, -1], special[3, 0] = 1.5, -0.7, 2.0
+    special[4, :] = -1.0
+    special[5, -1] = -0.0
+    return np.vstack([rng.standard_normal((20, d)), special])
+
+
+def _batched(domain, coords, chart, comps):
+    q = BasePoint(coords, chart)
+    return domain.support_oracle(q, TangentVector(comps, q))
+
+
+def test_batched_codisk_oracles_match_row_by_row_evaluation():
+    rng = np.random.default_rng(11)
+    jac = np.diag([1.0, 0.3, 0.3])
+    cases = [
+        (BaseDescriptor("torus", 3, ("torus",)), MetricSpec("flat", radius=0.7), lambda q: np.eye(3)),
+        (BaseDescriptor("sphere", 2, ("embedding",)), MetricSpec("embedding-induced", lambda q: jac, 1.3),
+         lambda q: jac),
+        # a point-dependent Jacobian, given per row
+        (BaseDescriptor("torus", 3, ("torus",)),
+         MetricSpec("embedding-induced", lambda q: np.stack([np.diag(1.0 + c * c) for c in q.coords]), 2.0),
+         lambda q: np.diag(1.0 + q * q)),
+    ]
+    for base, metric, jac_at in cases:
+        dom = codisk_domain(base, metric)
+        V = _rows(3, rng)
+        Q = rng.uniform(-1.0, 1.0, V.shape)
+        vals, fin = _batched(dom, Q, base.charts[0], V)
+        want = [metric.radius * np.linalg.norm(jac_at(q) @ v) for q, v in zip(Q, V)]
+        assert vals.shape == fin.shape == (V.shape[0],)
+        assert fin.all()
+        np.testing.assert_allclose(vals, want, rtol=1e-14, atol=0)
+        for q, v, x in zip(Q, V, vals):  # the one-pair entry point agrees
+            assert float(support(dom, BasePoint(q, base.charts[0]), TangentVector(v, BasePoint(q, base.charts[0])))) == x
+
+
+@pytest.mark.parametrize("chart", ["camel", "camel:q1zero"])
+def test_batched_camel_oracle_matches_row_by_row_evaluation(chart):
+    d, eps, delta = 3, 0.4, 0.01
+    dom = camel_domain(d, eps, delta)
+    rng = np.random.default_rng(12)
+    V = _rows(d, rng)
+    V[:8, :-1] = 0.0  # on-axis rows of both signs
+    Q = rng.uniform(0.0, 1.0, V.shape)
+    vals, fin = _batched(dom, Q, chart, V)
+    want = np.array([_ref_camel(d, eps, delta, chart, v) for v in V])
+    np.testing.assert_array_equal(fin, np.isfinite(want))
+    assert (~fin).any() and fin.any()
+    np.testing.assert_array_equal(vals, want)  # inf exactly where not finite
+
+
+def _ref_sample_pairs(base, plan):
+    rng = np.random.default_rng(plan.seed)
+    chart = base.charts[0]
+    for _ in range(plan.count):
+        if base.kind == "sphere":
+            qc = rng.standard_normal(base.dim + 1)
+            qc /= np.linalg.norm(qc)
+            w = rng.standard_normal(base.dim + 1)
+            w -= (w @ qc) * qc
+        else:
+            qc = rng.uniform(0.0, 1.0, base.dim)
+            w = rng.standard_normal(base.dim)
+        q = BasePoint(qc, chart)
+        yield q, TangentVector(w, q)
+
+
+def _ref_contains(inner, outer, plan):
+    """Index, point, vector and both values of the first violation, or None."""
+    for i, (q, v) in enumerate(_ref_sample_pairs(inner.base, plan)):
+        si, so = support(inner, q, v), support(outer, q, v)
+        if not so.finite:
+            continue
+        if not si.finite or si.value > so.value + plan.tol * (1.0 + abs(so.value)):
+            return i, q.coords, v.components, (si.value if si.finite else math.inf), so.value
+    return None
+
+
+def _rarely_larger(domain, threshold=2.0):
+    """``domain`` scaled up by half where the first vector component exceeds
+    ``threshold``: a violation that turns up some way into a plan."""
+    oracle = domain.support_oracle
+
+    def scaled(q, v):
+        vals, fin = oracle(q, v)
+        return np.where(v.components[:, 0] > threshold, 1.5, 1.0) * vals, fin
+
+    return GaugeDomain(domain.base, scaled)
+
+
+def test_containment_witness_matches_per_sample_reference():
+    sphere = ellipsoid_domain(2, 0.5)
+    torus = flat_torus_domain(3, radius=1.0)
+    camel_base_codisk = flat_torus_domain(2, radius=1.0, charts=("camel", "camel:q1zero"))
+    plan = SamplePlan(count=300, seed=0)
+    cases = [
+        (_rarely_larger(sphere), sphere),
+        (_rarely_larger(torus), torus),
+        (_rarely_larger(sphere, 1.0), sphere),
+        (camel_domain(2, 0.4, 0.01), camel_base_codisk),
+        (ellipsoid_round_domain(2, 0.5), sphere),
+    ]
+    for inner, outer in cases:
+        ref = _ref_contains(inner, outer, plan)
+        res = domain_contains(inner, outer, plan)
+        assert bool(res) == (ref is None)
+        if ref is None:
+            continue
+        index, q, v, iv, ov = ref
+        got_q, got_v, got_iv, got_ov = res.witness
+        np.testing.assert_allclose(got_q.coords, q, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(got_v.components, v, rtol=1e-14, atol=1e-15)
+        assert got_iv == pytest.approx(iv, rel=1e-14) and got_ov == pytest.approx(ov, rel=1e-14)
+    # the first violations at 36 and 13 sit inside the batches of 32 and 8
+    # rows; the one at 3 has a second (at 6) in its batch of 4
+    assert [_ref_contains(i, o, plan)[0] for i, o in cases[:3]] == [36, 13, 3]

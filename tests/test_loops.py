@@ -1,4 +1,5 @@
 """Loop validation, length quadrature and extremal-length machinery."""
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,14 @@ from stringcap.errors import (
     InvalidInputError,
     LoopValidationError,
 )
-from stringcap.gauge import BaseDescriptor, BasePoint, MetricSpec, TangentVector, codisk_domain
+from stringcap.gauge import (
+    BaseDescriptor,
+    BasePoint,
+    MetricSpec,
+    TangentVector,
+    codisk_domain,
+    support,
+)
 from stringcap.loops import (
     GridAxis,
     Loop,
@@ -25,6 +33,8 @@ from stringcap.loops import (
     QuadratureSpec,
     check_loop,
     concatenate,
+    cutoff,
+    cutoff_deriv,
     extremal_lengths,
     loop_length,
     reverse,
@@ -241,3 +251,80 @@ def test_length_additivity_of_segment_concatenation():
     both = concatenate(horiz, vert)
     expected = loop_length(dom, horiz) + loop_length(dom, vert)
     assert loop_length(dom, both) == pytest.approx(expected, rel=1e-7)
+
+
+def _window_loop(center, half_width):
+    """Constant point on the camel domain whose velocity (0, c(t)) has
+    c(t) > 0, so infinite support, only within half_width of center."""
+    q0 = BasePoint(np.array([0.2, 0.3]), "camel")
+
+    def deriv(t):
+        c = math.cos(TWO_PI * (t - center)) - math.cos(TWO_PI * half_width)
+        return TangentVector(np.array([0.0, c]), q0)
+
+    return Loop(lambda t: q0, deriv)
+
+
+# a window first hit by the second level (midpoints), and one holding three
+# samples of the first level
+@pytest.mark.parametrize("center,half_width,expected", [(0.31, 0.01, 0.3125), (0.6, 0.2, 0.5)])
+def test_infinite_length_reports_the_first_infinite_sample(center, half_width, expected):
+    dom = camel_scenario(2, 0.4, 0.01).domain
+    quad = QuadratureSpec(panels=8)
+    loop = _window_loop(center, half_width)
+    # per-sample reference: the samples in the order the levels add them
+    n, levels = quad.panels, [np.arange(quad.panels) / quad.panels]
+    for _ in range(quad.max_doublings):
+        levels.append((np.arange(n) + 0.5) / n)
+        n *= 2
+    first = next(
+        t for ts in levels for t in ts
+        if not support(dom, loop.point(t), loop.velocity(t)).finite
+    )
+    assert first == expected
+    with pytest.raises(InfiniteLengthError) as exc:
+        loop_length(dom, loop, quad)
+    assert exc.value.t == first
+    assert f"t={first:.6f}" in str(exc.value)
+
+
+def test_loop_length_uses_a_swapped_in_oracle_once_per_level():
+    dom = ellipsoid_domain(2, 0.5)
+    batches = []
+
+    def tripled(q, v):
+        batches.append(q.coords.shape[0])
+        vals, fin = dom.support_oracle(q, v)
+        return 3.0 * vals, fin
+
+    swapped = dataclasses.replace(dom, support_oracle=tripled)
+    loop = _equator_loop()
+    assert loop_length(swapped, loop) == pytest.approx(3.0 * TWO_PI * 0.5, rel=1e-12)
+    assert batches == [512, 512]  # the constant integrand agrees after one doubling
+    q, v = loop.point(0.1), loop.velocity(0.1)
+    assert float(support(swapped, q, v)) == pytest.approx(3.0 * float(support(dom, q, v)), rel=1e-14)
+
+
+def test_concatenate_and_reverse_array_forms_match_per_sample_composition():
+    a, b = _equator_loop(), reverse(_equator_loop())
+    both = concatenate(a, b)
+    ts = np.linspace(-0.2, 1.2, 57)
+    for t, q, v in zip(ts, both.points(ts), both.velocities(ts)):
+        u = t % 1.0
+        inner, s = (a, 2.0 * u) if u < 0.5 else (b, 2.0 * u - 1.0)
+        c = float(cutoff(s))
+        np.testing.assert_allclose(q, inner.point(c).coords, rtol=0, atol=1e-14)
+        want = 2.0 * float(cutoff_deriv(s)) * inner.velocity(c).components
+        np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
+    rts = reverse(a)
+    np.testing.assert_allclose(rts.points(ts), [a.point(1.0 - t).coords for t in ts], atol=1e-15)
+    np.testing.assert_allclose(rts.velocities(ts), [-a.velocity(1.0 - t).components for t in ts], atol=1e-15)
+
+
+def test_scalar_loop_must_stay_in_its_chart():
+    def point(t):
+        return BasePoint(np.array([t, 0.0]), "camel" if t < 0.5 else "camel:q1zero")
+
+    loop = Loop(point, lambda t: TangentVector(np.array([1.0, 0.0]), point(t)))
+    with pytest.raises(LoopValidationError):
+        loop_length(camel_scenario(2, 0.4, 0.01).domain, loop)
