@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import ScenarioParameterError
 from .gauge import (
@@ -690,15 +688,20 @@ SCENARIO_SCHEMA = {
 def lazy_validator(schema: dict) -> Callable[[dict], None]:
     """``jsonschema.validate(instance, schema)`` with the same errors, but the
     schema is checked against its metaschema and its validator built once, on
-    first use, instead of on every call."""
+    first use, instead of on every call. jsonschema itself is imported then
+    too, so code that never validates a configuration never loads it."""
 
     @functools.cache
     def validator():
+        from jsonschema.validators import validator_for
+
         cls = validator_for(schema)
         cls.check_schema(schema)
         return cls(schema)
 
     def validate(instance: dict) -> None:
+        from jsonschema.exceptions import best_match
+
         error = best_match(validator().iter_errors(instance))
         if error is not None:
             raise error

@@ -13,8 +13,6 @@ import math
 import sys
 from typing import Optional
 
-import jsonschema
-
 from . import bounds as _bounds
 from . import catalog as _catalog
 from .errors import StringcapError
@@ -249,6 +247,8 @@ def cmd_certify(config: dict, target_name: Optional[str]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import jsonschema  # not at module level: importing the package loads no jsonschema
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

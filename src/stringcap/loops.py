@@ -239,7 +239,13 @@ class QuadratureSpec:
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gauge length of ``loop``: the periodic trapezoid rule applied to the
     support of the velocity, one batched oracle call per level, doubled by
-    interleaving midpoints until the relative change drops below qtol."""
+    interleaving midpoints until the relative change drops below qtol.
+
+    Only sampled parameters are seen: if the support is infinite on a window
+    narrower than the finest sample spacing reached, and two successive levels
+    agree before any sample lands in it, the result is finite and no
+    ``InfiniteLengthError`` is raised. On the camel domain with ``panels=8``,
+    a window of width 0.02 around t = 0.6 is missed this way."""
     oracle, pts, vel, chart = domain.support_oracle, loop.points, loop.velocities, loop.chart
 
     def level_sum(ts: np.ndarray) -> float:

@@ -2,6 +2,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +102,13 @@ def test_odd_quad_panel_count_is_a_configuration_error(capsys):
                  "--delta", "0.01", "--quad-panels", "9"])
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
+
+
+def test_importing_the_package_loads_no_jsonschema():
+    # a fresh interpreter: this one has already validated configurations
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, stringcap, stringcap.cli, stringcap.frames; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
