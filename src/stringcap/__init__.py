@@ -51,6 +51,7 @@ from .loops import (
     RefineSpec,
     concatenate,
     extremal_lengths,
+    family_lengths,
     loop_length,
     reverse,
 )

@@ -24,7 +24,6 @@ from .gauge import (
 )
 from .loops import (
     GridAxis,
-    Loop,
     LoopFamily,
     ParamGrid,
     QuadratureSpec,
@@ -132,35 +131,30 @@ def ellipsoid_round_domain(n: int, a: float) -> GaugeDomain:
     )
 
 
-def _page_circle_loop(x: np.ndarray, sign: int) -> Loop:
-    """Loop rotating the circle over page point x of the sphere open book:
+def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
+    """Loops rotating the circle over page points x of the sphere open book:
     t -> (x, rho cos(2 pi s t), rho sin(2 pi s t)) with rho = sqrt(1-|x|^2)."""
-    x = np.asarray(x, dtype=float)
-    k = x.shape[0]
-    rho = math.sqrt(max(0.0, 1.0 - float(x @ x)))
     w = TWO_PI * sign
 
-    def points(ts: np.ndarray) -> np.ndarray:
-        ang = w * ts
-        out = np.empty((ts.shape[0], k + 2))
-        out[:, :k] = x
-        out[:, k] = rho * np.cos(ang)
-        out[:, k + 1] = rho * np.sin(ang)
+    def rho(X: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.maximum(0.0, 1.0 - np.vecdot(X, X)))[:, None]
+
+    def points(X: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        k, r, ang = X.shape[1], rho(X), w * ts
+        out = np.empty((X.shape[0], ts.shape[0], k + 2))
+        out[:, :, :k] = X[:, None, :]
+        out[:, :, k] = r * np.cos(ang)
+        out[:, :, k + 1] = r * np.sin(ang)
         return out
 
-    def velocities(ts: np.ndarray) -> np.ndarray:
-        ang = w * ts
-        out = np.zeros((ts.shape[0], k + 2))
-        out[:, k] = -w * rho * np.sin(ang)
-        out[:, k + 1] = w * rho * np.cos(ang)
+    def velocities(X: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        k, r, ang = X.shape[1], rho(X), w * ts
+        out = np.zeros((X.shape[0], ts.shape[0], k + 2))
+        out[:, :, k] = -w * r * np.sin(ang)
+        out[:, :, k + 1] = w * r * np.cos(ang)
         return out
 
-    return Loop(
-        points=points,
-        velocities=velocities,
-        chart="embedding",
-        metadata=f"page circle at x={x.tolist()}, sign={sign:+d}",
-    )
+    return LoopFamily(name, grid, points=points, velocities=velocities, chart="embedding")
 
 
 def _page_grid(page_dim: int) -> ParamGrid:
@@ -187,8 +181,8 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
     domain = ellipsoid_domain(n, a)
     grid = _page_grid(n - 1)
     families = {
-        "L+": LoopFamily("L+", grid, lambda x: _page_circle_loop(x, +1)),
-        "L-": LoopFamily("L-", grid, lambda x: _page_circle_loop(x, -1)),
+        "L+": _page_circle_family("L+", grid, +1),
+        "L-": _page_circle_family("L-", grid, -1),
     }
     ctx = RuleContext(
         axioms=frozenset({"ACTION_IS_BV"}),
@@ -233,29 +227,25 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         metadata=f"unit codisk, four stretched axes, n={n}, a={a}",
     )
 
-    def orbit_loop(params: np.ndarray) -> Loop:
-        r = float(params[0])
-        c = math.sqrt(max(0.0, 1.0 - r * r))
+    # orbits of the diagonal action at radius r = params[:, 0]
+    def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        r = P[:, :1]
+        out = np.zeros((P.shape[0], ts.shape[0], n + 1))
+        out[:, :, 0] = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+        out[:, :, n - 1] = r * np.cos(TWO_PI * ts)
+        out[:, :, n] = r * np.sin(TWO_PI * ts)
+        return out
 
-        def points(ts: np.ndarray) -> np.ndarray:
-            out = np.zeros((ts.shape[0], n + 1))
-            out[:, 0] = c
-            out[:, n - 1] = r * np.cos(TWO_PI * ts)
-            out[:, n] = r * np.sin(TWO_PI * ts)
-            return out
+    def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        r = P[:, :1]
+        out = np.zeros((P.shape[0], ts.shape[0], n + 1))
+        out[:, :, n - 1] = -TWO_PI * r * np.sin(TWO_PI * ts)
+        out[:, :, n] = TWO_PI * r * np.cos(TWO_PI * ts)
+        return out
 
-        def velocities(ts: np.ndarray) -> np.ndarray:
-            out = np.zeros((ts.shape[0], n + 1))
-            out[:, n - 1] = -TWO_PI * r * np.sin(TWO_PI * ts)
-            out[:, n] = TWO_PI * r * np.cos(TWO_PI * ts)
-            return out
-
-        return Loop(
-            points=points, velocities=velocities, chart="embedding", metadata=f"diagonal orbit, r={r}"
-        )
-
+    grid = ParamGrid((GridAxis(0.0, 1.0, 17),))
     families = {
-        "orbits": LoopFamily("orbits", ParamGrid((GridAxis(0.0, 1.0, 17),)), orbit_loop)
+        "orbits": LoopFamily("orbits", grid, points=points, velocities=velocities, chart="embedding")
     }
     ctx = RuleContext(
         axioms=frozenset({"OB_BV2", "HOPF_CONTRACT"}),
@@ -310,7 +300,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     def oracle(q: BasePoint, v: TangentVector):
         w = v.components
         c = w[:, -1]
-        finite = ~np.any(w[:, :-1] != 0.0, axis=1)
+        finite = ~np.logical_or.reduce(w[:, :-1] != 0.0, axis=1)
         if q.chart_id != "camel:q1zero":
             finite &= c <= 0.0
         values = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
@@ -319,31 +309,35 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     return GaugeDomain(base, oracle, metadata=f"camel domain, eps={eps}, delta={delta}")
 
 
-def _torus_line_loop(
-    prefix: np.ndarray, sign: int, d: int, chart: str
-) -> Loop:
-    """Straight loop (prefix..., sign * t) in lifted torus coordinates; the
-    closure check folds back into the fundamental domain."""
-    fixed = np.asarray(prefix, dtype=float)
+def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str) -> LoopFamily:
+    """Straight loops (0 x zeros, p..., sign * t) in lifted torus coordinates,
+    one per parameter p of the torus grid; the closure check folds back into
+    the fundamental domain."""
 
-    def points(ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.shape[0], d))
-        out[:, :-1] = fixed
-        out[:, -1] = sign * ts
+    def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = np.empty((P.shape[0], ts.shape[0], d))
+        out[:, :, :zeros] = 0.0
+        out[:, :, zeros:-1] = P[:, None, :]
+        out[:, :, -1] = sign * ts
         return out
 
-    def velocities(ts: np.ndarray) -> np.ndarray:
-        out = np.zeros((ts.shape[0], d))
-        out[:, -1] = sign
+    def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        out = np.zeros((P.shape[0], ts.shape[0], d))
+        out[:, :, -1] = sign
         return out
 
-    return Loop(
+    return LoopFamily(
+        name,
+        _torus_grid(d - zeros - 1),
         points=points,
         velocities=velocities,
         chart=chart,
-        metadata=f"torus line loop, prefix={fixed.tolist()}, sign={sign:+d}",
-        identify=lambda c: np.mod(c, 1.0),
+        identify=_unit_torus_fold,
     )
+
+
+def _unit_torus_fold(c: np.ndarray) -> np.ndarray:
+    return np.mod(c, 1.0)
 
 
 def _torus_grid(dim: int, count: int = 4) -> ParamGrid:
@@ -383,16 +377,9 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
     else:
         raise ScenarioParameterError(f"unknown domain type {dtype!r}")
 
-    def minus_loop(p: np.ndarray) -> Loop:
-        return _torus_line_loop(p, -1, d, minus_chart)
-
-    def plus_loop(p: np.ndarray) -> Loop:
-        prefix = np.concatenate([np.zeros(k), np.asarray(p, dtype=float)])
-        return _torus_line_loop(prefix, +1, d, plus_chart)
-
     families = {
-        "L-": LoopFamily("L-", _torus_grid(d - 1), minus_loop),
-        "L+^k": LoopFamily("L+^k", _torus_grid(d - k - 1), plus_loop),
+        "L-": _torus_line_family("L-", 0, -1, d, minus_chart),
+        "L+^k": _torus_line_family("L+^k", k, +1, d, plus_chart),
     }
     ctx = RuleContext(
         sweep_table={"slice-": "id", "slice+k": f"T^{d - k}"},
@@ -456,58 +443,46 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     fold = klein_identify(a, b)
     x0 = a / 4.0
 
-    def straight_loop(p: np.ndarray) -> Loop:
-        y0 = float(p[0])
-        # closes in the quotient: endpoint (x0 + a, -y0) folds back to (x0, y0)
-        base_pt = np.array([x0, y0])
-        w = np.array([a, -2.0 * y0])
+    # the straight loop at y0 = params[:, 0] moves from (x0, y0) by the step
+    # (a, -2 y0) along a profile phi(t); it closes in the quotient, where
+    # (x0 + a, -y0) folds back to (x0, y0)
+    def along(P: np.ndarray, phi: np.ndarray, origin: bool) -> np.ndarray:
+        """origin + phi * step (origin=True) or phi * step, shape (G, m, 2)."""
+        y0 = P[:, :1]
+        out = np.empty((P.shape[0], phi.shape[0], 2))
+        out[:, :, 0] = x0 + phi * a if origin else phi * a
+        out[:, :, 1] = y0 + phi * (-2.0 * y0) if origin else phi * (-2.0 * y0)
+        return out
 
-        def points(ts: np.ndarray) -> np.ndarray:
-            return base_pt + ts[:, None] * w
+    def straight_points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return along(P, ts, True)
 
-        def velocities(ts: np.ndarray) -> np.ndarray:
-            return np.tile(w, (ts.shape[0], 1))
+    def straight_velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return along(P, np.ones(ts.shape[0]), False)
 
-        return Loop(
-            points=points,
-            velocities=velocities,
-            chart="klein",
-            metadata=f"straight loop, y0={y0}",
-            identify=fold,
-        )
+    # out along the straight loop and back along its reverse; closes in the
+    # lift, so its length is l(q) + l(reverse q)
+    def split(ts: np.ndarray):
+        t = np.mod(ts, 1.0)
+        outward = t < 0.5
+        return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
 
-    def doubled_loop(p: np.ndarray) -> Loop:
-        # out along the straight loop and back along its reverse; closes in
-        # the lift, so its length is l(q) + l(reverse q)
-        y0 = float(p[0])
-        base_pt = np.array([x0, y0])
-        w = np.array([a, -2.0 * y0])
+    def doubled_points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        _, s = split(ts)
+        return along(P, cutoff(s), True)
 
-        def split(ts: np.ndarray):
-            t = np.mod(ts, 1.0)
-            outward = t < 0.5
-            return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
-
-        def points(ts: np.ndarray) -> np.ndarray:
-            _, s = split(ts)
-            return base_pt + cutoff(s)[:, None] * w
-
-        def velocities(ts: np.ndarray) -> np.ndarray:
-            rate, s = split(ts)
-            return (rate * cutoff_deriv(s))[:, None] * w
-
-        return Loop(
-            points=points,
-            velocities=velocities,
-            chart="klein",
-            metadata=f"doubled straight loop, y0={y0}",
-            identify=fold,
-        )
+    def doubled_velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        rate, s = split(ts)
+        return along(P, rate * cutoff_deriv(s), False)
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
     families = {
-        "L": LoopFamily("L", grid, straight_loop),
-        "Ldoubled": LoopFamily("Ldoubled", grid, doubled_loop),
+        "L": LoopFamily(
+            "L", grid, points=straight_points, velocities=straight_velocities, chart="klein", identify=fold
+        ),
+        "Ldoubled": LoopFamily(
+            "Ldoubled", grid, points=doubled_points, velocities=doubled_velocities, chart="klein", identify=fold
+        ),
     }
     ctx = RuleContext(
         intersection_table={("q", "qbar"): "pt"},
@@ -588,31 +563,25 @@ def open_book_scenario(
         len_fiber = float(domain_spec.get("len_fiber", 1.0))
         domain = flat_torus_domain(2, radius, (len_page, len_fiber))
 
-        def fiber_loop(sign: int):
-            def make(p: np.ndarray) -> Loop:
-                u = float(p[0])
+        def fiber_family(name: str, sign: int) -> LoopFamily:
+            # the fiber loop t -> (u, sign * t) over page point u = params[:, 0]
+            def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+                out = np.empty((P.shape[0], ts.shape[0], 2))
+                out[:, :, 0] = P[:, :1]
+                out[:, :, 1] = sign * ts
+                return out
 
-                def points(ts: np.ndarray) -> np.ndarray:
-                    return np.column_stack([np.full(ts.shape[0], u), sign * ts])
+            def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+                out = np.zeros((P.shape[0], ts.shape[0], 2))
+                out[:, :, 1] = float(sign)
+                return out
 
-                def velocities(ts: np.ndarray) -> np.ndarray:
-                    return np.tile([0.0, float(sign)], (ts.shape[0], 1))
-
-                return Loop(
-                    points=points,
-                    velocities=velocities,
-                    chart="torus",
-                    metadata=f"fiber loop at u={u}, sign={sign:+d}",
-                    identify=lambda c: np.mod(c, 1.0),
-                )
-
-            return make
+            return LoopFamily(
+                name, grid, points=points, velocities=velocities, chart="torus", identify=_unit_torus_fold
+            )
 
         grid = ParamGrid((GridAxis(0.0, 1.0, 8, periodic=True),))
-        families = {
-            "L+": LoopFamily("L+", grid, fiber_loop(+1)),
-            "L-": LoopFamily("L-", grid, fiber_loop(-1)),
-        }
+        families = {"L+": fiber_family("L+", +1), "L-": fiber_family("L-", -1)}
         ctx = RuleContext(
             axioms=frozenset({"ACTION_IS_BV"}),
             iota_table={"id": "PD(T*M)", "pt": "T*M_pt", "orbit": "PD_dual(V)"},

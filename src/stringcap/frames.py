@@ -93,9 +93,15 @@ def sphere_unitary_frame(n: int, q: np.ndarray) -> UnitaryFrame:
 
 @dataclass(frozen=True, eq=False)
 class FrameFamilyReport:
+    """``count`` is the number of pairs drawn, ``checked`` the number framed:
+    a draw whose tangent direction projects to zero is dropped, and with no
+    pair checked the residuals and the modulus are 0 by default, not by
+    measurement."""
+
     n: int
     mesh: float
     count: int
+    checked: int
     max_unitarity_residual: float
     max_basepoint_residual: float
     continuity_modulus: float
@@ -133,6 +139,7 @@ def verify_frame_family(
         n=n,
         mesh=mesh,
         count=count,
+        checked=len(q),
         max_unitarity_residual=float(
             np.max([fa.unitarity_residual, fb.unitarity_residual], initial=0.0)),
         max_basepoint_residual=float(

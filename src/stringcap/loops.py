@@ -2,21 +2,31 @@
 
 A loop is evaluated in array form: ``points(ts)`` and ``velocities(ts)`` map
 parameters ``ts`` of shape (m,) to coordinates of shape (m, d), all in the
-loop's ``chart``.  The catalog writes its loops in that form and gets the
-scalar ``point_fn``/``deriv_fn`` from one-row evaluations; a loop built from
-scalar closures gets its array forms by stacking them, so every length goes
-through the same batched path.
+loop's ``chart``.  A loop built from scalar closures gets its array forms by
+stacking them, so every length goes through the same batched path.
+
+A loop family has the same forms one axis up: ``points(P, ts)`` and
+``velocities(P, ts)`` map family parameters ``P`` of shape (G, p) and ``ts``
+of shape (m,) to coordinates of shape (G, m, d).  The catalog writes its
+families in that form and gets ``loop_at`` from one-row evaluations; a family
+given only by ``loop_at`` gets its array forms by stacking its loops.
 
 The length of a loop q is the integral over one period of the fiber support
 function evaluated on the velocity.  The integrand is smooth and periodic, so
 the equal-weight trapezoid rule on [0, 1) converges geometrically (Trefethen
 and Weideman, SIAM Review 2014); each level doubles the samples by
-interleaving midpoints and costs one batched support-oracle call.
-Suprema/infima over families are taken on a parameter grid and refined with
-derivative-free local search.
+interleaving midpoints.  The convergence test first runs after one doubling,
+so levels 0 and 1 share one batched support-oracle call and each later level
+costs one more.  ``family_lengths`` evaluates a whole parameter grid the same
+way: levels 0 and 1 of every grid point together, then the points that have
+not converged doubling together, in oracle calls of at most
+``_BLOCK_SAMPLES`` samples.  Suprema/infima over families are taken on that
+grid and refined with derivative-free local search, one ``loop_length`` per
+evaluation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,7 +67,6 @@ class Loop:
 
     point_fn: Optional[Callable[[float], BasePoint]] = None
     deriv_fn: Optional[Callable[[float], TangentVector]] = None
-    periodic: bool = True
     metadata: str = ""
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
     points: Optional[ArrayFn] = None
@@ -65,8 +74,6 @@ class Loop:
     chart: str = "default"
 
     def __post_init__(self):
-        if not self.periodic:
-            raise LoopValidationError("loops must be periodic")
         if self.points is None:
             if self.point_fn is None:
                 raise LoopValidationError("a loop needs point_fn or points")
@@ -236,34 +243,85 @@ class QuadratureSpec:
             raise InvalidInputError("panel count must be even and >= 8")
 
 
+# at most this many (grid point, t) samples go into one support-oracle call of
+# ``family_lengths``, so the batch's temporaries stay a few hundred KB; a
+# single point whose level is longer still goes whole
+_BLOCK_SAMPLES = 4096
+
+
+def _converged(cur, prev, qtol: float):
+    """Stopping test of two successive levels, on floats or arrays."""
+    return abs(cur - prev) <= qtol * (1.0 + abs(cur))
+
+
+# sample arrays of levels with at most this many points are built once and
+# kept: every length of a quadrature asks for the same ones, and on short
+# levels building them costs about as much as the oracle call; longer ones
+# cost little next to their level and would only hold memory
+_KEPT_LEVEL = 1024
+
+
+def _sample_grid(n: int, level0: bool, level1: bool) -> np.ndarray:
+    """The n points of a level and/or their n midpoints, in that order."""
+    parts = ([np.arange(n) / n] if level0 else []) + ([(np.arange(n) + 0.5) / n] if level1 else [])
+    return np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=32)
+def _kept_sample_grid(n: int, level0: bool, level1: bool) -> np.ndarray:
+    ts = _sample_grid(n, level0, level1)
+    ts.flags.writeable = False  # shared by every caller
+    return ts
+
+
+def _samples(n: int, level0: bool, level1: bool) -> np.ndarray:
+    return (_kept_sample_grid if n <= _KEPT_LEVEL else _sample_grid)(n, level0, level1)
+
+
+def _first_levels(n: int, quad: QuadratureSpec) -> np.ndarray:
+    """Samples of levels 0 and 1 in level order: the n points, then their n
+    midpoints.  Level 1 is always reached, since the stopping test first runs
+    after one doubling; with no doublings allowed, level 0 alone."""
+    return _samples(n, True, quad.max_doublings > 0)
+
+
+def _midpoints(n: int) -> np.ndarray:
+    """The samples a doubling of n points adds."""
+    return _samples(n, False, True)
+
+
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Gauge length of ``loop``: the periodic trapezoid rule applied to the
-    support of the velocity, one batched oracle call per level, doubled by
-    interleaving midpoints until the relative change drops below qtol.
+    support of the velocity, doubled by interleaving midpoints until the
+    relative change drops below qtol.  Levels 0 and 1 go into one batched
+    oracle call, each later level into one more.
 
     Only sampled parameters are seen: if the support is infinite on a window
     narrower than the finest sample spacing reached, and two successive levels
     agree before any sample lands in it, the result is finite and no
     ``InfiniteLengthError`` is raised. On the camel domain with ``panels=8``,
-    a window of width 0.02 around t = 0.6 is missed this way."""
+    a window of width 0.02 around t = 0.6 is missed this way. Otherwise the
+    error reports the first infinite t in level order."""
     oracle, pts, vel, chart = domain.support_oracle, loop.points, loop.velocities, loop.chart
 
-    def level_sum(ts: np.ndarray) -> float:
+    def level_values(ts: np.ndarray) -> np.ndarray:
         q = BasePoint(pts(ts), chart)
         values, finite = oracle(q, TangentVector(vel(ts), q))
-        if not finite.all():
+        if not np.logical_and.reduce(finite):
             t = float(ts[np.argmin(finite)])
             raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
-        return float(values.sum())
+        return values
 
     n = quad.panels
-    total = level_sum(np.arange(n) / n)
+    values = level_values(_first_levels(n, quad))
+    total = float(np.add.reduce(values[:n]))
     prev = total / n
-    for _ in range(quad.max_doublings):
-        total += level_sum((np.arange(n) + 0.5) / n)
+    for k in range(quad.max_doublings):
+        fresh = values[n:] if k == 0 else level_values(_midpoints(n))
+        total += float(np.add.reduce(fresh))
         n *= 2
         cur = total / n
-        if abs(cur - prev) <= quad.qtol * (1.0 + abs(cur)):
+        if _converged(cur, prev, quad.qtol):
             return cur
         prev = cur
     return prev
@@ -301,14 +359,166 @@ class ParamGrid:
         for combo in itertools.product(*(ax.points() for ax in self.axes)):
             yield np.array(combo)
 
+    def array(self) -> np.ndarray:
+        """The grid points as the rows of a (G, dim) array, in ``points()``
+        order."""
+        return np.array(list(self.points()), dtype=float)
+
+
+FamilyFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True, eq=False)
 class LoopFamily:
-    """A named smooth family of loops over a parameter grid."""
+    """A named smooth family of loops over a parameter grid.
+
+    Give either the array forms ``points``/``velocities``, which map
+    parameters of shape (G, p) and loop parameters ts of shape (m,) to
+    coordinates of shape (G, m, d) in the family's ``chart`` (``identify`` is
+    passed on to its loops), or ``loop_at``, one Loop per parameter row of
+    shape (p,).  The missing side is derived: ``loop_at`` evaluates the array
+    forms on one row, and a family given by ``loop_at`` alone stacks its
+    loops, which must all stay in the chart of the loop at the grid's first
+    point.
+    """
 
     name: str
     grid: ParamGrid
-    loop_at: Callable[[np.ndarray], Loop]
+    loop_at: Optional[Callable[[np.ndarray], Loop]] = None
+    points: Optional[FamilyFn] = None
+    velocities: Optional[FamilyFn] = None
+    chart: str = "default"
+    identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        put = functools.partial(object.__setattr__, self)
+        if self.points is None:
+            if self.loop_at is None:
+                raise LoopValidationError(f"family {self.name!r} needs loop_at or points")
+            put("chart", self.loop_at(next(self.grid.points())).chart)
+            put("points", _stacked_family(self.loop_at, self.chart, "points"))
+            put("velocities", _stacked_family(self.loop_at, self.chart, "velocities"))
+        elif self.velocities is None:
+            raise LoopValidationError(f"family {self.name!r} has points but no velocities")
+        if self.loop_at is None:
+            put("loop_at", functools.partial(_family_loop, self))
+
+
+def _family_loop(family: LoopFamily, p: np.ndarray) -> Loop:
+    """The loop of ``family`` at parameter row ``p``: its array forms on one
+    row."""
+    P = np.asarray(p, dtype=float)[None]
+    pts, vel = family.points, family.velocities
+    return Loop(
+        points=lambda ts: pts(P, ts)[0],
+        velocities=lambda ts: vel(P, ts)[0],
+        chart=family.chart,
+        metadata=f"{family.name} at {P[0].tolist()}",
+        identify=family.identify,
+    )
+
+
+def _stacked_family(loop_at: Callable[[np.ndarray], Loop], chart: str, form: str) -> FamilyFn:
+    """Family array form of ``loop_at``: one loop per parameter row, each
+    evaluated through its own array ``form``, all in ``chart``."""
+
+    def stacked(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        rows = []
+        for p in P:
+            loop = loop_at(p)
+            if loop.chart != chart:
+                raise LoopValidationError(f"family leaves its chart {chart!r} at params {p!r}")
+            rows.append(getattr(loop, form)(ts))
+        return np.array(rows, dtype=float)
+
+    return stacked
+
+
+def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
+    return InfiniteLengthError(
+        f"family {family.name!r} has infinite length at params {params!r} (t={t:.6f})",
+        t=t,
+        params=params,
+    )
+
+
+def _family_values(
+    domain: GaugeDomain, family: LoopFamily, params: np.ndarray, ts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support of the velocity at every (row of ``params``, t), as ``(values,
+    finite)`` of shape (G, m), in oracle calls of at most ``_BLOCK_SAMPLES``
+    samples (at least one whole row each)."""
+    G, m = params.shape[0], ts.shape[0]
+    values, finite = np.empty((G, m)), np.empty((G, m), dtype=bool)
+    step = max(1, _BLOCK_SAMPLES // m)
+    for i in range(0, G, step):
+        P = params[i:i + step]
+        pts = family.points(P, ts)
+        q = BasePoint(pts.reshape(-1, pts.shape[-1]), family.chart)
+        v = TangentVector(family.velocities(P, ts).reshape(q.coords.shape), q)
+        vals, fin = domain.support_oracle(q, v)
+        values[i:i + step] = vals.reshape(P.shape[0], m)
+        finite[i:i + step] = fin.reshape(P.shape[0], m)
+    return values, finite
+
+
+def _first_infinite(rows: np.ndarray, ts: np.ndarray, finite: np.ndarray, failed: tuple) -> tuple:
+    """The earlier, in grid order, of ``failed`` and the first of ``rows``
+    with a non-finite sample, as (row, its first non-finite t)."""
+    bad = ~finite.all(axis=1)
+    if not bad.any():
+        return failed
+    i = int(np.argmax(bad))
+    return min(failed, (int(rows[i]), float(ts[np.argmin(finite[i])])))
+
+
+def family_lengths(
+    domain: GaugeDomain,
+    family: LoopFamily,
+    params: np.ndarray,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> np.ndarray:
+    """``loop_length`` of ``family.loop_at(p)`` for every row p of ``params``
+    (shape (G, p)), evaluated through the family's array forms: levels 0 and
+    1 of all rows in one pass, then the rows that have not converged doubling
+    together.  Each row gets the same sums, in the same order, as its own
+    ``loop_length``.
+
+    Raises the ``InfiniteLengthError`` of the first row, in row order, whose
+    own ``loop_length`` raises, with that row as ``params`` and the same t;
+    rows after it are not evaluated further."""
+    params = np.asarray(params, dtype=float)
+    lengths = np.empty(params.shape[0])
+    rows = np.arange(params.shape[0])  # rows still doubling, in row order
+    n = quad.panels
+    ts = _first_levels(n, quad)
+    values, finite = _family_values(domain, family, params, ts)
+    failed = _first_infinite(rows, ts, finite, (params.shape[0], math.nan))
+    keep = rows < failed[0]
+    rows, values = rows[keep], values[keep]
+    totals = values[:, :n].sum(axis=1)
+    prev = totals / n
+    lengths[rows] = prev
+    for k in range(quad.max_doublings):
+        if not rows.size:
+            break
+        if k == 0:
+            fresh = values[:, n:]
+        else:
+            ts = _midpoints(n)
+            fresh, finite = _family_values(domain, family, params[rows], ts)
+            failed = _first_infinite(rows, ts, finite, failed)
+            keep = rows < failed[0]
+            rows, fresh, totals, prev = rows[keep], fresh[keep], totals[keep], prev[keep]
+        totals = totals + fresh.sum(axis=1)
+        n *= 2
+        cur = totals / n
+        lengths[rows] = cur
+        going = ~_converged(cur, prev, quad.qtol)
+        rows, totals, prev = rows[going], totals[going], cur[going]
+    if failed[0] < params.shape[0]:
+        raise _infinite_at(family, params[failed[0]], failed[1])
+    return lengths
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,24 +564,44 @@ def _golden_section(f, lo, hi, budget, xtol):
     return x, min(fc, fd), evals
 
 
-def _refine(f, x0, grid: ParamGrid, budget: int, xtol: float, minimize: bool):
-    """Derivative-free local refinement from a grid extremum."""
-    sign = 1.0 if minimize else -1.0
+def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
+    """Map parameters into the grid's box: periodic axes wrap into [lo, hi),
+    the others are clipped to [lo, hi]."""
     los = np.array([ax.lo for ax in grid.axes])
     his = np.array([ax.hi for ax in grid.axes])
+    periodic = np.array([ax.periodic for ax in grid.axes])
+
+    def clip(x: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(x, los), his)
+
+    if not periodic.any():
+        return clip
+    return lambda x: np.where(periodic, los + np.mod(x - los, his - los), clip(x))
+
+
+def _refine(f, x0, f0: float, grid: ParamGrid, budget: int, xtol: float, minimize: bool):
+    """Derivative-free local refinement from the grid extremum ``x0``, whose
+    value ``f0`` the grid already has.  Trial points on a periodic axis wrap
+    across the seam instead of stopping at it."""
+    if grid.dim == 0:
+        return x0, f0, 0
+    sign = 1.0 if minimize else -1.0
+    fold = _folder(grid)
 
     def wrapped(x):
-        return sign * f(np.clip(np.atleast_1d(x), los, his))
+        return sign * f(fold(np.atleast_1d(x)))
 
-    if grid.dim == 0:
-        return x0, f(x0), 0
     if grid.dim == 1:
-        ax = grid.axes[0]
-        span = (ax.hi - ax.lo) / max(ax.count - 1, 1)
-        lo = max(ax.lo, float(x0[0]) - span)
-        hi = min(ax.hi, float(x0[0]) + span)
+        ax, x = grid.axes[0], float(x0[0])
+        if ax.periodic:
+            # the axis excludes hi, so count points split it into count gaps
+            span = (ax.hi - ax.lo) / ax.count
+            lo, hi = x - span, x + span
+        else:
+            span = (ax.hi - ax.lo) / max(ax.count - 1, 1)
+            lo, hi = max(ax.lo, x - span), min(ax.hi, x + span)
         x, fx, evals = _golden_section(lambda t: wrapped([t]), lo, hi, budget, xtol)
-        return np.array([x]), sign * fx, evals
+        return fold(np.array([x])), sign * fx, evals
     # imported here, not with the package: scipy.optimize is more than half of
     # the package's import time and memory, and only this refinement of
     # families with two or more parameters uses it
@@ -383,8 +613,7 @@ def _refine(f, x0, grid: ParamGrid, budget: int, xtol: float, minimize: bool):
         method="Nelder-Mead",
         options={"maxfev": budget, "xatol": xtol, "fatol": 1e-12},
     )
-    x = np.clip(res.x, los, his)
-    return x, sign * res.fun, int(res.nfev)
+    return fold(res.x), sign * res.fun, int(res.nfev)
 
 
 def extremal_lengths(
@@ -393,30 +622,30 @@ def extremal_lengths(
     quad: QuadratureSpec = QuadratureSpec(),
     refine: RefineSpec = RefineSpec(),
 ) -> ExtremalLengthReport:
-    """Grid evaluation of loop lengths over the family's parameter space,
-    followed by golden-section (1-D) or Nelder-Mead (>= 2-D) refinement of
-    both extrema."""
+    """Grid evaluation of loop lengths over the family's parameter space (one
+    ``family_lengths`` batch), followed by golden-section (1-D) or
+    Nelder-Mead (>= 2-D) refinement of both extrema, one ``loop_length`` per
+    evaluation."""
 
     def length_at(params: np.ndarray) -> float:
         try:
             return loop_length(domain, family.loop_at(params), quad)
         except InfiniteLengthError as exc:
-            raise InfiniteLengthError(
-                f"family {family.name!r} has infinite length at params {params!r} "
-                f"(t={exc.t:.6f})",
-                t=exc.t,
-                params=params,
-            ) from exc
+            raise _infinite_at(family, params, exc.t) from exc
 
-    pts = list(family.grid.points())
-    lengths = np.array([length_at(p) for p in pts])
+    pts = family.grid.array()
+    lengths = family_lengths(domain, family, pts, quad)
     i_max = int(np.argmax(lengths))
     i_min = int(np.argmin(lengths))
     grid_E = float(lengths[i_max])
     grid_e = float(lengths[i_min])
 
-    xmax, ref_E, n_max = _refine(length_at, pts[i_max], family.grid, refine.budget, refine.xtol, minimize=False)
-    xmin, ref_e, n_min = _refine(length_at, pts[i_min], family.grid, refine.budget, refine.xtol, minimize=True)
+    xmax, ref_E, n_max = _refine(
+        length_at, pts[i_max], grid_E, family.grid, refine.budget, refine.xtol, minimize=False
+    )
+    xmin, ref_e, n_min = _refine(
+        length_at, pts[i_min], grid_e, family.grid, refine.budget, refine.xtol, minimize=True
+    )
 
     E = max(grid_E, ref_E)
     e = min(grid_e, ref_e)

@@ -235,3 +235,10 @@ def test_rank_check_covers_every_row(monkeypatch):
 def test_frame_family_rejects_bad_mesh_and_count(mesh, count):
     with pytest.raises(InvalidInputError):
         verify_frame_family(2, mesh=mesh, count=count, seed=0)
+
+
+def test_frame_family_counts_the_pairs_it_framed():
+    # on S^0 no draw has a tangent direction, so nothing is checked
+    assert verify_frame_family(0, mesh=1e-3, count=5, seed=0).checked == 0
+    report = verify_frame_family(2, mesh=1e-3, count=7, seed=3)
+    assert (report.count, report.checked) == (7, 7)

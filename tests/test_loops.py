@@ -300,7 +300,12 @@ def test_loop_length_uses_a_swapped_in_oracle_once_per_level():
     swapped = dataclasses.replace(dom, support_oracle=tripled)
     loop = _equator_loop()
     assert loop_length(swapped, loop) == pytest.approx(3.0 * TWO_PI * 0.5, rel=1e-12)
-    assert batches == [512, 512]  # the constant integrand agrees after one doubling
+    # levels 0 and 1 share one call; the constant integrand agrees after one doubling
+    assert batches == [1024]
+    batches.clear()
+    both = concatenate(loop, reverse(loop))
+    assert loop_length(swapped, both, QuadratureSpec(panels=16)) == pytest.approx(6.0 * TWO_PI * 0.5, rel=1e-9)
+    assert batches == [32, 32, 64]  # levels 0 and 1, then one call per later level
     q, v = loop.point(0.1), loop.velocity(0.1)
     assert float(support(swapped, q, v)) == pytest.approx(3.0 * float(support(dom, q, v)), rel=1e-14)
 
