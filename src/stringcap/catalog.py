@@ -300,7 +300,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     def oracle(q: BasePoint, v: TangentVector):
         w = v.components
         c = w[:, -1]
-        finite = ~np.logical_or.reduce(w[:, :-1] != 0.0, axis=1)
+        finite = ~np.any(w[:, :-1] != 0.0, axis=1)
         if q.chart_id != "camel:q1zero":
             finite &= c <= 0.0
         values = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)

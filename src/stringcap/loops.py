@@ -9,20 +9,21 @@ A loop family has the same forms one axis up: ``points(P, ts)`` and
 ``velocities(P, ts)`` map family parameters ``P`` of shape (G, p) and ``ts``
 of shape (m,) to coordinates of shape (G, m, d).  The catalog writes its
 families in that form and gets ``loop_at`` from one-row evaluations; a family
-given only by ``loop_at`` gets its array forms by stacking its loops.
+given only by ``loop_at`` is evaluated by stacking its loops, one batch per
+chart.
 
 The length of a loop q is the integral over one period of the fiber support
 function evaluated on the velocity.  The integrand is smooth and periodic, so
 the equal-weight trapezoid rule on [0, 1) converges geometrically (Trefethen
 and Weideman, SIAM Review 2014); each level doubles the samples by
-interleaving midpoints.  The convergence test first runs after one doubling,
-so levels 0 and 1 share one batched support-oracle call and each later level
-costs one more.  ``family_lengths`` evaluates a whole parameter grid the same
-way: levels 0 and 1 of every grid point together, then the points that have
-not converged doubling together, in oracle calls of at most
-``_BLOCK_SAMPLES`` samples.  Suprema/infima over families are taken on that
-grid and refined with derivative-free local search, one ``loop_length`` per
-evaluation.
+interleaving midpoints.  One rule, ``_trapezoid``, runs on a stack of
+integrands: the convergence test first runs after one doubling, so levels 0
+and 1 of every row share one batched support-oracle call, and the rows that
+have not converged double together, in oracle calls of at most
+``_BLOCK_SAMPLES`` samples.  ``loop_length`` is that rule on one row,
+``family_lengths`` on a whole parameter grid.  Suprema/infima over families
+are taken on that grid and refined with derivative-free local search, one
+``loop_length`` per evaluation.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ class Loop:
     Give either the array forms ``points``/``velocities`` (parameters of
     shape (m,) to coordinates of shape (m, d)) with their ``chart``, or the
     scalar closures ``point_fn``/``deriv_fn``; the missing forms are derived.
+    The array forms may be handed read-only ``ts`` and must not write to it.
     Without a velocity form the velocity is a central finite difference.
     Points may be a lift (for flat quotients they can leave the fundamental
     domain); ``identify`` maps raw coordinates to a canonical representative
@@ -243,51 +245,126 @@ class QuadratureSpec:
             raise InvalidInputError("panel count must be even and >= 8")
 
 
-# at most this many (grid point, t) samples go into one support-oracle call of
-# ``family_lengths``, so the batch's temporaries stay a few hundred KB; a
-# single point whose level is longer still goes whole
+# at most this many (row, t) samples go into one support-oracle call of the
+# trapezoid rule, so a grid's batch temporaries stay a few hundred KB; a
+# single row whose level is longer still goes whole
 _BLOCK_SAMPLES = 4096
 
-
-def _converged(cur, prev, qtol: float):
-    """Stopping test of two successive levels, on floats or arrays."""
-    return abs(cur - prev) <= qtol * (1.0 + abs(cur))
-
-
-# sample arrays of levels with at most this many points are built once and
-# kept: every length of a quadrature asks for the same ones, and on short
-# levels building them costs about as much as the oracle call; longer ones
-# cost little next to their level and would only hold memory
-_KEPT_LEVEL = 1024
+# values_at(rows, ts): the support of the velocity at every (row, t), as
+# (values, finite) of shape (len(rows), len(ts))
+ValuesFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _sample_grid(n: int, level0: bool, level1: bool) -> np.ndarray:
-    """The n points of a level and/or their n midpoints, in that order."""
-    parts = ([np.arange(n) / n] if level0 else []) + ([(np.arange(n) + 0.5) / n] if level1 else [])
-    return np.concatenate(parts)
+def _in_blocks(values_at: ValuesFn, rows: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values_at`` over ``rows`` in calls of at most ``_BLOCK_SAMPLES``
+    samples, at least one whole row each."""
+    step = max(1, _BLOCK_SAMPLES // ts.shape[0])
+    if rows.shape[0] <= step:
+        return values_at(rows, ts)
+    parts = [values_at(rows[i:i + step], ts) for i in range(0, rows.shape[0], step)]
+    return np.concatenate([v for v, _ in parts]), np.concatenate([f for _, f in parts])
 
 
-@functools.lru_cache(maxsize=32)
-def _kept_sample_grid(n: int, level0: bool, level1: bool) -> np.ndarray:
-    ts = _sample_grid(n, level0, level1)
-    ts.flags.writeable = False  # shared by every caller
+def _first_infinite(ts: np.ndarray, finite: np.ndarray) -> Optional[tuple[int, float]]:
+    """The first row with a non-finite sample, as (row, its first non-finite
+    t), or None."""
+    if finite.all():
+        return None
+    i = int(np.argmin(finite.all(axis=1)))
+    return i, float(ts[np.argmin(finite[i])])
+
+
+@functools.lru_cache(maxsize=16)
+def _first_levels(n: int, doubling: bool) -> np.ndarray:
+    """Samples of levels 0 and 1 in level order: the n points j/n, then their
+    n midpoints (j + 1/2)/n; level 0 alone without doublings.  Every length
+    of a quadrature starts from them, and on short levels building them costs
+    about a tenth of the length, so they are built once and shared,
+    read-only."""
+    ts = np.arange(n) / n
+    if doubling:
+        ts = np.concatenate([ts, (np.arange(n) + 0.5) / n])
+    ts.flags.writeable = False
     return ts
 
 
-def _samples(n: int, level0: bool, level1: bool) -> np.ndarray:
-    return (_kept_sample_grid if n <= _KEPT_LEVEL else _sample_grid)(n, level0, level1)
+def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[list[float], Optional[tuple]]:
+    """The periodic trapezoid rule for ``count`` integrands (rows) at once.
+
+    The stopping test first runs after one doubling, so levels 0 and 1 of
+    every row are sampled together, in level order (the n points, then their
+    n midpoints); then the rows that have not converged double together.
+    Each row gets the same sums, in the same order, whatever the other rows.
+
+    Returns the lengths and, if a row meets a non-finite sample, the first
+    such row in row order with its first non-finite t in level order (else
+    None); rows after it stop, and only the lengths of rows before it mean
+    anything."""
+    n = quad.panels
+    ts = _first_levels(n, quad.max_doublings > 0)
+    values, finite = _in_blocks(values_at, np.arange(count), ts)
+    failed = _first_infinite(ts, finite)
+    if failed is not None:
+        values = values[:failed[0]]
+    sums = values.reshape(values.shape[0], ts.shape[0] // n, n).sum(axis=2).tolist()  # per row and level
+    totals = [s[0] for s in sums]
+    lengths = [total / n for total in totals]  # each row's latest level
+    rows = list(range(len(sums)))  # rows still doubling, in row order
+    for k in range(quad.max_doublings):
+        if k == 0:
+            fresh = [s[1] for s in sums]
+        else:
+            ts = (np.arange(n) + 0.5) / n
+            values, finite = _in_blocks(values_at, np.array(rows), ts)
+            bad = _first_infinite(ts, finite)
+            if bad is not None:
+                failed = (rows[bad[0]], bad[1])
+                rows, values = rows[:bad[0]], values[:bad[0]]
+            fresh = values.sum(axis=1).tolist()
+        n *= 2
+        going = []
+        for r, f in zip(rows, fresh):
+            totals[r] += f
+            cur = totals[r] / n
+            if abs(cur - lengths[r]) > quad.qtol * (1.0 + abs(cur)):
+                going.append(r)
+            lengths[r] = cur
+        rows = going
+        if not rows:
+            break
+    return lengths, failed
 
 
-def _first_levels(n: int, quad: QuadratureSpec) -> np.ndarray:
-    """Samples of levels 0 and 1 in level order: the n points, then their n
-    midpoints.  Level 1 is always reached, since the stopping test first runs
-    after one doubling; with no doublings allowed, level 0 alone."""
-    return _samples(n, True, quad.max_doublings > 0)
+def _oracle_rows(
+    domain: GaugeDomain, chart: str, points: np.ndarray, velocities: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Support at ``count`` rows of samples stacked as (count * m, d)
+    ``points`` and ``velocities`` in ``chart``, in one oracle call, as
+    (values, finite) of shape (count, m)."""
+    q = BasePoint(points, chart)
+    values, finite = domain.support_oracle(q, TangentVector(velocities, q))
+    return values.reshape(count, -1), finite.reshape(count, -1)
 
 
-def _midpoints(n: int) -> np.ndarray:
-    """The samples a doubling of n points adds."""
-    return _samples(n, False, True)
+def _loops_values(domain: GaugeDomain, loops: list[Loop], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support of the velocity of every loop at every t, one oracle call per
+    chart among the loops."""
+    charts = [loop.chart for loop in loops]
+    groups = [[i for i, c in enumerate(charts) if c == chart] for chart in dict.fromkeys(charts)]
+    parts = [
+        _oracle_rows(
+            domain,
+            charts[idx[0]],
+            np.concatenate([loops[i].points(ts) for i in idx]),
+            np.concatenate([loops[i].velocities(ts) for i in idx]),
+            len(idx),
+        )
+        for idx in groups
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    order = np.argsort(np.concatenate(groups))  # rows back into loop order
+    return np.concatenate([v for v, _ in parts])[order], np.concatenate([f for _, f in parts])[order]
 
 
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -302,29 +379,15 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
     ``InfiniteLengthError`` is raised. On the camel domain with ``panels=8``,
     a window of width 0.02 around t = 0.6 is missed this way. Otherwise the
     error reports the first infinite t in level order."""
-    oracle, pts, vel, chart = domain.support_oracle, loop.points, loop.velocities, loop.chart
 
-    def level_values(ts: np.ndarray) -> np.ndarray:
-        q = BasePoint(pts(ts), chart)
-        values, finite = oracle(q, TangentVector(vel(ts), q))
-        if not np.logical_and.reduce(finite):
-            t = float(ts[np.argmin(finite)])
-            raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
-        return values
+    def values_at(rows: np.ndarray, ts: np.ndarray):
+        return _oracle_rows(domain, loop.chart, loop.points(ts), loop.velocities(ts), 1)
 
-    n = quad.panels
-    values = level_values(_first_levels(n, quad))
-    total = float(np.add.reduce(values[:n]))
-    prev = total / n
-    for k in range(quad.max_doublings):
-        fresh = values[n:] if k == 0 else level_values(_midpoints(n))
-        total += float(np.add.reduce(fresh))
-        n *= 2
-        cur = total / n
-        if _converged(cur, prev, quad.qtol):
-            return cur
-        prev = cur
-    return prev
+    lengths, failed = _trapezoid(values_at, 1, quad)
+    if failed is not None:
+        t = failed[1]
+        raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
+    return lengths[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +438,11 @@ class LoopFamily:
     Give either the array forms ``points``/``velocities``, which map
     parameters of shape (G, p) and loop parameters ts of shape (m,) to
     coordinates of shape (G, m, d) in the family's ``chart`` (``identify`` is
-    passed on to its loops), or ``loop_at``, one Loop per parameter row of
-    shape (p,).  The missing side is derived: ``loop_at`` evaluates the array
-    forms on one row, and a family given by ``loop_at`` alone stacks its
-    loops, which must all stay in the chart of the loop at the grid's first
-    point.
+    passed on to its loops; ``ts`` may be read-only, as for loops), or
+    ``loop_at``, one Loop per parameter row of shape (p,).  ``loop_at`` of a
+    family with array forms evaluates them on one row.  A family given by
+    ``loop_at`` alone is evaluated by stacking its loops, each in its own
+    chart.
     """
 
     name: str
@@ -391,17 +454,12 @@ class LoopFamily:
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        put = functools.partial(object.__setattr__, self)
-        if self.points is None:
-            if self.loop_at is None:
-                raise LoopValidationError(f"family {self.name!r} needs loop_at or points")
-            put("chart", self.loop_at(next(self.grid.points())).chart)
-            put("points", _stacked_family(self.loop_at, self.chart, "points"))
-            put("velocities", _stacked_family(self.loop_at, self.chart, "velocities"))
-        elif self.velocities is None:
-            raise LoopValidationError(f"family {self.name!r} has points but no velocities")
+        if (self.points is None) != (self.velocities is None):
+            raise LoopValidationError(f"family {self.name!r} needs both array forms or neither")
         if self.loop_at is None:
-            put("loop_at", functools.partial(_family_loop, self))
+            if self.points is None:
+                raise LoopValidationError(f"family {self.name!r} needs loop_at or points")
+            object.__setattr__(self, "loop_at", functools.partial(_family_loop, self))
 
 
 def _family_loop(family: LoopFamily, p: np.ndarray) -> Loop:
@@ -418,22 +476,6 @@ def _family_loop(family: LoopFamily, p: np.ndarray) -> Loop:
     )
 
 
-def _stacked_family(loop_at: Callable[[np.ndarray], Loop], chart: str, form: str) -> FamilyFn:
-    """Family array form of ``loop_at``: one loop per parameter row, each
-    evaluated through its own array ``form``, all in ``chart``."""
-
-    def stacked(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        rows = []
-        for p in P:
-            loop = loop_at(p)
-            if loop.chart != chart:
-                raise LoopValidationError(f"family leaves its chart {chart!r} at params {p!r}")
-            rows.append(getattr(loop, form)(ts))
-        return np.array(rows, dtype=float)
-
-    return stacked
-
-
 def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
     return InfiniteLengthError(
         f"family {family.name!r} has infinite length at params {params!r} (t={t:.6f})",
@@ -443,33 +485,13 @@ def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLe
 
 
 def _family_values(
-    domain: GaugeDomain, family: LoopFamily, params: np.ndarray, ts: np.ndarray
+    domain: GaugeDomain, family: LoopFamily, P: np.ndarray, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Support of the velocity at every (row of ``params``, t), as ``(values,
-    finite)`` of shape (G, m), in oracle calls of at most ``_BLOCK_SAMPLES``
-    samples (at least one whole row each)."""
-    G, m = params.shape[0], ts.shape[0]
-    values, finite = np.empty((G, m)), np.empty((G, m), dtype=bool)
-    step = max(1, _BLOCK_SAMPLES // m)
-    for i in range(0, G, step):
-        P = params[i:i + step]
-        pts = family.points(P, ts)
-        q = BasePoint(pts.reshape(-1, pts.shape[-1]), family.chart)
-        v = TangentVector(family.velocities(P, ts).reshape(q.coords.shape), q)
-        vals, fin = domain.support_oracle(q, v)
-        values[i:i + step] = vals.reshape(P.shape[0], m)
-        finite[i:i + step] = fin.reshape(P.shape[0], m)
-    return values, finite
-
-
-def _first_infinite(rows: np.ndarray, ts: np.ndarray, finite: np.ndarray, failed: tuple) -> tuple:
-    """The earlier, in grid order, of ``failed`` and the first of ``rows``
-    with a non-finite sample, as (row, its first non-finite t)."""
-    bad = ~finite.all(axis=1)
-    if not bad.any():
-        return failed
-    i = int(np.argmax(bad))
-    return min(failed, (int(rows[i]), float(ts[np.argmin(finite[i])])))
+    """Support of the velocity at every (row of ``P``, t) through the
+    family's array forms, in one oracle call."""
+    pts, vel = family.points(P, ts), family.velocities(P, ts)
+    d = pts.shape[-1]
+    return _oracle_rows(domain, family.chart, pts.reshape(-1, d), vel.reshape(-1, d), P.shape[0])
 
 
 def family_lengths(
@@ -479,46 +501,27 @@ def family_lengths(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> np.ndarray:
     """``loop_length`` of ``family.loop_at(p)`` for every row p of ``params``
-    (shape (G, p)), evaluated through the family's array forms: levels 0 and
-    1 of all rows in one pass, then the rows that have not converged doubling
-    together.  Each row gets the same sums, in the same order, as its own
-    ``loop_length``.
+    (shape (G, p)), all rows in one trapezoid rule: levels 0 and 1 of every
+    row in one pass, then the rows that have not converged doubling together,
+    in oracle calls of at most ``_BLOCK_SAMPLES`` samples.
 
     Raises the ``InfiniteLengthError`` of the first row, in row order, whose
     own ``loop_length`` raises, with that row as ``params`` and the same t;
     rows after it are not evaluated further."""
     params = np.asarray(params, dtype=float)
-    lengths = np.empty(params.shape[0])
-    rows = np.arange(params.shape[0])  # rows still doubling, in row order
-    n = quad.panels
-    ts = _first_levels(n, quad)
-    values, finite = _family_values(domain, family, params, ts)
-    failed = _first_infinite(rows, ts, finite, (params.shape[0], math.nan))
-    keep = rows < failed[0]
-    rows, values = rows[keep], values[keep]
-    totals = values[:, :n].sum(axis=1)
-    prev = totals / n
-    lengths[rows] = prev
-    for k in range(quad.max_doublings):
-        if not rows.size:
-            break
-        if k == 0:
-            fresh = values[:, n:]
-        else:
-            ts = _midpoints(n)
-            fresh, finite = _family_values(domain, family, params[rows], ts)
-            failed = _first_infinite(rows, ts, finite, failed)
-            keep = rows < failed[0]
-            rows, fresh, totals, prev = rows[keep], fresh[keep], totals[keep], prev[keep]
-        totals = totals + fresh.sum(axis=1)
-        n *= 2
-        cur = totals / n
-        lengths[rows] = cur
-        going = ~_converged(cur, prev, quad.qtol)
-        rows, totals, prev = rows[going], totals[going], cur[going]
-    if failed[0] < params.shape[0]:
+    if family.points is not None:
+        def values_at(rows, ts):
+            return _family_values(domain, family, params[rows], ts)
+    else:
+        stack = [family.loop_at(p) for p in params]
+
+        def values_at(rows, ts):
+            return _loops_values(domain, [stack[r] for r in rows], ts)
+
+    lengths, failed = _trapezoid(values_at, params.shape[0], quad)
+    if failed is not None:
         raise _infinite_at(family, params[failed[0]], failed[1])
-    return lengths
+    return np.array(lengths)
 
 
 @dataclass(frozen=True, slots=True)
@@ -572,7 +575,7 @@ def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
     periodic = np.array([ax.periodic for ax in grid.axes])
 
     def clip(x: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(x, los), his)
+        return x.clip(los, his)
 
     if not periodic.any():
         return clip

@@ -1,5 +1,6 @@
-"""Loop families in array form: the grid batch against per-point lengths,
-its errors and oracle batches, and the refinement around it."""
+"""Loop families in array form: the grid batch and single-loop lengths
+against a per-point, per-level reference rule, their errors and oracle
+batches, and the refinement around them."""
 import dataclasses
 import math
 
@@ -71,6 +72,32 @@ def _recording(domain: GaugeDomain):
     return dataclasses.replace(domain, support_oracle=oracle), batches
 
 
+def _reference_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec) -> float:
+    """The trapezoid rule one loop and one level at a time: the n points,
+    then each doubling's n midpoints, one oracle call each; raises for the
+    first infinite t in level order."""
+
+    def level_sum(ts):
+        q = BasePoint(loop.points(ts), loop.chart)
+        values, finite = domain.support_oracle(q, TangentVector(loop.velocities(ts), q))
+        if not finite.all():
+            t = float(ts[np.argmin(finite)])
+            raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
+        return float(values.sum())
+
+    n = quad.panels
+    total = level_sum(np.arange(n) / n)
+    prev = total / n
+    for _ in range(quad.max_doublings):
+        total += level_sum((np.arange(n) + 0.5) / n)
+        n *= 2
+        cur = total / n
+        if abs(cur - prev) <= quad.qtol * (1.0 + abs(cur)):
+            return cur
+        prev = cur
+    return prev
+
+
 @PROPERTY
 @given(case=st.sampled_from(CASES), quad=st.sampled_from(QUADS), data=st.data())
 def test_batched_family_lengths_equal_per_point_lengths(case, quad, data):
@@ -78,8 +105,11 @@ def test_batched_family_lengths_equal_per_point_lengths(case, quad, data):
     fam = s.families[name]
     row = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=fam.grid.dim, max_size=fam.grid.dim)
     P = _in_range(fam.grid, data.draw(st.lists(row, min_size=1, max_size=40)))
+    reference = [_reference_length(s.domain, fam.loop_at(p), quad) for p in P]
     batched = family_lengths(s.domain, fam, P, quad)
+    np.testing.assert_allclose(batched, reference, rtol=1e-13, atol=0.0)
     per_point = [loop_length(s.domain, fam.loop_at(p), quad) for p in P]
+    np.testing.assert_allclose(per_point, reference, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(batched, per_point, rtol=1e-13, atol=0.0)
     ts = np.linspace(-0.1, 1.1, 23)
     for i, p in enumerate(P[:3]):
@@ -112,10 +142,10 @@ WINDOWS = _window_family(ParamGrid((GridAxis(0.0, 1.0, 3), GridAxis(0.5, 1.5, 3)
 
 
 def _first_failure(domain, fam, P, quad):
-    """(row, t) of the first row whose own loop_length raises, else None."""
+    """(row, t) of the first row whose reference length raises, else None."""
     for i, p in enumerate(P):
         try:
-            loop_length(domain, fam.loop_at(p), quad)
+            _reference_length(domain, fam.loop_at(p), quad)
         except InfiniteLengthError as exc:
             return i, exc.t
     return None
@@ -135,8 +165,8 @@ def test_grid_error_matches_the_per_point_loop(rows, panels):
     P = np.array(rows, dtype=float)
     expected = _first_failure(CAMEL, WINDOWS, P, quad)
     if expected is None:
-        per_point = [loop_length(CAMEL, WINDOWS.loop_at(p), quad) for p in P]
-        np.testing.assert_allclose(family_lengths(CAMEL, WINDOWS, P, quad), per_point, rtol=1e-13, atol=0.0)
+        reference = [_reference_length(CAMEL, WINDOWS.loop_at(p), quad) for p in P]
+        np.testing.assert_allclose(family_lengths(CAMEL, WINDOWS, P, quad), reference, rtol=1e-13, atol=0.0)
         return
     with pytest.raises(InfiniteLengthError) as exc:
         family_lengths(CAMEL, WINDOWS, P, quad)
@@ -144,6 +174,10 @@ def test_grid_error_matches_the_per_point_loop(rows, panels):
     np.testing.assert_array_equal(exc.value.params, P[row])
     assert exc.value.t == t
     assert f"family 'window' has infinite length at params {P[row]!r} (t={t:.6f})" == str(exc.value)
+    with pytest.raises(InfiniteLengthError) as exc:
+        loop_length(CAMEL, WINDOWS.loop_at(P[row]), quad)
+    assert exc.value.t == t
+    assert f"infinite support at t={t:.6f}" == str(exc.value)
 
 
 def test_grid_error_names_an_earlier_row_that_fails_at_a_later_level():
@@ -207,16 +241,19 @@ def test_unconverged_rows_double_together():
     fam = s.families["Ldoubled"]
     quad = QuadratureSpec(panels=8, qtol=1e-12)
     P = fam.grid.array()
-    per_row = []
+    per_row = []  # the level sizes each row's reference rule samples
     for p in P:
         domain, batches = _recording(s.domain)
-        loop_length(domain, fam.loop_at(p), quad)
+        _reference_length(domain, fam.loop_at(p), quad)
         per_row.append(batches)
     depth = max(len(b) for b in per_row)
-    assert depth >= 3
+    assert depth >= 4
+    # levels 0 and 1 of every row together, then each later level of the
+    # rows that reach it
+    levels = [[b[0] + b[1] for b in per_row]]
+    levels += [[b[k] for b in per_row if len(b) > k] for k in range(2, depth)]
     expected = []
-    for level in range(depth):
-        rows = [b[level] for b in per_row if len(b) > level]
+    for rows in levels:
         step = max(1, loops._BLOCK_SAMPLES // rows[0])
         expected += [rows[0] * len(rows[i:i + step]) for i in range(0, len(rows), step)]
     domain, batches = _recording(s.domain)
@@ -264,7 +301,7 @@ def _seam_domain() -> GaugeDomain:
     def oracle(q, v):
         w = v.components
         scale = 1.0 + 0.5 * np.cos(TWO_PI * (q.coords[:, 0] - 0.95))
-        values = scale * np.sqrt(np.add.reduce(w * w, axis=1))
+        values = scale * np.sqrt((w * w).sum(axis=1))
         return values, np.ones(values.shape, dtype=bool)
 
     return GaugeDomain(BaseDescriptor("torus", 2, ("torus",)), oracle)
@@ -307,28 +344,62 @@ def test_periodic_bracket_spans_one_grid_gap():
     assert 0 < evals <= 200
 
 
-def test_a_family_given_by_loops_is_stacked():
+def _vertical_loops(upward_chart: str):
+    """``loop_at`` of vertical loops at q_0 = u on the camel domain: upward in
+    ``upward_chart`` for 0.2 < u < 0.6, downward in chart camel elsewhere,
+    and a list of the u it has built loops for."""
+    built = []
+
     def vertical(p):
         u = float(p[0])
+        built.append(u)
+        chart, c = (upward_chart, 1.0) if 0.2 < u < 0.6 else ("camel", -1.0)
 
         def point(t):
-            return BasePoint(np.array([u, t]), "camel" if u < 0.5 else "camel:q1zero")
+            return BasePoint(np.array([u, t]), chart)
 
-        return Loop(point, lambda t: TangentVector(np.array([0.0, -1.0]), point(t)))
+        return Loop(point, lambda t: TangentVector(np.array([0.0, c]), point(t)))
 
-    fam = LoopFamily("vertical", ParamGrid((GridAxis(0.0, 0.4, 3),)), vertical)
-    assert fam.chart == "camel"
-    P, ts = fam.grid.array(), np.linspace(0.0, 1.0, 5)
-    assert fam.points(P, ts).shape == (3, 5, 2)
-    np.testing.assert_array_equal(fam.points(P, ts)[2], vertical(P[2]).points(ts))
-    np.testing.assert_allclose(family_lengths(CAMEL, fam, P), 0.4 / 2 + 0.01, rtol=1e-12)
-    with pytest.raises(LoopValidationError):
-        fam.points(np.array([[0.2], [0.7]]), ts)  # the second loop leaves the chart
+    return vertical, built
+
+
+def test_a_family_given_by_loops_keeps_each_loops_chart():
+    # on the q_1 = 0 slice (chart camel:q1zero) the last momentum is bounded
+    # above too, so the upward loops there have length eps/2 + 2 delta; the
+    # downward ones have eps/2 + delta in either chart
+    vertical, built = _vertical_loops("camel:q1zero")
+    fam = LoopFamily("vertical", ParamGrid((GridAxis(0.0, 1.0, 5),)), vertical)
+    assert built == []  # no loop is built before a length is asked for
+    lo, hi = 0.4 / 2 + 0.01, 0.4 / 2 + 0.02
+    domain, batches = _recording(CAMEL)
+    quad = QuadratureSpec(panels=8)
+    lengths = family_lengths(domain, fam, fam.grid.array(), quad)
+    np.testing.assert_allclose(lengths, [lo, hi, hi, lo, lo], rtol=1e-12)
+    assert built == [0.0, 0.25, 0.5, 0.75, 1.0]  # one loop per row
+    assert batches == [3 * 16, 2 * 16]  # levels 0 and 1, one call per chart
+    rep = extremal_lengths(CAMEL, fam, quad)
+    assert (rep.E, rep.e) == (pytest.approx(hi, rel=1e-12), pytest.approx(lo, rel=1e-12))
+
+
+def test_a_family_given_by_loops_raises_for_its_first_infinite_row():
+    # upward loops in chart camel have infinite support everywhere
+    vertical, _ = _vertical_loops("camel")
+    fam = LoopFamily("vertical", ParamGrid((GridAxis(0.0, 1.0, 5),)), vertical)
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(CAMEL, fam, fam.grid.array(), QuadratureSpec(panels=8))
+    np.testing.assert_array_equal(exc.value.params, [0.25])
+    assert exc.value.t == 0.0
 
 
 def test_a_family_needs_loops_or_both_array_forms():
     grid = ParamGrid(())
+
+    def forms(P, ts):
+        return np.zeros((P.shape[0], ts.shape[0], 2))
+
     with pytest.raises(LoopValidationError):
         LoopFamily("none", grid)
     with pytest.raises(LoopValidationError):
-        LoopFamily("half", grid, points=lambda P, ts: np.zeros((P.shape[0], ts.shape[0], 2)))
+        LoopFamily("half", grid, points=forms)
+    with pytest.raises(LoopValidationError):
+        LoopFamily("other half", grid, velocities=forms)
