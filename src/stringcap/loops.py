@@ -21,9 +21,10 @@ integrands: the convergence test first runs after one doubling, so levels 0
 and 1 of every row share one batched support-oracle call, and the rows that
 have not converged double together, in oracle calls of at most
 ``_BLOCK_SAMPLES`` samples.  ``loop_length`` is that rule on one row,
-``family_lengths`` on a whole parameter grid.  Suprema/infima over families
-are taken on that grid and refined with derivative-free local search, one
-``loop_length`` per evaluation.
+``family_lengths`` on a whole parameter grid.  The sup and inf of a family
+are taken on that grid and refined together by a compass search that stays
+within one grid gap of their grid points, one ``family_lengths`` call per
+round (``_refine``).
 """
 from __future__ import annotations
 
@@ -526,7 +527,11 @@ def family_lengths(
 
 @dataclass(frozen=True, slots=True)
 class RefineSpec:
-    budget: int = 200  # function evaluations per extremum
+    """Compass refinement of a family's sup and inf from their grid points:
+    an extremum stops once its step is below ``xtol`` on every axis, or when
+    one more round would take its length evaluations past ``budget``."""
+
+    budget: int = 200  # length evaluations per extremum
     xtol: float = 1e-6
 
 
@@ -545,28 +550,6 @@ class ExtremalLengthReport:
     attained_on_grid_closure: bool = True
 
 
-def _golden_section(f, lo, hi, budget, xtol):
-    """Golden-section minimization of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while evals < budget and (b - a) > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        evals += 1
-    x = c if fc < fd else d
-    return x, min(fc, fd), evals
-
-
 def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Map parameters into the grid's box: periodic axes wrap into [lo, hi),
     the others are clipped to [lo, hi]."""
@@ -582,41 +565,55 @@ def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
     return lambda x: np.where(periodic, los + np.mod(x - los, his - los), clip(x))
 
 
-def _refine(f, x0, f0: float, grid: ParamGrid, budget: int, xtol: float, minimize: bool):
-    """Derivative-free local refinement from the grid extremum ``x0``, whose
-    value ``f0`` the grid already has.  Trial points on a periodic axis wrap
-    across the seam instead of stopping at it."""
-    if grid.dim == 0:
-        return x0, f0, 0
-    sign = 1.0 if minimize else -1.0
+@dataclass(eq=False)
+class _Compass:
+    """One extremum's compass search: its start ``x0``, its point ``x``
+    unwrapped and ``at`` as evaluated, its length ``f``, ``sign`` -1 for a sup
+    and 1 for an inf, and the step ``h`` per axis."""
+
+    x0: np.ndarray
+    x: np.ndarray
+    at: np.ndarray
+    f: float
+    sign: float
+    h: np.ndarray
+    evals: int = 0
+    rounds: int = 0
+
+
+def _refine(lengths, grid: ParamGrid, starts, budget: int, xtol: float) -> list[tuple]:
+    """Batched compass search (Kolda, Lewis and Torczon, SIAM Review 2003)
+    from the grid extrema ``starts``, one (x0, f0, sign) each: the grid point,
+    its length, and -1 to maximize or 1 to minimize.  Each starts with step h
+    half a grid gap on every axis.  A round tries x +- h e_i for every
+    extremum still refining, all in one ``lengths`` call on a (k, p) array;
+    an extremum moves to its best trial on a strict improvement and halves h
+    otherwise, and stops when h < xtol on every axis or when its next round
+    would take its evaluations past ``budget``.  Trial points stay within one
+    grid gap of the start on every axis and go through ``_folder``, so
+    periodic axes wrap across the seam and the others are clipped.  Returns
+    (point, length, evals, rounds) per start."""
+    p = grid.dim
     fold = _folder(grid)
-
-    def wrapped(x):
-        return sign * f(fold(np.atleast_1d(x)))
-
-    if grid.dim == 1:
-        ax, x = grid.axes[0], float(x0[0])
-        if ax.periodic:
-            # the axis excludes hi, so count points split it into count gaps
-            span = (ax.hi - ax.lo) / ax.count
-            lo, hi = x - span, x + span
-        else:
-            span = (ax.hi - ax.lo) / max(ax.count - 1, 1)
-            lo, hi = max(ax.lo, x - span), min(ax.hi, x + span)
-        x, fx, evals = _golden_section(lambda t: wrapped([t]), lo, hi, budget, xtol)
-        return fold(np.array([x])), sign * fx, evals
-    # imported here, not with the package: scipy.optimize is more than half of
-    # the package's import time and memory, and only this refinement of
-    # families with two or more parameters uses it
-    from scipy import optimize
-
-    res = optimize.minimize(
-        wrapped,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": xtol, "fatol": 1e-12},
-    )
-    return fold(res.x), sign * res.fun, int(res.nfev)
+    # a periodic axis excludes hi, so its count points split it into count gaps
+    gap = np.array([(ax.hi - ax.lo) / (ax.count if ax.periodic else max(ax.count - 1, 1)) for ax in grid.axes])
+    moves = np.concatenate([np.eye(p), -np.eye(p)])
+    searches = [_Compass(x0, x0, x0, f0, sign, gap / 2) for x0, f0, sign in starts]
+    while True:
+        going = [s for s in searches if (s.h >= xtol).any() and s.evals + 2 * p <= budget]
+        if not going:
+            return [(s.at, s.f, s.evals, s.rounds) for s in searches]
+        raw = [np.clip(s.x + s.h * moves, s.x0 - gap, s.x0 + gap) for s in going]
+        trials = [fold(r) for r in raw]
+        values = lengths(np.concatenate(trials)).reshape(len(going), 2 * p)
+        for s, r, t, v in zip(going, raw, trials, values):
+            j = int(np.argmin(s.sign * v))
+            if s.sign * v[j] < s.sign * s.f:
+                s.x, s.at, s.f = r[j], t[j], float(v[j])
+            else:
+                s.h = s.h / 2
+            s.evals += 2 * p
+            s.rounds += 1
 
 
 def extremal_lengths(
@@ -625,17 +622,14 @@ def extremal_lengths(
     quad: QuadratureSpec = QuadratureSpec(),
     refine: RefineSpec = RefineSpec(),
 ) -> ExtremalLengthReport:
-    """Grid evaluation of loop lengths over the family's parameter space (one
-    ``family_lengths`` batch), followed by golden-section (1-D) or
-    Nelder-Mead (>= 2-D) refinement of both extrema, one ``loop_length`` per
-    evaluation."""
-
-    def length_at(params: np.ndarray) -> float:
-        try:
-            return loop_length(domain, family.loop_at(params), quad)
-        except InfiniteLengthError as exc:
-            raise _infinite_at(family, params, exc.t) from exc
-
+    """Sup and inf of loop lengths over the family's parameter space: one
+    ``family_lengths`` batch over the grid, then a compass search from the
+    grid's sup and inf together (``_refine``).  Each round tries a step h
+    either way along every axis, within one grid gap of the grid point, in one
+    ``family_lengths`` call for both extrema; an extremum stops once h is
+    below ``refine.xtol`` on every axis or when its next round would take it
+    past ``refine.budget`` lengths.  Each ``refinement_history`` entry counts
+    its extremum's lengths (``evals``) and ``rounds``."""
     pts = family.grid.array()
     lengths = family_lengths(domain, family, pts, quad)
     i_max = int(np.argmax(lengths))
@@ -643,27 +637,25 @@ def extremal_lengths(
     grid_E = float(lengths[i_max])
     grid_e = float(lengths[i_min])
 
-    xmax, ref_E, n_max = _refine(
-        length_at, pts[i_max], grid_E, family.grid, refine.budget, refine.xtol, minimize=False
+    (xmax, E, n_max, r_max), (xmin, e, n_min, r_min) = _refine(
+        lambda P: family_lengths(domain, family, P, quad),
+        family.grid,
+        [(pts[i_max], grid_E, -1.0), (pts[i_min], grid_e, 1.0)],
+        refine.budget,
+        refine.xtol,
     )
-    xmin, ref_e, n_min = _refine(
-        length_at, pts[i_min], grid_e, family.grid, refine.budget, refine.xtol, minimize=True
-    )
-
-    E = max(grid_E, ref_E)
-    e = min(grid_e, ref_e)
     if not (math.isfinite(E) and math.isfinite(e)):
         raise InfiniteLengthError("non-finite extremal length", t=float("nan"))
     history = (
-        {"extremum": "sup", "grid": grid_E, "refined": ref_E, "evals": n_max},
-        {"extremum": "inf", "grid": grid_e, "refined": ref_e, "evals": n_min},
+        {"extremum": "sup", "grid": grid_E, "refined": E, "evals": n_max, "rounds": r_max},
+        {"extremum": "inf", "grid": grid_e, "refined": e, "evals": n_min, "rounds": r_min},
     )
     return ExtremalLengthReport(
         family=family.name,
         E=E,
         e=e,
-        argmax_params=xmax if ref_E >= grid_E else pts[i_max],
-        argmin_params=xmin if ref_e <= grid_e else pts[i_min],
+        argmax_params=xmax,
+        argmin_params=xmin,
         grid_E=grid_E,
         grid_e=grid_e,
         grid_shape=tuple(ax.count for ax in family.grid.axes),

@@ -1,6 +1,10 @@
 """Numeric bound assembly: values, certificates and covariance properties."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +163,23 @@ def test_bound_report_carries_grid_and_refined_values():
     assert "grid_values" in payload
     for rec in payload["grid_values"].values():
         assert rec["sup"] >= rec["grid_sup"] - 1e-12
+
+
+def test_bounds_of_every_catalog_kind_load_no_scipy():
+    # a fresh interpreter: this one may have imported scipy for other tests
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    configs = [
+        {"scenario": "ellipsoid1", "n": 3, "a": 0.7},
+        {"scenario": "ellipsoid2", "n": 4, "a": 0.8},
+        {"scenario": "camel", "n": 3, "eps": 0.7, "delta": 0.003},
+        {"scenario": "product_torus", "d": 3, "k": 1, "radius": 1.3},
+        {"scenario": "klein", "a": 0.8, "b": 1.5},
+        {"scenario": "open_book", "page": "interval"},
+        {"scenario": "open_book", "page": "circle", "len_page": 0.7, "len_fiber": 1.3},
+    ]
+    code = ("import sys; from stringcap import bounds, catalog\n"
+            f"for c in {configs!r}: bounds.compute_bounds(catalog.build_scenario(c))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -273,14 +273,39 @@ def _counting_loop_length(monkeypatch):
     return calls
 
 
-def test_grid_is_batched_and_refinement_goes_through_loop_length(monkeypatch):
+def _counting_family_lengths(monkeypatch):
+    calls = []
+    real = loops.family_lengths
+
+    def counted(domain, family, params, quad):
+        calls.append(np.array(params))
+        return real(domain, family, params, quad)
+
+    monkeypatch.setattr(loops, "family_lengths", counted)
+    return calls
+
+
+def test_grid_is_batched_and_each_refinement_round_is_one_family_lengths_call(monkeypatch):
     s = klein_bottle_scenario(0.8, 1.5)
-    calls = _counting_loop_length(monkeypatch)
+    fam = s.families["Ldoubled"]  # 17 points on [-0.375, 0.375], not periodic
+    lengths = _counting_loop_length(monkeypatch)
+    calls = _counting_family_lengths(monkeypatch)
     domain, batches = _recording(s.domain)
-    rep = extremal_lengths(domain, s.families["Ldoubled"], s.quad)
-    evals = sum(h["evals"] for h in rep.refinement_history)
-    assert evals > 0 and len(calls) == evals
-    assert batches[0] == 17 * 2 * s.quad.panels  # the whole grid, levels 0 and 1
+    rep = extremal_lengths(domain, fam, s.quad)
+    assert lengths == []
+    np.testing.assert_array_equal([rep.argmax_params, rep.argmin_params], [[-0.375], [0.0]])
+    assert [(h["evals"], h["rounds"]) for h in rep.refinement_history] == [(30, 15), (30, 15)]
+    np.testing.assert_array_equal(calls[0], fam.grid.array())
+    # then one call per round, the sup's two trial rows and then the inf's,
+    # each within one grid gap of its grid point
+    gap = 0.75 / 16
+    assert [c.shape for c in calls[1:]] == [(4, 1)] * 15
+    for c in calls[1:]:
+        assert np.all(np.abs(c[:2] - rep.argmax_params) <= gap)
+        assert np.all(np.abs(c[2:] - rep.argmin_params) <= gap)
+    # levels 0 and 1 of the whole grid, then of the four trial rows of each
+    # round, all of which converge at level 1
+    assert batches == [17 * 2 * s.quad.panels] + [4 * 2 * s.quad.panels] * 15
 
 
 def test_zero_parameter_family_reuses_its_grid_value(monkeypatch):
@@ -336,12 +361,106 @@ def test_periodic_bracket_spans_one_grid_gap():
     # of f at 0.2 lies outside the bracket [0.25, 0.75] around 0.5
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),))
 
-    def f(x):
-        return -math.cos(TWO_PI * (float(x[0]) - 0.2))
+    def f(P):
+        return -np.cos(TWO_PI * (P[:, 0] - 0.2))
 
-    x, fx, evals = loops._refine(f, np.array([0.5]), f([0.5]), grid, 200, 1e-9, minimize=True)
+    [(x, fx, evals, rounds)] = loops._refine(f, grid, [(np.array([0.5]), f(np.array([[0.5]]))[0], 1.0)], 200, 1e-9)
     assert x[0] == pytest.approx(0.25, abs=1e-6)
     assert 0 < evals <= 200
+
+
+def _scaled_torus(scale) -> GaugeDomain:
+    """Flat-torus norm on coordinates (u, v, t) scaled by ``scale(u, v)``."""
+
+    def oracle(q, v):
+        w = v.components
+        values = scale(q.coords[:, 0], q.coords[:, 1]) * np.sqrt((w * w).sum(axis=1))
+        return values, np.isfinite(values)
+
+    return GaugeDomain(BaseDescriptor("torus", 3, ("torus",)), oracle)
+
+
+def _vertical_family(grid: ParamGrid) -> LoopFamily:
+    """Loops t -> (u, v, t) at parameters (u, v): the length of the loop at
+    (u, v) is the domain's scale there."""
+
+    def points(P, ts):
+        out = np.empty((P.shape[0], ts.shape[0], 3))
+        out[:, :, :2] = P[:, None, :]
+        out[:, :, 2] = ts
+        return out
+
+    def velocities(P, ts):
+        out = np.zeros((P.shape[0], ts.shape[0], 3))
+        out[:, :, 2] = 1.0
+        return out
+
+    return LoopFamily("vertical", grid, points=points, velocities=velocities, chart="torus")
+
+
+def _bump(u, v):
+    # 1 + (1 + cos)(1 + cos) / 8 around (0.95, 0.95): largest there, 1.5
+    return 1.0 + (1.0 + np.cos(TWO_PI * (u - 0.95))) * (1.0 + np.cos(TWO_PI * (v - 0.95))) / 8.0
+
+
+TORUS_GRID = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True), GridAxis(0.0, 1.0, 4, periodic=True)))
+
+
+def test_refinement_crosses_the_seam_of_both_periodic_axes():
+    # the grid's largest value is at (0, 0), and the maximum lies across the
+    # seam from there on both axes
+    rep = extremal_lengths(_scaled_torus(_bump), _vertical_family(TORUS_GRID))
+    np.testing.assert_array_equal(TORUS_GRID.array()[0], [0.0, 0.0])
+    assert rep.grid_E == pytest.approx(float(_bump(0.0, 0.0)), rel=1e-12)
+    assert rep.E == pytest.approx(1.5, rel=1e-9)
+    np.testing.assert_allclose(rep.argmax_params, [0.95, 0.95], atol=1e-5)
+    assert rep.e == pytest.approx(1.0, rel=1e-9)
+    assert all(0 < h["evals"] == 4 * h["rounds"] <= 200 for h in rep.refinement_history)
+
+
+def test_refinement_evaluations_stay_within_the_budget():
+    domain, fam = _scaled_torus(_bump), _vertical_family(TORUS_GRID)
+    grid = extremal_lengths(domain, fam, refine=loops.RefineSpec(budget=3))
+    # a round of a 2-D family takes four lengths per extremum
+    assert [(h["refined"], h["evals"], h["rounds"]) for h in grid.refinement_history] == [
+        (grid.grid_E, 0, 0), (grid.grid_e, 0, 0)]
+    assert (grid.E, grid.e) == (grid.grid_E, grid.grid_e)
+    np.testing.assert_array_equal(grid.argmax_params, [0.0, 0.0])
+    for budget in range(1, 61):  # both searches need more than 60 lengths unbounded
+        rep = extremal_lengths(domain, fam, refine=loops.RefineSpec(budget=budget))
+        for h in rep.refinement_history:
+            assert h["evals"] == 4 * h["rounds"] and budget - 4 < h["evals"] <= budget
+        assert rep.E >= grid.E and rep.e <= grid.e
+
+
+def test_an_infinite_trial_row_raises_with_its_params():
+    # the grid 0, 1/2, 1 misses the window 0.7 < u < 0.8 where the support is
+    # infinite; the sup at 1 tries 1 (its box ends there) and 0.75
+    def scale(u, v):
+        return np.where((u > 0.7) & (u < 0.8), np.inf, 1.0 + u)
+
+    grid = ParamGrid((GridAxis(0.0, 1.0, 3), GridAxis(0.0, 0.0, 1)))
+    with pytest.raises(InfiniteLengthError) as exc:
+        extremal_lengths(_scaled_torus(scale), _vertical_family(grid))
+    np.testing.assert_array_equal(exc.value.params, [0.75, 0.0])
+    assert "'vertical'" in str(exc.value)
+
+
+@PROPERTY
+@given(
+    st.sampled_from(CASES),
+    st.sampled_from(QUADS),
+    st.integers(1, 120),
+    st.sampled_from([1e-2, 1e-4, 1e-6]),
+)
+def test_refinement_never_loses_to_the_grid_and_reports_its_lengths(case, quad, budget, xtol):
+    s, name = case
+    fam = s.families[name]
+    rep = extremal_lengths(s.domain, fam, quad, loops.RefineSpec(budget=budget, xtol=xtol))
+    assert rep.E >= rep.grid_E and rep.e <= rep.grid_e
+    assert rep.E == pytest.approx(loop_length(s.domain, fam.loop_at(rep.argmax_params), quad), rel=1e-13, abs=0)
+    assert rep.e == pytest.approx(loop_length(s.domain, fam.loop_at(rep.argmin_params), quad), rel=1e-13, abs=0)
+    assert all(h["evals"] <= budget for h in rep.refinement_history)
 
 
 def _vertical_loops(upward_chart: str):
