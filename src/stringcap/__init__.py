@@ -4,10 +4,6 @@ filtered string-topology rewrite calculus."""
 
 from .bounds import (
     CapacityBound,
-    bound_ellipsoid2,
-    bound_non_orientable,
-    bound_open_book,
-    bound_product_torus,
     camel_limit_report,
     compute_bounds,
     resolve_bindings,
@@ -38,7 +34,6 @@ from .gauge import (
     domain_contains,
     metric_norm,
     support,
-    support_generic_maximize,
 )
 from .frames import UnitaryFrame, sphere_unitary_frame, verify_frame_family
 from .loops import (

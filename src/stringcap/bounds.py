@@ -99,94 +99,23 @@ def _make_bound(
     )
 
 
-def _signed_min_bound(
-    scenario: Scenario, target: TargetClass, bindings: dict, reports: dict
-) -> CapacityBound:
-    """Derive the bound for both rotation orientations and keep the smaller."""
-    candidates = []
-    for sign in (+1, -1):
-        cert = derive_certificate(scenario, target, sign=sign)
-        candidates.append(_make_bound(scenario, target, cert, bindings, reports))
-    return min(candidates, key=lambda b: b.upper_bound)
-
-
-def bound_open_book(
-    scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
-    refine: RefineSpec = RefineSpec(),
-) -> tuple[CapacityBound, ...]:
-    """The point-class bound plus the single-orientation bound: the latter
-    applies to the fundamental class when the page has boundary and to the
-    page class when it does not."""
-    if scenario.kind not in ("ellipsoid1", "open_book"):
-        raise ScenarioParameterError("bound_open_book needs an open-book style scenario")
-    bindings, reports = resolve_bindings(scenario, quad, refine)
-    out = []
-    for target in scenario.targets:
-        if target.name == "[pt]":
-            cert = derive_certificate(scenario, target)
-            out.append(_make_bound(scenario, target, cert, bindings, reports))
-        else:
-            out.append(_signed_min_bound(scenario, target, bindings, reports))
-    return tuple(out)
-
-
-def bound_product_torus(
-    scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
-    refine: RefineSpec = RefineSpec(),
-) -> CapacityBound:
-    if scenario.kind not in ("product_torus", "camel"):
-        raise ScenarioParameterError("bound_product_torus needs a product-torus scenario")
-    bindings, reports = resolve_bindings(scenario, quad, refine)
-    target = scenario.target("[T^k]")
-    cert = derive_certificate(scenario, target)
-    return _make_bound(scenario, target, cert, bindings, reports)
-
-
-def bound_non_orientable(
-    scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
-    refine: RefineSpec = RefineSpec(),
-) -> CapacityBound:
-    if scenario.kind != "non_orientable":
-        raise ScenarioParameterError("bound_non_orientable needs a non-orientable scenario")
-    bindings, reports = resolve_bindings(scenario, quad, refine)
-    target = scenario.target("[Sigma]")
-    cert = derive_certificate(scenario, target)
-    return _make_bound(scenario, target, cert, bindings, reports)
-
-
-def bound_ellipsoid2(
-    scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
-    refine: RefineSpec = RefineSpec(),
-) -> tuple[CapacityBound, ...]:
-    if scenario.kind != "ellipsoid2":
-        raise ScenarioParameterError("bound_ellipsoid2 needs a diagonal-action scenario")
-    bindings, reports = resolve_bindings(scenario, quad, refine)
-    out = []
-    for target in scenario.targets:
-        cert = derive_certificate(scenario, target)
-        out.append(_make_bound(scenario, target, cert, bindings, reports))
-    return tuple(out)
-
-
 def compute_bounds(
     scenario: Scenario,
     quad: Optional[QuadratureSpec] = None,
     refine: RefineSpec = RefineSpec(),
 ) -> tuple[CapacityBound, ...]:
-    """All bounds the scenario kind supports."""
-    if scenario.kind in ("ellipsoid1", "open_book"):
-        return bound_open_book(scenario, quad, refine)
-    if scenario.kind in ("product_torus", "camel"):
-        return (bound_product_torus(scenario, quad, refine),)
-    if scenario.kind == "non_orientable":
-        return (bound_non_orientable(scenario, quad, refine),)
-    if scenario.kind == "ellipsoid2":
-        return bound_ellipsoid2(scenario, quad, refine)
-    raise ScenarioParameterError(f"unknown scenario kind {scenario.kind!r}")
+    """One bound per target of the scenario, in target order.  A target whose
+    recipe holds for both rotation orientations gets the smaller of the two
+    bounds (the positive one on a tie)."""
+    bindings, reports = resolve_bindings(scenario, quad, refine)
+    out = []
+    for target in scenario.targets:
+        candidates = [
+            _make_bound(scenario, target, derive_certificate(scenario, target, sign=sign), bindings, reports)
+            for sign in ((+1, -1) if target.both_orientations else (+1,))
+        ]
+        out.append(min(candidates, key=lambda b: b.upper_bound))
+    return tuple(out)
 
 
 def camel_limit_report(n: int, eps: float, delta_grid) -> dict:
@@ -202,7 +131,7 @@ def camel_limit_report(n: int, eps: float, delta_grid) -> dict:
     from .catalog import camel_scenario
 
     for d in deltas:
-        b = bound_product_torus(camel_scenario(n, eps, d))
+        (b,) = compute_bounds(camel_scenario(n, eps, d))
         rows.append({"delta": d, "bound": b.upper_bound})
     d1, d2 = rows[0]["delta"], rows[1]["delta"]
     b1, b2 = rows[0]["bound"], rows[1]["bound"]

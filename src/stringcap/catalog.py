@@ -2,7 +2,9 @@
 
 Each constructor bundles a gauge domain with the loop families whose extremal
 lengths feed the width bounds, the target classes those bounds apply to, and
-the intersection/sweep tables the symbolic calculus consults.
+the intersection/sweep tables the symbolic calculus consults.  Each target
+class carries the recipe that derives its certificate.  ``REFERENCE_CASES``
+holds the paper's reference cases with their closed forms.
 """
 from __future__ import annotations
 
@@ -30,7 +32,15 @@ from .loops import (
     cutoff,
     cutoff_deriv,
 )
-from .stralg import RuleContext
+from .stralg import (
+    RuleContext,
+    closed_page_recipe,
+    diagonal_action_recipe,
+    non_orientable_recipe,
+    open_book_fundamental_recipe,
+    open_book_point_recipe,
+    product_torus_recipe,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,11 +52,17 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True, slots=True)
 class TargetClass:
     """The homology class a bound applies to, with the cohomology label it
-    pairs nontrivially with.  The pairing is declared, never inferred."""
+    pairs nontrivially with.  The pairing is declared, never inferred.
+
+    ``recipe`` is the ``stralg`` rule chain that derives the target's
+    certificate; ``both_orientations`` marks a chain that holds for either
+    rotation orientation, so the bound is the smaller of the two."""
 
     name: str
     declared_nonzero_pairing: str
+    recipe: Callable
     justification: str = ""
+    both_orientations: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +78,6 @@ class BindingSelector:
 @dataclass(frozen=True, eq=False)
 class Scenario:
     id: str
-    kind: str
     params: dict
     domain: GaugeDomain
     families: dict[str, LoopFamily]
@@ -70,8 +85,6 @@ class Scenario:
     symbolic_bindings: dict[str, BindingSelector]
     rule_context: RuleContext
     quad: QuadratureSpec = QuadratureSpec(panels=64)
-    boundary_nonempty: Optional[bool] = None
-    symmetric: bool = False  # sup lengths agree for the two orientations
     equality: dict = field(default_factory=dict)  # target name -> note
     notes: str = ""
 
@@ -167,6 +180,46 @@ def _page_grid(page_dim: int) -> ParamGrid:
     return ParamGrid(tuple(GridAxis(-s, s, count) for _ in range(page_dim)))
 
 
+def _page_rotation_families(page_dim: int) -> dict[str, LoopFamily]:
+    grid = _page_grid(page_dim)
+    return {"L+": _page_circle_family("L+", grid, +1), "L-": _page_circle_family("L-", grid, -1)}
+
+
+# the rotation families of every open book are named L+ and L-
+def _rotation_bindings() -> dict[str, BindingSelector]:
+    return {
+        "E+": BindingSelector("L+", "sup"),
+        "E-": BindingSelector("L-", "sup"),
+        "e+": BindingSelector("L+", "inf"),
+        "e-": BindingSelector("L-", "inf"),
+    }
+
+
+def _open_book_context(boundary_nonempty: bool) -> RuleContext:
+    return RuleContext(
+        axioms=frozenset({"ACTION_IS_BV"}),
+        iota_table={"id": "PD(T*M)", "pt": "T*M_pt", "orbit": "PD_dual(V)"},
+        sweep_table={"pt": "orbit"},
+        boundary_nonempty=boundary_nonempty,
+    )
+
+
+_CONSTANT_LOOPS_TARGET = TargetClass(
+    "[pt]", "PD(T*M)", open_book_point_recipe, "constant loops sweep the whole base"
+)
+
+
+def _fiber_pairing_target(name: str) -> TargetClass:
+    """The fundamental class of an open book whose page has boundary."""
+    return TargetClass(
+        name,
+        "T*M_pt",
+        open_book_fundamental_recipe,
+        "fundamental class pairs with a fiber",
+        both_orientations=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Scenario constructors
 # ---------------------------------------------------------------------------
@@ -178,37 +231,14 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
         raise ScenarioParameterError("n must be >= 2")
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
-    domain = ellipsoid_domain(n, a)
-    grid = _page_grid(n - 1)
-    families = {
-        "L+": _page_circle_family("L+", grid, +1),
-        "L-": _page_circle_family("L-", grid, -1),
-    }
-    ctx = RuleContext(
-        axioms=frozenset({"ACTION_IS_BV"}),
-        iota_table={"id": "PD(T*M)", "pt": "T*M_pt", "orbit": "PD_dual(V)"},
-        sweep_table={"pt": "orbit"},
-        boundary_nonempty=True,
-    )
     return Scenario(
         id=f"ellipsoid1(n={n},a={a})",
-        kind="ellipsoid1",
         params={"scenario": "ellipsoid1", "n": n, "a": a},
-        domain=domain,
-        families=families,
-        targets=(
-            TargetClass("[pt]", "PD(T*M)", "constant loops sweep the whole base"),
-            TargetClass("[S^n]", "T*M_pt", "fundamental class pairs with a fiber"),
-        ),
-        symbolic_bindings={
-            "E+": BindingSelector("L+", "sup"),
-            "E-": BindingSelector("L-", "sup"),
-            "e+": BindingSelector("L+", "inf"),
-            "e-": BindingSelector("L-", "inf"),
-        },
-        rule_context=ctx,
-        boundary_nonempty=True,
-        symmetric=True,
+        domain=ellipsoid_domain(n, a),
+        families=_page_rotation_families(n - 1),
+        targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[S^n]")),
+        symbolic_bindings=_rotation_bindings(),
+        rule_context=_open_book_context(boundary_nonempty=True),
         equality={"[S^n]": "width of the fundamental class equals the equator length"},
         notes="rotation-orbit lengths are 2 pi a sqrt(1-|x|^2); binding loops are constant",
     )
@@ -253,17 +283,15 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
     )
     return Scenario(
         id=f"ellipsoid2(n={n},a={a})",
-        kind="ellipsoid2",
         params={"scenario": "ellipsoid2", "n": n, "a": a},
         domain=domain,
         families=families,
         targets=(
-            TargetClass("[pt]", "PD(T*M)", "constant loops sweep the whole base"),
-            TargetClass("[S^n]", "PD(T*M)", "same derivation; equality is known"),
+            TargetClass("[pt]", "PD(T*M)", diagonal_action_recipe, "constant loops sweep the whole base"),
+            TargetClass("[S^n]", "PD(T*M)", diagonal_action_recipe, "same derivation; equality is known"),
         ),
         symbolic_bindings={"E_A": BindingSelector("orbits", "sup")},
         rule_context=ctx,
-        boundary_nonempty=False,
         equality={
             "[pt]": "matching lower bound by an explicit ball family",
             "[S^n]": "matching lower bound by an explicit ball family",
@@ -361,7 +389,6 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
         if eps <= 0 or delta <= 0:
             raise ScenarioParameterError("eps and delta must be positive")
         domain = camel_domain(d, eps, delta)
-        kind = "camel"
         params = {"scenario": "camel", "n": d, "eps": eps, "delta": delta}
         plus_chart = "camel:q1zero"
         minus_chart = "camel"
@@ -370,7 +397,6 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
         radius = float(domain_spec.get("radius", 1.0))
         lengths = domain_spec.get("lengths")
         domain = flat_torus_domain(d, radius, tuple(lengths) if lengths else None)
-        kind = "product_torus"
         params = {"scenario": "product_torus", "d": d, "k": k, "radius": radius}
         plus_chart = minus_chart = "torus"
         notes = "flat geodesic loops along the last factor"
@@ -386,8 +412,7 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
         iota_table={f"T^{d - k}": f"PD(VxT^{d - k})"},
     )
     return Scenario(
-        id=f"{kind}(" + ",".join(f"{k2}={v}" for k2, v in params.items() if k2 != "scenario") + ")",
-        kind=kind,
+        id=f"{params['scenario']}(" + ",".join(f"{k2}={v}" for k2, v in params.items() if k2 != "scenario") + ")",
         params=params,
         domain=domain,
         families=families,
@@ -395,6 +420,7 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
             TargetClass(
                 "[T^k]",
                 f"PD(VxT^{d - k})",
+                product_torus_recipe,
                 "coordinate subtorus pairs with the complementary slice",
             ),
         ),
@@ -403,7 +429,6 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
             "E+^k": BindingSelector("L+^k", "sup"),
         },
         rule_context=ctx,
-        boundary_nonempty=False,
         notes=notes,
     )
 
@@ -490,12 +515,13 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     )
     return Scenario(
         id=f"klein(a={a},b={b},r={radius})",
-        kind="non_orientable",
         params={"scenario": "klein", "a": a, "b": b, "radius": radius},
         domain=domain,
         families=families,
         targets=(
-            TargetClass("[Sigma]", "T*Sigma_pt", "fundamental class pairs with a fiber"),
+            TargetClass(
+                "[Sigma]", "T*Sigma_pt", non_orientable_recipe, "fundamental class pairs with a fiber"
+            ),
         ),
         symbolic_bindings={
             "E": BindingSelector("Ldoubled", "inf"),
@@ -503,7 +529,6 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
             "l_qbar": BindingSelector("Ldoubled", "inf", scale=0.5),
         },
         rule_context=ctx,
-        boundary_nonempty=False,
         notes=(
             "loop class restricted to straight lines in the flat structure; "
             "the straight-line infimum 2a sqrt(1) is the flat optimum, "
@@ -531,27 +556,19 @@ def open_book_scenario(
         if f_spec != "round":
             raise ScenarioParameterError("interval pages require the round profile")
         radius = float(domain_spec.get("radius", 1.0))
-        base = ellipsoid_scenario(2, 1.0)
         domain = codisk_domain(
             _sphere_base(2),
             MetricSpec("embedding-induced", lambda q: np.eye(3), radius),
             metadata=f"round 2-sphere codisk, radius {radius}",
         )
-        ctx = base.rule_context
         return Scenario(
             id=f"open_book(interval,round,r={radius})",
-            kind="open_book",
             params={"scenario": "open_book", "page": "interval", "radius": radius},
             domain=domain,
-            families=base.families,
-            targets=(
-                TargetClass("[pt]", "PD(T*M)", "constant loops sweep the whole base"),
-                TargetClass("[M]", "T*M_pt", "fundamental class pairs with a fiber"),
-            ),
-            symbolic_bindings=base.symbolic_bindings,
-            rule_context=ctx,
-            boundary_nonempty=True,
-            symmetric=True,
+            families=_page_rotation_families(1),
+            targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
+            symbolic_bindings=_rotation_bindings(),
+            rule_context=_open_book_context(boundary_nonempty=True),
             notes="the interval page with round profile closes up to the 2-sphere",
         )
 
@@ -581,16 +598,8 @@ def open_book_scenario(
             )
 
         grid = ParamGrid((GridAxis(0.0, 1.0, 8, periodic=True),))
-        families = {"L+": fiber_family("L+", +1), "L-": fiber_family("L-", -1)}
-        ctx = RuleContext(
-            axioms=frozenset({"ACTION_IS_BV"}),
-            iota_table={"id": "PD(T*M)", "pt": "T*M_pt", "orbit": "PD_dual(V)"},
-            sweep_table={"pt": "orbit"},
-            boundary_nonempty=False,
-        )
         return Scenario(
             id=f"open_book(circle,trivial,r={radius},lp={len_page},lf={len_fiber})",
-            kind="open_book",
             params={
                 "scenario": "open_book",
                 "page": "circle",
@@ -599,20 +608,19 @@ def open_book_scenario(
                 "len_fiber": len_fiber,
             },
             domain=domain,
-            families=families,
+            families={"L+": fiber_family("L+", +1), "L-": fiber_family("L-", -1)},
             targets=(
-                TargetClass("[pt]", "PD(T*M)", "constant loops sweep the whole base"),
-                TargetClass("[V]", "PD_dual(V)", "page class pairs with its dual"),
+                _CONSTANT_LOOPS_TARGET,
+                TargetClass(
+                    "[V]",
+                    "PD_dual(V)",
+                    closed_page_recipe,
+                    "page class pairs with its dual",
+                    both_orientations=True,
+                ),
             ),
-            symbolic_bindings={
-                "E+": BindingSelector("L+", "sup"),
-                "E-": BindingSelector("L-", "sup"),
-                "e+": BindingSelector("L+", "inf"),
-                "e-": BindingSelector("L-", "inf"),
-            },
-            rule_context=ctx,
-            boundary_nonempty=False,
-            symmetric=True,
+            symbolic_bindings=_rotation_bindings(),
+            rule_context=_open_book_context(boundary_nonempty=False),
             notes="circle page with trivial profile: the flat 2-torus",
         )
 
@@ -718,3 +726,48 @@ def build_scenario(config: dict) -> Scenario:
 def scenario_config(s: Scenario) -> dict:
     """The configuration mapping that reconstructs ``s`` via build_scenario."""
     return dict(s.params)
+
+
+# ---------------------------------------------------------------------------
+# Reference cases
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class ReferenceCase:
+    """One row of the paper's regression tables: a ``build_scenario``
+    configuration, one of its targets, that target's closed-form bound and
+    the relative tolerance the computed bound must meet."""
+
+    table: str
+    config: dict
+    target: str
+    expected: float
+    rel_tol: float
+
+
+# rows of one configuration are adjacent, in the order of its targets
+REFERENCE_CASES: tuple[ReferenceCase, ...] = (
+    *(
+        ReferenceCase("ellipsoid1", {"scenario": "ellipsoid1", "n": n, "a": a}, target, expected, 1e-4)
+        for n in (2, 3)
+        for a in (0.2, 0.5, 1.0)
+        for target, expected in (("[pt]", 4 * math.pi * a), ("[S^n]", 2 * math.pi * a))
+    ),
+    *(
+        ReferenceCase("ellipsoid2", {"scenario": "ellipsoid2", "n": n, "a": a}, "[pt]", 2 * math.pi * a, 1e-4)
+        for n in (3, 4)
+        for a in (0.4, 1.0)
+    ),
+    *(
+        ReferenceCase(
+            "camel", {"scenario": "camel", "n": n, "eps": eps, "delta": delta}, "[T^k]", eps + 3 * delta, 1e-9
+        )
+        for n in (2, 3)
+        for eps in (0.4, 1.0)
+        for delta in (0.1, 0.01, 0.001)
+    ),
+    *(
+        ReferenceCase("klein", {"scenario": "klein", "a": a, "b": b}, "[Sigma]", 2 * a, 1e-6)
+        for a, b in ((1.0, 1.0), (0.5, 2.0))
+    ),
+)

@@ -8,8 +8,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
-import math
 import sys
 from typing import Optional
 
@@ -23,39 +23,17 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# a scenario configuration plus the keys of one run
 RUNCONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
+    **_catalog.SCENARIO_SCHEMA,
     "properties": {
-        "scenario": {
-            "enum": [
-                "ellipsoid1",
-                "ellipsoid2",
-                "open_book",
-                "product_torus",
-                "camel",
-                "klein",
-            ]
-        },
-        "n": {"type": "integer", "minimum": 1},
-        "a": {"type": "number", "exclusiveMinimum": 0},
-        "b": {"type": "number", "exclusiveMinimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-        "k": {"type": "integer", "minimum": 1},
-        "d": {"type": "integer", "minimum": 2},
-        "radius": {"type": "number", "minimum": 0},
+        **_catalog.SCENARIO_SCHEMA["properties"],
         "quad_panels": {"type": "integer", "minimum": 8, "multipleOf": 2},
         "refine_budget": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
         "format": {"enum": ["json", "csv", "text"]},
     },
-    "required": ["scenario"],
-    "additionalProperties": False,
 }
-
-_SCENARIO_KEYS = ("scenario", "n", "a", "b", "eps", "delta", "k", "d", "radius")
 
 _validate_runconfig = _catalog.lazy_validator(RUNCONFIG_SCHEMA)
 
@@ -72,7 +50,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radius", type=float)
     p.add_argument("--quad-panels", type=int, dest="quad_panels")
     p.add_argument("--refine-budget", type=int, dest="refine_budget")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--format", choices=["json", "csv", "text"])
 
@@ -89,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_bound)
 
     p_rep = sub.add_parser("reproduce", help="emit a regression table")
-    p_rep.add_argument("table", help="table id: all, ellipsoid1, ellipsoid2, camel, klein")
+    p_rep.add_argument("table", help="table id: " + ", ".join(_table_ids()))
     p_rep.add_argument("--out")
 
     p_cert = sub.add_parser("certify", help="derive and check a certificate")
@@ -110,7 +87,7 @@ def run_config_from_args(args: argparse.Namespace) -> dict:
 
 
 def _scenario_from_config(config: dict):
-    sc_cfg = {k: v for k, v in config.items() if k in _SCENARIO_KEYS}
+    sc_cfg = {k: v for k, v in config.items() if k in _catalog.SCENARIO_SCHEMA["properties"]}
     return _catalog.build_scenario(sc_cfg)
 
 
@@ -157,55 +134,35 @@ def cmd_bound(config: dict) -> int:
     return EXIT_OK
 
 
+def _table_ids() -> list[str]:
+    return ["all", *dict.fromkeys(case.table for case in _catalog.REFERENCE_CASES)]
+
+
 def _reproduce_rows(table: str) -> list[dict]:
+    """One row per reference case of ``table``, with one ``compute_bounds``
+    per configuration."""
+    cases = [c for c in _catalog.REFERENCE_CASES if table in ("all", c.table)]
     rows = []
-    tol = 1e-4
-
-    def row(scenario, target, expected, computed, rel_tol):
-        dev = abs(computed - expected) / max(abs(expected), 1e-30)
-        rows.append(
-            {
-                "scenario": scenario,
-                "target": target,
-                "expected": expected,
-                "computed": computed,
-                "deviation": dev,
-                "pass": dev <= rel_tol,
-            }
-        )
-
-    if table in ("all", "ellipsoid1"):
-        for n in (2, 3):
-            for a in (0.2, 0.5, 1.0):
-                s = _catalog.ellipsoid_scenario(n, a)
-                for b in _bounds.bound_open_book(s):
-                    expected = 4 * math.pi * a if b.target.name == "[pt]" else 2 * math.pi * a
-                    row(s.id, b.target.name, expected, b.upper_bound, tol)
-    if table in ("all", "ellipsoid2"):
-        for n in (3, 4):
-            for a in (0.4, 1.0):
-                s = _catalog.ellipsoid2_scenario(n, a)
-                b = _bounds.bound_ellipsoid2(s)[0]
-                row(s.id, b.target.name, 2 * math.pi * a, b.upper_bound, tol)
-    if table in ("all", "camel"):
-        for n in (2, 3):
-            for eps in (0.4, 1.0):
-                for delta in (0.1, 0.01, 0.001):
-                    s = _catalog.camel_scenario(n, eps, delta)
-                    b = _bounds.bound_product_torus(s)
-                    row(s.id, b.target.name, eps + 3 * delta, b.upper_bound, 1e-9)
-    if table in ("all", "klein"):
-        for a, bb in ((1.0, 1.0), (0.5, 2.0)):
-            s = _catalog.klein_bottle_scenario(a, bb)
-            b = _bounds.bound_non_orientable(s)
-            row(s.id, b.target.name, 2 * a, b.upper_bound, 1e-6)
-    if not rows:
-        raise StringcapError(f"unknown table id {table!r}")
+    for config, group in itertools.groupby(cases, key=lambda c: c.config):
+        computed = {b.target.name: b for b in _bounds.compute_bounds(_catalog.build_scenario(config))}
+        for case in group:
+            b = computed[case.target]
+            dev = abs(b.upper_bound - case.expected) / max(abs(case.expected), 1e-30)
+            rows.append(
+                {
+                    "scenario": b.scenario_id,
+                    "target": case.target,
+                    "expected": case.expected,
+                    "computed": b.upper_bound,
+                    "deviation": dev,
+                    "pass": dev <= case.rel_tol,
+                }
+            )
     return rows
 
 
 def cmd_reproduce(table: str, out_path: Optional[str]) -> int:
-    if table not in ("all", "ellipsoid1", "ellipsoid2", "camel", "klein"):
+    if table not in _table_ids():
         sys.stderr.write(f"unknown table id {table!r}\n")
         return EXIT_CONFIG
     rows = _reproduce_rows(table)

@@ -17,15 +17,6 @@ class RankDeficientError(StringcapError):
     """Embedding Jacobian is rank deficient at the evaluation point."""
 
 
-class AscentError(StringcapError):
-    """Projected ascent did not converge; carries the best value found."""
-
-    def __init__(self, message: str, best_value: float, residual: float):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
-
-
 class BasepointMismatchError(StringcapError):
     """Loop concatenation requires a shared basepoint."""
 

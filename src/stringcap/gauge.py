@@ -13,12 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    AscentError,
-    ChartMismatchError,
-    InvalidInputError,
-    RankDeficientError,
-)
+from .errors import ChartMismatchError, InvalidInputError, RankDeficientError
 
 
 # ---------------------------------------------------------------------------
@@ -213,105 +208,6 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") 
             return values, _bounded(values)
 
     return GaugeDomain(base, oracle, metadata or f"codisk bundle, radius {metric.radius}")
-
-
-def support_generic_maximize(
-    gauge_fn: Callable[[BasePoint, np.ndarray], float],
-    q: BasePoint,
-    v: TangentVector,
-    tol: float = 1e-8,
-    starts: int = 8,
-    max_iter: int = 500,
-    seed: int = 0,
-) -> float:
-    """max <p, v> over the gauge sphere {F(q, p) = 1} by multi-start
-    projected ascent; deterministic given the seed."""
-    vv = np.asarray(v.components, dtype=float)
-    if np.isnan(vv).any():
-        raise InvalidInputError("NaN in direction vector")
-    vnorm = np.linalg.norm(vv)
-    if vnorm == 0.0:
-        return 0.0
-    dim = vv.shape[0]
-    rng = np.random.default_rng(seed)
-
-    def project(p: np.ndarray) -> np.ndarray:
-        g = gauge_fn(q, p)
-        if not np.isfinite(g) or g <= 0:
-            raise InvalidInputError("gauge function not positive at nonzero p")
-        return p / g
-
-    def gauge_grad(p: np.ndarray) -> np.ndarray:
-        h = 1e-6
-        g = np.empty(dim)
-        for i in range(dim):
-            dp = np.zeros(dim)
-            dp[i] = h
-            g[i] = (gauge_fn(q, p + dp) - gauge_fn(q, p - dp)) / (2 * h)
-        return g
-
-    inits = [vv / vnorm]
-    for _ in range(max(0, starts - 1)):
-        d = rng.standard_normal(dim)
-        n = np.linalg.norm(d)
-        inits.append(d / n if n > 0 else vv / vnorm)
-
-    def line_max(p: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
-        # golden-section maximization of <v, p + s d> / F(p + s d) on s in [0, 1];
-        # the ratio is scale-invariant, so this is ascent along the gauge sphere
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def f(s: float) -> float:
-            ps = p + s * d
-            return float(vv @ ps) / gauge_fn(q, ps)
-
-        a, b = 0.0, 1.0
-        c = b - invphi * (b - a)
-        e = a + invphi * (b - a)
-        fc, fe = f(c), f(e)
-        for _ in range(60):
-            if fc > fe:
-                b, e, fe = e, c, fc
-                c = b - invphi * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, e, fe
-                e = a + invphi * (b - a)
-                fe = f(e)
-        s = c if fc > fe else e
-        return project(p + s * d), max(fc, fe)
-
-    best = -math.inf
-    for p0 in inits:
-        p = project(p0)
-        val = float(vv @ p)
-        converged = False
-        for _ in range(max_iter):
-            grad = gauge_grad(p)
-            gn = float(grad @ grad)
-            if gn <= 0.0:
-                raise InvalidInputError("gauge gradient vanished on the gauge sphere")
-            # component of the objective direction tangent to {F = 1}
-            d = vv - (float(vv @ grad) / gn) * grad
-            dn = float(np.linalg.norm(d))
-            if dn <= tol * vnorm:
-                converged = True
-                break
-            cand, cval = line_max(p, d / dn)
-            gain = cval - val
-            if cval > val:
-                p, val = cand, cval
-            if gain <= 0.1 * tol * (1.0 + abs(val)):
-                converged = True
-                break
-        if not converged:
-            raise AscentError(
-                f"projected ascent did not converge in {max_iter} iterations",
-                best_value=max(best, val),
-                residual=float(np.linalg.norm(d)),
-            )
-        best = max(best, val)
-    return best
 
 
 @dataclass(frozen=True, slots=True)

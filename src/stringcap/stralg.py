@@ -516,95 +516,120 @@ def check_certificate(cert: Certificate) -> ValidationReport:
     return ValidationReport(tuple(reports), c_ok, c_msg)
 
 
+def _orientation(sign: int) -> str:
+    return "+" if sign > 0 else "-"
+
+
+# Derivation recipes.  A target class carries one of these: it runs the rule
+# chain that ends in the constant-loop identity for that target and returns the
+# conclusion factors with their total filtration.  ``sign`` picks the rotation
+# orientation where the chain has one; the others ignore it.
+
+def open_book_point_recipe(d: _Derivation, sign: int):
+    """[pt] of an open book: the two page rotations meet in the constant
+    loops (CS1)."""
+    b_plus = FilteredClass(BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"), fsym("E+"))
+    b_minus = FilteredClass(BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"), fsym("E-"))
+    a_plus = d.apply("ACTION_IS_BV", b_plus, note="rotation of the doubled page, positive orientation")
+    a_minus = d.apply("ACTION_IS_BV", b_minus, note="rotation of the doubled page, negative orientation")
+    const = d.apply("CS1", a_plus, a_minus)
+    d.apply("IOTA_CONST", const)
+    factors = (ConclusionFactor("delta", b_plus), ConclusionFactor("delta", b_minus))
+    return factors, fsym("E+") + fsym("E-")
+
+
+def open_book_fundamental_recipe(d: _Derivation, sign: int):
+    """Fundamental class of an open book whose page has boundary: one page
+    rotation cut down to a fiber contracts through the binding."""
+    if not d.ctx.boundary_nonempty:
+        raise IncompatibleBindingError(
+            "the single-orientation bound needs a page with boundary"
+        )
+    s_name = _orientation(sign)
+    b_s = FilteredClass(
+        BVPreimage(ActionClass("id", sign), "ACTION_IS_BV"), fsym(f"E{s_name}")
+    )
+    a_s = d.apply("ACTION_IS_BV", b_s)
+    a_pt = d.apply("CS2", a_s, iota("T*M_pt", "pt"), note="cut down to a single fiber")
+    d.apply("IOTA_CONST", a_pt, note="the single orbit contracts through the binding")
+    factors = (
+        ConclusionFactor("delta", b_s),
+        ConclusionFactor("iota", "T*M_pt"),
+    )
+    return factors, fsym(f"E{s_name}")
+
+
+def closed_page_recipe(d: _Derivation, sign: int):
+    """Page class of an open book with closed page: the shortest orbit,
+    rotated, meets the opposite page rotation in the constant loops."""
+    if d.ctx.boundary_nonempty:
+        raise IncompatibleBindingError("the page bound needs a closed page")
+    s_name, o_name = _orientation(sign), _orientation(-sign)
+    a_pt = FilteredClass(ActionClass("pt", sign), fsym(f"e{s_name}"))
+    orbit = d.apply("CS3", a_pt, note="rotating the shortest single orbit")
+    b_o = FilteredClass(
+        BVPreimage(ActionClass("id", -sign), "ACTION_IS_BV"), fsym(f"E{o_name}")
+    )
+    a_o = d.apply("ACTION_IS_BV", b_o)
+    const = d.apply("CS1", orbit, a_o)
+    d.apply("IOTA_CONST", const)
+    factors = (ConclusionFactor("delta", a_pt), ConclusionFactor("delta", b_o))
+    return factors, fsym(f"e{s_name}") + fsym(f"E{o_name}")
+
+
+def product_torus_recipe(d: _Derivation, sign: int):
+    """Coordinate subtorus of V x T^d: the full negative rotation meets the
+    constrained positive one in the constant loops."""
+    a_minus = FilteredClass(ActionClass("slice-", -1), fsym("E-"))
+    a_plus = FilteredClass(ActionClass("slice+k", +1), fsym("E+^k"))
+    sw_minus = d.apply("CS3", a_minus, note="rotating the full negative family")
+    sw_plus = d.apply("CS3", a_plus, note="rotating the constrained positive family")
+    const = d.apply("CS1", sw_plus, sw_minus)
+    d.apply("IOTA_CONST", const)
+    factors = (ConclusionFactor("delta", a_minus), ConclusionFactor("delta", a_plus))
+    return factors, fsym("E-") + fsym("E+^k")
+
+
+def non_orientable_recipe(d: _Derivation, sign: int):
+    """Fundamental class of a non-orientable surface: an
+    orientation-reversing loop and its reverse meet in a point."""
+    dq = FilteredClass(LoopCycle("q"), fsym("l_q"))
+    dqbar = FilteredClass(LoopCycle("qbar"), fsym("l_qbar"))
+    const = d.apply(
+        "CS1",
+        delta(dq),
+        delta(dqbar),
+        note="an orientation-reversing loop meets its reverse in a point",
+    )
+    d.apply("IOTA_CONST", const)
+    factors = (ConclusionFactor("delta", dq), ConclusionFactor("delta", dqbar))
+    return factors, fsym("l_q") + fsym("l_qbar")
+
+
+def diagonal_action_recipe(d: _Derivation, sign: int):
+    """Diagonal circle action on four stretched axes: its rotation contracts
+    to the constant loops below the orbit length."""
+    b_diag = FilteredClass(BVPreimage(ActionClass("id", +1), "OB_BV2"), fsym("E_A"))
+    a_diag = d.apply("OB_BV2", b_diag, note="rotation of the deformed diagonal family")
+    const = d.apply(
+        "HOPF_CONTRACT", a_diag, note="diagonal action contracts below the orbit length"
+    )
+    d.apply("IOTA_CONST", const)
+    return (ConclusionFactor("delta", b_diag),), fsym("E_A")
+
+
 def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
-    """Run the rewrite chain appropriate to the scenario kind and target and
-    package it as a certificate.  ``scenario`` supplies the rule context
-    (axioms, intersection/sweep/dual-label tables); ``sign`` selects the
-    rotation orientation for the single-orientation open-book bounds."""
+    """Run the target's recipe (its rewrite chain) in the scenario's rule
+    context and package the result as a certificate.  ``scenario`` supplies
+    the rule context (axioms, intersection/sweep/dual-label tables); ``sign``
+    selects the rotation orientation of recipes that have one."""
     ctx = scenario.rule_context
     d = _Derivation(ctx)
-    kind = scenario.kind
-    tname = target.name
+    factors, filt = target.recipe(d, sign)
     beta = target.declared_nonzero_pairing
-    s_name = "+" if sign > 0 else "-"
-    o_name = "-" if sign > 0 else "+"
-
-    if kind in ("ellipsoid1", "open_book") and tname == "[pt]":
-        b_plus = FilteredClass(BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"), fsym("E+"))
-        b_minus = FilteredClass(BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"), fsym("E-"))
-        a_plus = d.apply("ACTION_IS_BV", b_plus, note="rotation of the doubled page, positive orientation")
-        a_minus = d.apply("ACTION_IS_BV", b_minus, note="rotation of the doubled page, negative orientation")
-        const = d.apply("CS1", a_plus, a_minus)
-        d.apply("IOTA_CONST", const)
-        factors = (ConclusionFactor("delta", b_plus), ConclusionFactor("delta", b_minus))
-        filt = fsym("E+") + fsym("E-")
-    elif kind in ("ellipsoid1", "open_book") and tname in ("[M]", "[S^n]"):
-        if not ctx.boundary_nonempty:
-            raise IncompatibleBindingError(
-                "the single-orientation bound needs a page with boundary"
-            )
-        b_s = FilteredClass(
-            BVPreimage(ActionClass("id", sign), "ACTION_IS_BV"), fsym(f"E{s_name}")
-        )
-        a_s = d.apply("ACTION_IS_BV", b_s)
-        a_pt = d.apply("CS2", a_s, iota("T*M_pt", "pt"), note="cut down to a single fiber")
-        d.apply("IOTA_CONST", a_pt, note="the single orbit contracts through the binding")
-        factors = (
-            ConclusionFactor("delta", b_s),
-            ConclusionFactor("iota", "T*M_pt"),
-        )
-        filt = fsym(f"E{s_name}")
-    elif kind == "open_book" and tname == "[V]":
-        if ctx.boundary_nonempty:
-            raise IncompatibleBindingError("the page bound needs a closed page")
-        a_pt = FilteredClass(ActionClass("pt", sign), fsym(f"e{s_name}"))
-        orbit = d.apply("CS3", a_pt, note="rotating the shortest single orbit")
-        b_o = FilteredClass(
-            BVPreimage(ActionClass("id", -sign), "ACTION_IS_BV"), fsym(f"E{o_name}")
-        )
-        a_o = d.apply("ACTION_IS_BV", b_o)
-        const = d.apply("CS1", orbit, a_o)
-        d.apply("IOTA_CONST", const)
-        factors = (ConclusionFactor("delta", a_pt), ConclusionFactor("delta", b_o))
-        filt = fsym(f"e{s_name}") + fsym(f"E{o_name}")
-    elif kind in ("product_torus", "camel") and tname == "[T^k]":
-        a_minus = FilteredClass(ActionClass("slice-", -1), fsym("E-"))
-        a_plus = FilteredClass(ActionClass("slice+k", +1), fsym("E+^k"))
-        sw_minus = d.apply("CS3", a_minus, note="rotating the full negative family")
-        sw_plus = d.apply("CS3", a_plus, note="rotating the constrained positive family")
-        const = d.apply("CS1", sw_plus, sw_minus)
-        d.apply("IOTA_CONST", const)
-        factors = (ConclusionFactor("delta", a_minus), ConclusionFactor("delta", a_plus))
-        filt = fsym("E-") + fsym("E+^k")
-    elif kind == "non_orientable" and tname == "[Sigma]":
-        dq = FilteredClass(LoopCycle("q"), fsym("l_q"))
-        dqbar = FilteredClass(LoopCycle("qbar"), fsym("l_qbar"))
-        const = d.apply(
-            "CS1",
-            delta(dq),
-            delta(dqbar),
-            note="an orientation-reversing loop meets its reverse in a point",
-        )
-        d.apply("IOTA_CONST", const)
-        factors = (ConclusionFactor("delta", dq), ConclusionFactor("delta", dqbar))
-        filt = fsym("l_q") + fsym("l_qbar")
-    elif kind == "ellipsoid2" and tname in ("[pt]", "[S^n]"):
-        b_diag = FilteredClass(BVPreimage(ActionClass("id", +1), "OB_BV2"), fsym("E_A"))
-        a_diag = d.apply("OB_BV2", b_diag, note="rotation of the deformed diagonal family")
-        const = d.apply(
-            "HOPF_CONTRACT", a_diag, note="diagonal action contracts below the orbit length"
-        )
-        d.apply("IOTA_CONST", const)
-        factors = (ConclusionFactor("delta", b_diag),)
-        filt = fsym("E_A")
-    else:
-        raise IncompatibleBindingError(
-            f"no derivation for scenario kind {kind!r} and target {tname!r}"
-        )
-
     return Certificate(
         scenario_id=scenario.id,
-        target_name=tname,
+        target_name=target.name,
         target_pairing=beta,
         beta=beta,
         steps=tuple(d.steps),

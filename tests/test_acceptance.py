@@ -11,15 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from stringcap.bounds import (
-    bound_ellipsoid2,
-    bound_non_orientable,
-    bound_open_book,
-    bound_product_torus,
-    camel_limit_report,
-    compute_bounds,
-    resolve_bindings,
-)
+from stringcap.bounds import camel_limit_report, compute_bounds, resolve_bindings
 from stringcap.catalog import (
     camel_scenario,
     ellipsoid2_scenario,
@@ -58,7 +50,7 @@ def test_criterion_1_stretched_sphere_reproduction():
         bindings, _ = resolve_bindings(s)
         ok &= abs(bindings["E+"] - TWO_PI * a) <= 1e-4 * TWO_PI * a
         ok &= abs(bindings["E-"] - TWO_PI * a) <= 1e-4 * TWO_PI * a
-        bounds = {b.target.name: b.upper_bound for b in bound_open_book(s)}
+        bounds = {b.target.name: b.upper_bound for b in compute_bounds(s)}
         ok &= abs(bounds["[S^n]"] - TWO_PI * a) <= 1e-4 * TWO_PI * a
         ok &= abs(bounds["[pt]"] - 2 * TWO_PI * a) <= 1e-4 * 2 * TWO_PI * a
     elapsed = time.monotonic() - t0
@@ -73,7 +65,7 @@ def test_criterion_1_stretched_sphere_reproduction():
 def test_criterion_2_diagonal_action_reproduction():
     ok = True
     for n, a in itertools.product((3, 4), (0.4, 1.0)):
-        for b in bound_ellipsoid2(ellipsoid2_scenario(n, a)):
+        for b in compute_bounds(ellipsoid2_scenario(n, a)):
             ok &= abs(b.upper_bound - TWO_PI * a) <= 1e-4 * TWO_PI * a
             ok &= b.equality_known
     _report("criterion 2: diagonal-action bound 2*pi*a with equality flag", ok)
@@ -85,7 +77,7 @@ def test_criterion_3_camel_threshold():
         values = {}
         for n in (2, 3):
             for d in (0.1, 0.01, 0.001):
-                b = bound_product_torus(camel_scenario(n, eps, d))
+                (b,) = compute_bounds(camel_scenario(n, eps, d))
                 ok &= abs(b.upper_bound - (eps + 3 * d)) <= 1e-9
                 values.setdefault(d, set()).add(round(b.upper_bound, 12))
         ok &= all(len(v) == 1 for v in values.values())  # independent of n
@@ -113,7 +105,7 @@ def _klein_pl_search(a: float, b: float, segments: int = 4, levels: int = 9) -> 
 def test_criterion_4_klein_bottle():
     ok = True
     for a, b in ((1.0, 1.0), (0.5, 2.0)):
-        bound = bound_non_orientable(klein_bottle_scenario(a, b)).upper_bound
+        bound = compute_bounds(klein_bottle_scenario(a, b))[0].upper_bound
         ok &= abs(bound - 2 * a) <= 1e-6
         oracle = _klein_pl_search(a, b)
         ok &= abs(oracle - 2 * a) <= 1e-9

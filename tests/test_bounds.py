@@ -9,15 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stringcap.bounds import (
-    bound_ellipsoid2,
-    bound_non_orientable,
-    bound_open_book,
-    bound_product_torus,
-    camel_limit_report,
-    compute_bounds,
-    resolve_bindings,
-)
+from stringcap.bounds import camel_limit_report, compute_bounds, resolve_bindings
 from stringcap.catalog import (
     camel_scenario,
     ellipsoid2_scenario,
@@ -26,7 +18,7 @@ from stringcap.catalog import (
     open_book_scenario,
     product_torus_scenario,
 )
-from stringcap.errors import ScenarioParameterError
+from stringcap.errors import MissingAxiomError, ScenarioParameterError
 from stringcap.gauge import GaugeDomain
 
 TWO_PI = 2.0 * math.pi
@@ -38,7 +30,7 @@ def _by_target(bound_list):
 
 def test_open_book_bounds_on_stretched_sphere():
     s = ellipsoid_scenario(2, 0.25)
-    bounds = _by_target(bound_open_book(s))
+    bounds = _by_target(compute_bounds(s))
     assert bounds["[pt]"].upper_bound == pytest.approx(math.pi, rel=1e-4)
     assert bounds["[S^n]"].upper_bound == pytest.approx(math.pi / 2, rel=1e-4)
     assert bounds["[S^n]"].equality_known
@@ -50,55 +42,55 @@ def test_closed_page_bound_uses_the_shorter_combination():
     s = open_book_scenario(
         "circle", "trivial", "rotation", {"len_page": 1.0, "len_fiber": a}
     )
-    bounds = _by_target(bound_open_book(s))
+    bounds = _by_target(compute_bounds(s))
     assert bounds["[V]"].upper_bound == pytest.approx(2 * a, abs=1e-6)
     assert bounds["[pt]"].upper_bound == pytest.approx(2 * a, abs=1e-6)
 
 
 def test_zero_radius_codisk_gives_zero_bounds():
     s = open_book_scenario("circle", "trivial", "rotation", {"radius": 0.0})
-    for b in bound_open_book(s):
+    for b in compute_bounds(s):
         assert b.upper_bound == pytest.approx(0.0, abs=1e-12)
     s2 = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 0.0})
-    assert bound_product_torus(s2).upper_bound == pytest.approx(0.0, abs=1e-12)
+    assert compute_bounds(s2)[0].upper_bound == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_camel_bound_is_closed_form_and_dimension_independent(n):
     eps, delta = 0.4, 0.01
-    b = bound_product_torus(camel_scenario(n, eps, delta))
+    (b,) = compute_bounds(camel_scenario(n, eps, delta))
     assert b.upper_bound == pytest.approx(eps + 3 * delta, abs=1e-9)
 
 
 def test_flat_torus_product_bound():
     s = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 1.0})
-    b = bound_product_torus(s)
+    (b,) = compute_bounds(s)
     assert b.upper_bound == pytest.approx(2.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("a,bb,expected", [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
 def test_klein_bound(a, bb, expected):
-    b = bound_non_orientable(klein_bottle_scenario(a, bb))
+    (b,) = compute_bounds(klein_bottle_scenario(a, bb))
     assert b.upper_bound == pytest.approx(expected, abs=1e-6)
 
 
 def test_klein_bound_scales_with_radius():
-    base = bound_non_orientable(klein_bottle_scenario(1.0, 1.0)).upper_bound
-    scaled = bound_non_orientable(klein_bottle_scenario(1.0, 1.0, radius=1.5)).upper_bound
+    base = compute_bounds(klein_bottle_scenario(1.0, 1.0))[0].upper_bound
+    scaled = compute_bounds(klein_bottle_scenario(1.0, 1.0, radius=1.5))[0].upper_bound
     assert scaled == pytest.approx(1.5 * base, rel=1e-9)
     assert scaled >= base  # enlarging the codisk never decreases the bound
 
 
 def test_diagonal_action_bound_with_equality_flag():
     for n, a in ((3, 0.4), (4, 1.0)):
-        for b in bound_ellipsoid2(ellipsoid2_scenario(n, a)):
+        for b in compute_bounds(ellipsoid2_scenario(n, a)):
             assert b.upper_bound == pytest.approx(TWO_PI * a, rel=1e-4)
             assert b.equality_known
 
 
 def test_diagonal_action_bound_is_linear_in_a():
     for a in np.linspace(0.1, 1.0, 10):
-        b = bound_ellipsoid2(ellipsoid2_scenario(3, float(a)))[0]
+        b = compute_bounds(ellipsoid2_scenario(3, float(a)))[0]
         assert abs(b.upper_bound / float(a) - TWO_PI) / TWO_PI <= 1e-4
 
 
@@ -133,6 +125,26 @@ def test_scale_covariance_of_bounds(lam):
             assert bs.upper_bound == pytest.approx(lam * b.upper_bound, rel=1e-9)
 
 
+def test_both_orientation_targets_keep_the_smaller_bound():
+    # a domain twice as wide for positive rotation in the last coordinate
+    # plane, so the L+ loops are twice as long as the L- loops
+    a = 0.5
+    s = ellipsoid_scenario(2, a)
+    oracle = s.domain.support_oracle
+
+    def lopsided(q, v):
+        vals, fin = oracle(q, v)
+        x, w = q.coords, v.components
+        return np.where(x[:, -2] * w[:, -1] - x[:, -1] * w[:, -2] > 0, 2.0, 1.0) * vals, fin
+
+    skewed = dataclasses.replace(s, domain=GaugeDomain(s.domain.base, lopsided))
+    fundamental = _by_target(compute_bounds(skewed))["[S^n]"]
+    assert fundamental.upper_bound == pytest.approx(TWO_PI * a, rel=1e-4)
+    assert str(fundamental.certificate.filtration) == "E-"
+    # on a tie the positive orientation is kept
+    assert str(_by_target(compute_bounds(s))["[S^n]"].certificate.filtration) == "E+"
+
+
 def test_camel_limit_table_and_extrapolation():
     rep = camel_limit_report(2, 0.4, [0.1, 0.01, 0.001])
     got = [r["bound"] for r in rep["rows"]]
@@ -150,15 +162,18 @@ def test_camel_limit_table_rejects_bad_grids():
 
 
 def test_bound_dispatch_rejects_mismatched_scenarios():
-    with pytest.raises(ScenarioParameterError):
-        bound_non_orientable(camel_scenario(2, 0.4, 0.01))
-    with pytest.raises(ScenarioParameterError):
-        bound_open_book(klein_bottle_scenario(1.0, 1.0))
+    # the open-book [pt] recipe needs the ACTION_IS_BV axiom, which the Klein
+    # bottle does not register
+    s = klein_bottle_scenario(1.0, 1.0)
+    mismatched = dataclasses.replace(s, targets=(ellipsoid_scenario(2, 0.5).target("[pt]"),))
+    with pytest.raises(MissingAxiomError) as exc:
+        compute_bounds(mismatched)
+    assert exc.value.rule_id == "ACTION_IS_BV"
 
 
 def test_bound_report_carries_grid_and_refined_values():
     s = ellipsoid_scenario(2, 0.5)
-    b = bound_open_book(s)[0]
+    b = compute_bounds(s)[0]
     payload = b.to_jsonable()
     assert "grid_values" in payload
     for rec in payload["grid_values"].values():

@@ -154,7 +154,7 @@ def test_config_round_trip_and_schema_rejection():
         jsonschema.validate(cfg, SCENARIO_SCHEMA)
         rebuilt = build_scenario(cfg)
         assert rebuilt.id == s.id
-        assert rebuilt.kind == s.kind
+        assert rebuilt.params == s.params
         assert set(rebuilt.families) == set(s.families)
     with pytest.raises(jsonschema.ValidationError):
         build_scenario({"scenario": "camel", "unknown_key": 1})
@@ -198,7 +198,8 @@ def _reference_loop(s, family, p):
     ``family`` at parameters ``p``."""
     p = np.asarray(p, dtype=float)
     sign = -1.0 if family.startswith("L-") else 1.0
-    if s.kind in ("ellipsoid1", "open_book") and s.params.get("page", "interval") == "interval":
+    name = s.params["scenario"]
+    if name in ("ellipsoid1", "open_book") and s.params.get("page", "interval") == "interval":
         rho = math.sqrt(max(0.0, 1.0 - float(p @ p)))
         w = TWO_PI * sign
         return (
@@ -208,10 +209,10 @@ def _reference_loop(s, family, p):
             ),
             "embedding",
         )
-    if s.kind == "open_book":
+    if name == "open_book":
         u = float(p[0])
         return lambda t: np.array([u, sign * t]), lambda t: np.array([0.0, sign]), "torus"
-    if s.kind == "ellipsoid2":
+    if name == "ellipsoid2":
         n, r = s.params["n"], float(p[0])
         c = math.sqrt(max(0.0, 1.0 - r * r))
 
@@ -226,11 +227,11 @@ def _reference_loop(s, family, p):
             return out
 
         return point, velocity, "embedding"
-    if s.kind in ("product_torus", "camel"):
-        d = s.params["n"] if s.kind == "camel" else s.params["d"]
-        k = 1 if s.kind == "camel" else s.params["k"]
+    if name in ("product_torus", "camel"):
+        d = s.params["n"] if name == "camel" else s.params["d"]
+        k = 1 if name == "camel" else s.params["k"]
         prefix = p if sign < 0 else np.concatenate([np.zeros(k), p])
-        chart = "torus" if s.kind == "product_torus" else ("camel" if sign < 0 else "camel:q1zero")
+        chart = "torus" if name == "product_torus" else ("camel" if sign < 0 else "camel:q1zero")
         vel = np.zeros(d)
         vel[-1] = sign
         return lambda t: np.concatenate([prefix, [sign * t]]), lambda t: vel, chart

@@ -59,6 +59,30 @@ def test_reproduce_table(tmp_path):
     assert all(r["pass"] == "True" for r in rows)
 
 
+def test_reproduce_all_writes_every_reference_row(tmp_path):
+    # references from the closed forms, independent of the catalog's table
+    expected = [
+        (f"ellipsoid1(n={n},a={a})", target, factor * math.pi * a)
+        for n in (2, 3)
+        for a in (0.2, 0.5, 1.0)
+        for target, factor in (("[pt]", 4), ("[S^n]", 2))
+    ]
+    expected += [(f"ellipsoid2(n={n},a={a})", "[pt]", 2 * math.pi * a) for n in (3, 4) for a in (0.4, 1.0)]
+    expected += [
+        (f"camel(n={n},eps={eps},delta={delta})", "[T^k]", eps + 3 * delta)
+        for n in (2, 3)
+        for eps in (0.4, 1.0)
+        for delta in (0.1, 0.01, 0.001)
+    ]
+    expected += [(f"klein(a={a},b={b},r=1.0)", "[Sigma]", 2 * a) for a, b in ((1.0, 1.0), (0.5, 2.0))]
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "all", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert len(rows) == 30
+    assert [(r["scenario"], r["target"], float(r["expected"])) for r in rows] == expected
+    assert all(r["pass"] == "True" for r in rows)
+
+
 def test_reproduce_unknown_table_exits_2(capsys):
     assert main(["reproduce", "nosuch"]) == 2
 
@@ -84,8 +108,7 @@ def test_runs_are_reproducible(tmp_path):
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         code = main(
-            ["bound", "--scenario", "klein", "--a", "0.5", "--seed", "0",
-             "--out", str(out)]
+            ["bound", "--scenario", "klein", "--a", "0.5", "--out", str(out)]
         )
         assert code == 0
         outs.append(out.read_text())

@@ -1,4 +1,4 @@
-"""Support-function evaluation, containment and the generic gauge maximizer."""
+"""Support-function evaluation and containment."""
 import math
 
 import numpy as np
@@ -20,7 +20,6 @@ from stringcap.gauge import (
     embedding_metric,
     metric_norm,
     support,
-    support_generic_maximize,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -167,36 +166,6 @@ def test_rank_deficient_jacobian_is_rejected():
     q = BasePoint(np.array([0.0, 0.0]), "default")
     with pytest.raises(RankDeficientError):
         embedding_metric(lambda q: np.array([[1.0, 0.0], [0.0, 0.0]]), check_points=(q,))
-
-
-def test_generic_maximize_euclidean_and_ellipse():
-    q = BasePoint(np.zeros(2), "default")
-    euclid = lambda q, p: float(np.linalg.norm(p))
-    v = TangentVector(np.array([0.6, 0.8]), q)
-    assert support_generic_maximize(euclid, q, v, tol=1e-8) == pytest.approx(1.0, abs=1e-8)
-
-    A, B = 2.0, 0.5
-    ellipse = lambda q, p: math.sqrt(p[0] ** 2 / A**2 + p[1] ** 2 / B**2)
-    v1 = TangentVector(np.array([1.0, 0.0]), q)
-    assert support_generic_maximize(ellipse, q, v1, tol=1e-8) == pytest.approx(A, abs=1e-8)
-    v2 = TangentVector(np.array([0.3, -0.7]), q)
-    exact = math.sqrt(A**2 * 0.09 + B**2 * 0.49)
-    assert support_generic_maximize(ellipse, q, v2, tol=1e-8) == pytest.approx(exact, abs=1e-8)
-
-
-def test_generic_maximize_matches_builtin_codisk_support():
-    lengths = (1.3, 0.4)
-    dom = flat_torus_domain(2, radius=0.8, lengths=lengths)
-    L = np.diag(lengths)
-    Linv = np.linalg.inv(L)
-    gauge = lambda q, p: float(np.linalg.norm(Linv @ p)) / 0.8
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        q = BasePoint(rng.uniform(0, 1, 2), "torus")
-        v = TangentVector(rng.standard_normal(2), q)
-        oracle = float(support(dom, q, v))
-        got = support_generic_maximize(gauge, q, v, tol=1e-8)
-        assert abs(got - oracle) <= 10 * 1e-8 * (1.0 + oracle)
 
 
 def test_containment_reflexive_and_radius_violations():
