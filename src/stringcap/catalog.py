@@ -3,8 +3,11 @@
 Each constructor bundles a gauge domain with the loop families whose extremal
 lengths feed the width bounds, the target classes those bounds apply to, and
 the intersection/sweep tables the symbolic calculus consults.  Each target
-class carries the recipe that derives its certificate.  ``REFERENCE_CASES``
-holds the paper's reference cases with their closed forms.
+class carries the recipe that derives its certificate.  ``SCENARIOS`` declares
+each scenario name once, with its constructor and the configuration keys it
+takes, and ``build_scenario`` builds a scenario from a configuration through
+it.  ``REFERENCE_CASES`` holds the paper's reference cases with their closed
+forms.
 """
 from __future__ import annotations
 
@@ -227,6 +230,7 @@ def _fiber_pairing_target(name: str) -> TargetClass:
 def ellipsoid_scenario(n: int, a: float) -> Scenario:
     """Unit codisk of the stretched sphere metric (last two axes scaled by a),
     with the open-book rotation families over the page disk."""
+    n, a = int(n), float(a)
     if n < 2:
         raise ScenarioParameterError("n must be >= 2")
     if not (0.0 < a <= 1.0):
@@ -247,6 +251,7 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
 def ellipsoid2_scenario(n: int, a: float) -> Scenario:
     """Sphere metric stretched on the last four axes; the diagonal circle
     action rotates two of them, with orbit lengths 2 pi a r."""
+    n, a = int(n), float(a)
     if n < 3:
         raise ScenarioParameterError("n must be >= 3")
     if not (0.0 < a <= 1.0):
@@ -328,7 +333,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     def oracle(q: BasePoint, v: TangentVector):
         w = v.components
         c = w[:, -1]
-        finite = ~np.any(w[:, :-1] != 0.0, axis=1)
+        finite = ~(w[:, :-1] != 0.0).any(axis=1)
         if q.chart_id != "camel:q1zero":
             finite &= c <= 0.0
         values = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
@@ -372,40 +377,15 @@ def _torus_grid(dim: int, count: int = 4) -> ParamGrid:
     return ParamGrid(tuple(GridAxis(0.0, 1.0, count, periodic=True) for _ in range(dim)))
 
 
-def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Scenario:
-    """Loop families on V x T^d: the negative rotation over the full torus and
-    the positive rotation constrained to the first k coordinates being zero."""
-    if V_spec != "pt":
-        raise ScenarioParameterError("only point pages are supported (V_spec='pt')")
-    if d < 1:
-        raise ScenarioParameterError("d must be >= 1")
-    if not (0 < k < d):
-        raise ScenarioParameterError("k must satisfy 0 < k < d")
-
-    dtype = domain_spec.get("type", "codisk")
-    if dtype == "camel":
-        eps = float(domain_spec["eps"])
-        delta = float(domain_spec["delta"])
-        if eps <= 0 or delta <= 0:
-            raise ScenarioParameterError("eps and delta must be positive")
-        domain = camel_domain(d, eps, delta)
-        params = {"scenario": "camel", "n": d, "eps": eps, "delta": delta}
-        plus_chart = "camel:q1zero"
-        minus_chart = "camel"
-        notes = "both families have constant support integrands; the bound is eps + 3 delta"
-    elif dtype == "codisk":
-        radius = float(domain_spec.get("radius", 1.0))
-        lengths = domain_spec.get("lengths")
-        domain = flat_torus_domain(d, radius, tuple(lengths) if lengths else None)
-        params = {"scenario": "product_torus", "d": d, "k": k, "radius": radius}
-        plus_chart = minus_chart = "torus"
-        notes = "flat geodesic loops along the last factor"
-    else:
-        raise ScenarioParameterError(f"unknown domain type {dtype!r}")
-
+def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str, str], notes: str) -> Scenario:
+    """Loop families on pt x T^d over ``domain``: the negative rotation over
+    the full torus, in chart ``charts[0]``, and the positive rotation
+    constrained to the first k coordinates being zero, in chart
+    ``charts[1]``, with the subtorus target they bound."""
+    d = domain.base.dim
     families = {
-        "L-": _torus_line_family("L-", 0, -1, d, minus_chart),
-        "L+^k": _torus_line_family("L+^k", k, +1, d, plus_chart),
+        "L-": _torus_line_family("L-", 0, -1, d, charts[0]),
+        "L+^k": _torus_line_family("L+^k", k, +1, d, charts[1]),
     }
     ctx = RuleContext(
         sweep_table={"slice-": "id", "slice+k": f"T^{d - k}"},
@@ -433,12 +413,32 @@ def product_torus_scenario(V_spec: str, d: int, k: int, domain_spec: dict) -> Sc
     )
 
 
+def product_torus_scenario(d: int, k: int, radius: float) -> Scenario:
+    """The flat d-torus codisk of the given radius, with the loop families of
+    ``_torus_scenario``."""
+    d, k, radius = int(d), int(k), float(radius)
+    if d < 1:
+        raise ScenarioParameterError("d must be >= 1")
+    if not (0 < k < d):
+        raise ScenarioParameterError("k must satisfy 0 < k < d")
+    params = {"scenario": "product_torus", "d": d, "k": k, "radius": radius}
+    return _torus_scenario(
+        params, flat_torus_domain(d, radius), k, ("torus", "torus"), "flat geodesic loops along the last factor"
+    )
+
+
 def camel_scenario(n: int, eps: float, delta: float) -> Scenario:
+    """The camel domain over the n-torus, with the loop families of
+    ``_torus_scenario`` for k = 1; the positive rotation runs in the q1 = 0
+    chart, where the last momentum is bounded above."""
+    n, eps, delta = int(n), float(eps), float(delta)
     if n <= 1:
         raise ScenarioParameterError("n must be > 1")
-    return product_torus_scenario(
-        "pt", n, 1, {"type": "camel", "eps": eps, "delta": delta}
-    )
+    if eps <= 0 or delta <= 0:
+        raise ScenarioParameterError("eps and delta must be positive")
+    params = {"scenario": "camel", "n": n, "eps": eps, "delta": delta}
+    notes = "both families have constant support integrands; the bound is eps + 3 delta"
+    return _torus_scenario(params, camel_domain(n, eps, delta), 1, ("camel", "camel:q1zero"), notes)
 
 
 def klein_identify(a: float, b: float):
@@ -459,6 +459,7 @@ def klein_identify(a: float, b: float):
 def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     """Flat Klein bottle; the loop class consists of straight lines with
     x-winding one, which reverse orientation, paired with their reverses."""
+    a, b, radius = float(a), float(b), float(radius)
     if a <= 0 or b <= 0:
         raise ScenarioParameterError("a and b must be positive")
     base = BaseDescriptor("klein", 2, ("klein",))
@@ -537,25 +538,20 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     )
 
 
-def open_book_scenario(
-    page_spec: str,
-    f_spec: str,
-    action_spec: str = "rotation",
-    domain_spec: Optional[dict] = None,
-) -> Scenario:
-    """Rotation-invariant geometries with an explicit page/angle splitting.
+def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: float) -> Scenario:
+    """Rotation-invariant geometries with an explicit page/angle splitting,
+    the angle rotated by the circle action.
 
-    page 'interval' with a round profile gives the 2-sphere; page 'circle'
-    with a trivial profile gives the flat 2-torus.
+    page 'interval' has the round profile and gives the 2-sphere, so its
+    page and fiber lengths are 1; page 'circle' has the trivial profile and
+    gives the flat 2-torus with page and fiber lengths len_page, len_fiber.
     """
-    domain_spec = dict(domain_spec or {})
-    if action_spec != "rotation":
-        raise ScenarioParameterError("only the page-rotation action is supported")
+    radius, len_page, len_fiber = float(radius), float(len_page), float(len_fiber)
+    params = {"scenario": "open_book", "page": page, "radius": radius, "len_page": len_page, "len_fiber": len_fiber}
 
-    if page_spec == "interval":
-        if f_spec != "round":
-            raise ScenarioParameterError("interval pages require the round profile")
-        radius = float(domain_spec.get("radius", 1.0))
+    if page == "interval":
+        if (len_page, len_fiber) != (1.0, 1.0):
+            raise ScenarioParameterError("the interval page has the round profile: len_page and len_fiber are 1")
         domain = codisk_domain(
             _sphere_base(2),
             MetricSpec("embedding-induced", lambda q: np.eye(3), radius),
@@ -563,7 +559,7 @@ def open_book_scenario(
         )
         return Scenario(
             id=f"open_book(interval,round,r={radius})",
-            params={"scenario": "open_book", "page": "interval", "radius": radius},
+            params=params,
             domain=domain,
             families=_page_rotation_families(1),
             targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
@@ -572,12 +568,7 @@ def open_book_scenario(
             notes="the interval page with round profile closes up to the 2-sphere",
         )
 
-    if page_spec == "circle":
-        if f_spec != "trivial":
-            raise ScenarioParameterError("circle pages require the trivial profile")
-        radius = float(domain_spec.get("radius", 1.0))
-        len_page = float(domain_spec.get("len_page", 1.0))
-        len_fiber = float(domain_spec.get("len_fiber", 1.0))
+    if page == "circle":
         domain = flat_torus_domain(2, radius, (len_page, len_fiber))
 
         def fiber_family(name: str, sign: int) -> LoopFamily:
@@ -600,13 +591,7 @@ def open_book_scenario(
         grid = ParamGrid((GridAxis(0.0, 1.0, 8, periodic=True),))
         return Scenario(
             id=f"open_book(circle,trivial,r={radius},lp={len_page},lf={len_fiber})",
-            params={
-                "scenario": "open_book",
-                "page": "circle",
-                "radius": radius,
-                "len_page": len_page,
-                "len_fiber": len_fiber,
-            },
+            params=params,
             domain=domain,
             families={"L+": fiber_family("L+", +1), "L-": fiber_family("L-", -1)},
             targets=(
@@ -624,41 +609,51 @@ def open_book_scenario(
             notes="circle page with trivial profile: the flat 2-torus",
         )
 
-    raise ScenarioParameterError(f"unknown page spec {page_spec!r}")
+    raise ScenarioParameterError(f"unknown page {page!r}")
 
 
 # ---------------------------------------------------------------------------
-# JSON round-tripping
+# The scenario table and JSON round-tripping
 # ---------------------------------------------------------------------------
 
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "scenario": {
-            "enum": [
-                "ellipsoid1",
-                "ellipsoid2",
-                "open_book",
-                "product_torus",
-                "camel",
-                "klein",
-            ]
+def _integer(minimum: int, default: int) -> dict:
+    return {"type": "integer", "minimum": minimum, "default": default}
+
+
+def _positive(default: float) -> dict:
+    return {"type": "number", "exclusiveMinimum": 0, "default": default}
+
+
+_RADIUS = {"type": "number", "minimum": 0, "default": 1.0}
+
+# every scenario name with its constructor and the keys it takes: the JSON
+# schema of each key, with its default, keyed by the constructor argument the
+# key fills
+SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict[str, dict]]] = {
+    "ellipsoid1": (ellipsoid_scenario, {"n": _integer(1, 2), "a": _positive(1.0)}),
+    "ellipsoid2": (ellipsoid2_scenario, {"n": _integer(1, 3), "a": _positive(1.0)}),
+    "open_book": (
+        open_book_scenario,
+        {
+            "page": {"enum": ["interval", "circle"], "default": "interval"},
+            "radius": _RADIUS,
+            "len_page": _positive(1.0),
+            "len_fiber": _positive(1.0),
         },
-        "n": {"type": "integer", "minimum": 1},
-        "a": {"type": "number", "exclusiveMinimum": 0},
-        "b": {"type": "number", "exclusiveMinimum": 0},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "delta": {"type": "number", "exclusiveMinimum": 0},
-        "k": {"type": "integer", "minimum": 1},
-        "d": {"type": "integer", "minimum": 2},
-        "radius": {"type": "number", "minimum": 0},
-        "page": {"enum": ["interval", "circle"]},
-        "len_page": {"type": "number", "exclusiveMinimum": 0},
-        "len_fiber": {"type": "number", "exclusiveMinimum": 0},
-    },
+    ),
+    "product_torus": (product_torus_scenario, {"d": _integer(2, 2), "k": _integer(1, 1), "radius": _RADIUS}),
+    "camel": (camel_scenario, {"n": _integer(1, 2), "eps": _positive(1.0), "delta": _positive(0.1)}),
+    "klein": (klein_bottle_scenario, {"a": _positive(1.0), "b": _positive(1.0), "radius": _RADIUS}),
+}
+
+_DRAFT = "https://json-schema.org/draft/2020-12/schema"
+
+# what every configuration has: the name of a scenario in the table
+SCENARIO_SCHEMA = {
+    "$schema": _DRAFT,
+    "type": "object",
+    "properties": {"scenario": {"enum": list(SCENARIOS)}},
     "required": ["scenario"],
-    "additionalProperties": False,
 }
 
 
@@ -686,41 +681,33 @@ def lazy_validator(schema: dict) -> Callable[[dict], None]:
     return validate
 
 
-_validate_scenario = lazy_validator(SCENARIO_SCHEMA)
+_validate_name = lazy_validator(SCENARIO_SCHEMA)
+
+# one schema per scenario: its name and the keys it takes, no others
+_VALIDATORS = {
+    name: lazy_validator(
+        {
+            "$schema": _DRAFT,
+            "type": "object",
+            "properties": {"scenario": {"const": name}, **keys},
+            "required": ["scenario"],
+            "additionalProperties": False,
+        }
+    )
+    for name, (_, keys) in SCENARIOS.items()
+}
 
 
 def build_scenario(config: dict) -> Scenario:
-    """Construct a scenario from a schema-validated configuration mapping."""
-    _validate_scenario(config)
-    name = config["scenario"]
-    if name == "ellipsoid1":
-        return ellipsoid_scenario(int(config.get("n", 2)), float(config.get("a", 1.0)))
-    if name == "ellipsoid2":
-        return ellipsoid2_scenario(int(config.get("n", 3)), float(config.get("a", 1.0)))
-    if name == "camel":
-        return camel_scenario(
-            int(config.get("n", 2)),
-            float(config.get("eps", 1.0)),
-            float(config.get("delta", 0.1)),
-        )
-    if name == "product_torus":
-        return product_torus_scenario(
-            "pt",
-            int(config.get("d", 2)),
-            int(config.get("k", 1)),
-            {"type": "codisk", "radius": float(config.get("radius", 1.0))},
-        )
-    if name == "klein":
-        return klein_bottle_scenario(
-            float(config.get("a", 1.0)),
-            float(config.get("b", 1.0)),
-            float(config.get("radius", 1.0)),
-        )
-    if name == "open_book":
-        page = config.get("page", "interval")
-        f_spec = "round" if page == "interval" else "trivial"
-        return open_book_scenario(page, f_spec, "rotation", dict(config))
-    raise ScenarioParameterError(f"unknown scenario {name!r}")
+    """Construct the scenario that ``config["scenario"]`` names, after
+    validating ``config`` against that scenario's schema; a key the
+    configuration leaves out takes its default."""
+    name = config.get("scenario")
+    if not isinstance(name, str) or name not in SCENARIOS:
+        _validate_name(config)  # raises: the name is missing or not in the table
+    build, keys = SCENARIOS[name]
+    _VALIDATORS[name](config)
+    return build(**{key: config.get(key, schema["default"]) for key, schema in keys.items()})
 
 
 def scenario_config(s: Scenario) -> dict:

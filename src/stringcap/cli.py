@@ -23,19 +23,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# a scenario configuration plus the keys of one run
-RUNCONFIG_SCHEMA = {
-    **_catalog.SCENARIO_SCHEMA,
+# the keys of one run; the scenario keys are left to build_scenario, which
+# validates them against the schema of the scenario they configure
+RUN_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
     "properties": {
-        **_catalog.SCENARIO_SCHEMA["properties"],
-        "quad_panels": {"type": "integer", "minimum": 8, "multipleOf": 2},
+        "quad_panels": {"type": "integer", "minimum": 8},
         "refine_budget": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},
         "format": {"enum": ["json", "csv", "text"]},
     },
 }
 
-_validate_runconfig = _catalog.lazy_validator(RUNCONFIG_SCHEMA)
+_validate_run = _catalog.lazy_validator(RUN_SCHEMA)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -77,18 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_config_from_args(args: argparse.Namespace) -> dict:
-    config = {}
-    for key in RUNCONFIG_SCHEMA["properties"]:
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key] = val
-    _validate_runconfig(config)
+    """The keys the flags set, with their run keys validated."""
+    config = {key: val for key, val in vars(args).items() if val is not None and key not in ("command", "target")}
+    _validate_run({key: val for key, val in config.items() if key in RUN_SCHEMA["properties"]})
     return config
 
 
 def _scenario_from_config(config: dict):
-    sc_cfg = {k: v for k, v in config.items() if k in _catalog.SCENARIO_SCHEMA["properties"]}
-    return _catalog.build_scenario(sc_cfg)
+    return _catalog.build_scenario({k: v for k, v in config.items() if k not in RUN_SCHEMA["properties"]})
 
 
 def _quad_refine(config: dict):

@@ -242,8 +242,8 @@ class QuadratureSpec:
     max_doublings: int = 6
 
     def __post_init__(self):
-        if self.panels < 8 or self.panels % 2:
-            raise InvalidInputError("panel count must be even and >= 8")
+        if self.panels < 8:
+            raise InvalidInputError("panel count must be >= 8")
 
 
 # at most this many (row, t) samples go into one support-oracle call of the
@@ -547,7 +547,6 @@ class ExtremalLengthReport:
     grid_shape: tuple[int, ...]
     refinement_history: tuple[dict, ...]
     tolerance: float
-    attained_on_grid_closure: bool = True
 
 
 def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:

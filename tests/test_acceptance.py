@@ -180,7 +180,7 @@ def test_criterion_5_property_suites():
         (ellipsoid2_scenario(3, 0.4), "[pt]"),
         (camel_scenario(2, 0.4, 0.01), "[T^k]"),
         (klein_bottle_scenario(1.0, 1.0), "[Sigma]"),
-        (open_book_scenario("circle", "trivial"), "[V]"),
+        (open_book_scenario("circle", 1.0, 1.0, 1.0), "[V]"),
     ]
     certs = []
     for scenario, tname in derivations:

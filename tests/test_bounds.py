@@ -39,19 +39,17 @@ def test_open_book_bounds_on_stretched_sphere():
 
 def test_closed_page_bound_uses_the_shorter_combination():
     a = 0.3
-    s = open_book_scenario(
-        "circle", "trivial", "rotation", {"len_page": 1.0, "len_fiber": a}
-    )
+    s = open_book_scenario("circle", 1.0, 1.0, a)
     bounds = _by_target(compute_bounds(s))
     assert bounds["[V]"].upper_bound == pytest.approx(2 * a, abs=1e-6)
     assert bounds["[pt]"].upper_bound == pytest.approx(2 * a, abs=1e-6)
 
 
 def test_zero_radius_codisk_gives_zero_bounds():
-    s = open_book_scenario("circle", "trivial", "rotation", {"radius": 0.0})
+    s = open_book_scenario("circle", 0.0, 1.0, 1.0)
     for b in compute_bounds(s):
         assert b.upper_bound == pytest.approx(0.0, abs=1e-12)
-    s2 = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 0.0})
+    s2 = product_torus_scenario(2, 1, 0.0)
     assert compute_bounds(s2)[0].upper_bound == pytest.approx(0.0, abs=1e-12)
 
 
@@ -63,7 +61,7 @@ def test_camel_bound_is_closed_form_and_dimension_independent(n):
 
 
 def test_flat_torus_product_bound():
-    s = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 1.0})
+    s = product_torus_scenario(2, 1, 1.0)
     (b,) = compute_bounds(s)
     assert b.upper_bound == pytest.approx(2.0, abs=1e-6)
 

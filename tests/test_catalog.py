@@ -6,6 +6,7 @@ import pytest
 
 from stringcap.catalog import (
     SCENARIO_SCHEMA,
+    SCENARIOS,
     build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
@@ -25,9 +26,9 @@ def _all_scenarios():
     return [
         ellipsoid_scenario(2, 0.3),
         ellipsoid2_scenario(3, 0.4),
-        open_book_scenario("interval", "round"),
-        open_book_scenario("circle", "trivial", "rotation", {"len_fiber": 0.5}),
-        product_torus_scenario("pt", 2, 1, {"type": "codisk"}),
+        open_book_scenario("interval", 1.0, 1.0, 1.0),
+        open_book_scenario("circle", 1.0, 1.0, 0.5),
+        product_torus_scenario(2, 1, 1.0),
         camel_scenario(2, 0.4, 0.01),
         klein_bottle_scenario(1.0, 1.0),
     ]
@@ -88,7 +89,7 @@ def test_camel_family_extrema_are_exact():
 
 
 def test_flat_product_torus_unit_lengths():
-    s = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 1.0})
+    s = product_torus_scenario(2, 1, 1.0)
     rm = extremal_lengths(s.domain, s.families["L-"], s.quad)
     rp = extremal_lengths(s.domain, s.families["L+^k"], s.quad)
     assert rm.E == pytest.approx(1.0, abs=1e-8)
@@ -96,7 +97,7 @@ def test_flat_product_torus_unit_lengths():
 
 
 def test_zero_radius_product_torus_vanishes():
-    s = product_torus_scenario("pt", 2, 1, {"type": "codisk", "radius": 0.0})
+    s = product_torus_scenario(2, 1, 0.0)
     for fam in s.families.values():
         rep = extremal_lengths(s.domain, fam, s.quad)
         assert rep.E == 0.0 and rep.e == 0.0
@@ -135,15 +136,11 @@ def test_parameter_validation():
     with pytest.raises(ScenarioParameterError):
         camel_scenario(2, 0.4, 0.0)
     with pytest.raises(ScenarioParameterError):
-        product_torus_scenario("pt", 2, 2, {"type": "codisk"})
-    with pytest.raises(ScenarioParameterError):
-        product_torus_scenario("interval", 2, 1, {"type": "codisk"})
+        product_torus_scenario(2, 2, 1.0)
     with pytest.raises(ScenarioParameterError):
         klein_bottle_scenario(0.0, 1.0)
     with pytest.raises(ScenarioParameterError):
-        open_book_scenario("interval", "trivial")
-    with pytest.raises(ScenarioParameterError):
-        open_book_scenario("moebius", "round")
+        open_book_scenario("moebius", 1.0, 1.0, 1.0)
 
 
 def test_config_round_trip_and_schema_rejection():
@@ -160,6 +157,54 @@ def test_config_round_trip_and_schema_rejection():
         build_scenario({"scenario": "camel", "unknown_key": 1})
     with pytest.raises(jsonschema.ValidationError):
         build_scenario({"scenario": "nosuch"})
+
+
+# the keys each scenario takes, one per parameter of its domain and loops
+TAKES = {
+    "ellipsoid1": {"n", "a"},
+    "ellipsoid2": {"n", "a"},
+    "open_book": {"page", "radius", "len_page", "len_fiber"},
+    "product_torus": {"d", "k", "radius"},
+    "camel": {"n", "eps", "delta"},
+    "klein": {"a", "b", "radius"},
+}
+
+# a value of each key that the scenarios taking it accept
+VALID = {
+    "n": 3, "a": 0.5, "b": 1.5, "eps": 0.4, "delta": 0.01, "k": 1, "d": 3, "radius": 1.5,
+    "page": "circle", "len_page": 2.0, "len_fiber": 3.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES))
+def test_keys_a_scenario_does_not_take_are_refused(name):
+    import jsonschema
+
+    for key in sorted(VALID.keys() - TAKES[name]):
+        with pytest.raises(jsonschema.ValidationError):
+            build_scenario({"scenario": name, key: VALID[key]})
+
+
+def test_scenario_params_are_the_keys_of_its_table_entry():
+    assert set(SCENARIOS) == set(TAKES)
+    for name, (_, keys) in SCENARIOS.items():
+        assert set(keys) == TAKES[name]
+        for config in ({"scenario": name}, {"scenario": name, **{k: VALID[k] for k in keys}}):
+            assert set(build_scenario(config).params) == set(keys) | {"scenario"}, config
+
+
+def test_interval_page_refuses_page_and_fiber_lengths():
+    for key in ("len_page", "len_fiber"):
+        with pytest.raises(ScenarioParameterError):
+            build_scenario({"scenario": "open_book", "page": "interval", key: 2.0})
+
+
+def test_integer_valued_numbers_build_the_same_ids():
+    assert build_scenario({"scenario": "klein", "a": 1}).id == "klein(a=1.0,b=1.0,r=1.0)"
+    assert build_scenario({"scenario": "ellipsoid1", "n": 3.0, "a": 1}).id == "ellipsoid1(n=3,a=1.0)"
+    assert build_scenario({"scenario": "product_torus", "d": 3.0, "k": 2, "radius": 2}).id == (
+        "product_torus(d=3,k=2,radius=2.0)"
+    )
 
 
 def test_construction_is_deterministic():
@@ -260,7 +305,7 @@ def test_array_loops_match_per_sample_reference():
     scenarios = _all_scenarios() + [
         ellipsoid_scenario(3, 0.6),
         ellipsoid2_scenario(4, 0.8),
-        product_torus_scenario("pt", 4, 2, {"type": "codisk"}),
+        product_torus_scenario(4, 2, 1.0),
         camel_scenario(3, 0.5, 0.02),
         klein_bottle_scenario(0.5, 2.0),
     ]

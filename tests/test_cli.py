@@ -120,11 +120,45 @@ def test_quad_panel_override_is_validated():
                  "--delta", "0.01", "--quad-panels", "7"]) == 2
 
 
-def test_odd_quad_panel_count_is_a_configuration_error(capsys):
-    code = main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
-                 "--delta", "0.01", "--quad-panels", "9"])
-    assert code == 2
-    assert "invalid configuration" in capsys.readouterr().err
+def test_odd_quad_panel_count_gives_the_camel_bound(capsys):
+    eps, delta = 0.4, 0.01
+    code = main(["bound", "--scenario", "camel", "--n", "2", "--eps", str(eps),
+                 "--delta", str(delta), "--quad-panels", "9"])
+    assert code == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    assert entry["upper_bound"] == pytest.approx(eps + 3 * delta, abs=1e-9)
+
+
+# the scenario flags each scenario takes
+FLAG_TAKES = {
+    "ellipsoid1": {"n", "a"},
+    "ellipsoid2": {"n", "a"},
+    "open_book": {"radius"},
+    "product_torus": {"d", "k", "radius"},
+    "camel": {"n", "eps", "delta"},
+    "klein": {"a", "b", "radius"},
+}
+FLAG_VALUES = {"n": "3", "a": "0.5", "b": "1.5", "eps": "0.4", "delta": "0.01", "k": "1", "d": "3", "radius": "1.5"}
+
+
+@pytest.mark.parametrize("scenario", sorted(FLAG_TAKES))
+def test_flags_the_scenario_does_not_take_exit_2_without_output(scenario, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for key in sorted(FLAG_VALUES.keys() - FLAG_TAKES[scenario]):
+        for command in ("bound", "certify"):
+            argv = [command, "--scenario", scenario, f"--{key}", FLAG_VALUES[key], "--out", str(out)]
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert "invalid configuration" in err and "Traceback" not in err, argv
+            assert not out.exists(), argv
+
+
+def test_klein_with_ellipsoid_and_camel_keys_exits_2(capsys):
+    assert main(["bound", "--scenario", "klein", "--n", "7", "--eps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid configuration" in captured.err
 
 
 def test_importing_the_package_loads_no_jsonschema():

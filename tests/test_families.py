@@ -37,8 +37,8 @@ SCENARIOS = [
     ellipsoid_scenario(2, 0.3),
     ellipsoid_scenario(3, 0.7),
     ellipsoid2_scenario(4, 0.8),
-    open_book_scenario("circle", "trivial", "rotation", {"len_page": 0.7, "len_fiber": 1.3}),
-    product_torus_scenario("pt", 3, 1, {"type": "codisk", "radius": 1.3}),
+    open_book_scenario("circle", 1.0, 0.7, 1.3),
+    product_torus_scenario(3, 1, 1.3),
     camel_scenario(2, 0.5, 0.01),
     camel_scenario(3, 0.7, 0.003),
     klein_bottle_scenario(0.8, 1.5),

@@ -126,7 +126,7 @@ def _five_derivations():
     out.append((s3, s3.target("[T^k]")))
     s4 = klein_bottle_scenario(1.0, 1.0)
     out.append((s4, s4.target("[Sigma]")))
-    s5 = open_book_scenario("circle", "trivial")
+    s5 = open_book_scenario("circle", 1.0, 1.0, 1.0)
     out.append((s5, s5.target("[V]")))
     return out
 
@@ -142,7 +142,7 @@ def test_single_orientation_derivation_needs_page_boundary():
     s = ellipsoid_scenario(2, 0.5)
     cert = derive_certificate(s, s.target("[S^n]"), sign=-1)
     assert check_certificate(cert).passed
-    closed = open_book_scenario("circle", "trivial")
+    closed = open_book_scenario("circle", 1.0, 1.0, 1.0)
     with pytest.raises(IncompatibleBindingError):
         derive_certificate(closed, s.target("[S^n]"))
 
