@@ -336,8 +336,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
         finite = ~(w[:, :-1] != 0.0).any(axis=1)
         if q.chart_id != "camel:q1zero":
             finite &= c <= 0.0
-        values = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
-        return values, finite
+        return np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
 
     return GaugeDomain(base, oracle, metadata=f"camel domain, eps={eps}, delta={delta}")
 
@@ -701,13 +700,19 @@ _VALIDATORS = {
 def build_scenario(config: dict) -> Scenario:
     """Construct the scenario that ``config["scenario"]`` names, after
     validating ``config`` against that scenario's schema; a key the
-    configuration leaves out takes its default."""
+    configuration leaves out takes its default.  A NaN or infinite number
+    raises ``ScenarioParameterError``: the schemas' bounds let NaN and +inf
+    through."""
     name = config.get("scenario")
     if not isinstance(name, str) or name not in SCENARIOS:
         _validate_name(config)  # raises: the name is missing or not in the table
     build, keys = SCENARIOS[name]
     _VALIDATORS[name](config)
-    return build(**{key: config.get(key, schema["default"]) for key, schema in keys.items()})
+    args = {key: config.get(key, schema["default"]) for key, schema in keys.items()}
+    for key, value in args.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioParameterError(f"{key} must be finite, got {value!r}")
+    return build(**args)
 
 
 def scenario_config(s: Scenario) -> dict:

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import bounds as _bounds
 from . import catalog as _catalog
-from .errors import StringcapError
+from .errors import ScenarioParameterError, StringcapError
 from .loops import QuadratureSpec, RefineSpec
 from .stralg import check_certificate, derive_certificate
 
@@ -49,10 +49,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--radius", type=float)
-    p.add_argument("--quad-panels", type=int, dest="quad_panels")
-    p.add_argument("--refine-budget", type=int, dest="refine_budget")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["json", "csv", "text"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="compute a scenario's bounds")
     _add_common_flags(p_bound)
+    p_bound.add_argument("--quad-panels", type=int, dest="quad_panels")
+    p_bound.add_argument("--refine-budget", type=int, dest="refine_budget")
+    p_bound.add_argument("--out")
+    p_bound.add_argument("--format", choices=["json", "csv", "text"])
 
     p_rep = sub.add_parser("reproduce", help="emit a regression table")
     p_rep.add_argument("table", help="table id: " + ", ".join(_table_ids()))
@@ -72,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="derive and check a certificate")
     _add_common_flags(p_cert)
+    p_cert.add_argument("--out")
     p_cert.add_argument("target", nargs="?", help="target class name, e.g. [pt]")
 
     return parser
@@ -89,10 +90,10 @@ def _scenario_from_config(config: dict):
 
 
 def _quad_refine(config: dict):
-    quad = None
-    if "quad_panels" in config:
-        quad = QuadratureSpec(panels=config["quad_panels"])
-    refine = RefineSpec(budget=config.get("refine_budget", 200))
+    """The flags' quadrature (None: the scenario's own) and refinement; a
+    flag left out takes the spec's default."""
+    quad = QuadratureSpec(panels=config["quad_panels"]) if "quad_panels" in config else None
+    refine = RefineSpec(budget=config["refine_budget"]) if "refine_budget" in config else RefineSpec()
     return quad, refine
 
 
@@ -209,27 +210,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args.table, args.out)
         config = run_config_from_args(args)
-    except jsonschema.ValidationError as exc:
-        sys.stderr.write(f"invalid configuration: {exc.message}\n")
-        return EXIT_CONFIG
-    except StringcapError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
-    try:
         if args.command == "bound":
             return cmd_bound(config)
-        if args.command == "certify":
-            return cmd_certify(config, args.target)
-        return EXIT_CONFIG
+        return cmd_certify(config, args.target)
     except jsonschema.ValidationError as exc:
         sys.stderr.write(f"invalid configuration: {exc.message}\n")
         return EXIT_CONFIG
+    except ScenarioParameterError as exc:
+        sys.stderr.write(f"invalid parameters: {exc}\n")
+        return EXIT_CONFIG
     except StringcapError as exc:
-        from .errors import ScenarioParameterError
-
-        if isinstance(exc, ScenarioParameterError):
-            sys.stderr.write(f"invalid parameters: {exc}\n")
-            return EXIT_CONFIG
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
 

@@ -79,11 +79,11 @@ class GaugeDomain:
 
     The oracle is batched: it takes a BasePoint whose ``coords`` have shape
     (m, d), one sample per row, all in the point's chart, and a TangentVector
-    attached to it whose ``components`` have shape (m, d).  It returns
-    ``(values, finite)``, two arrays of shape (m,): ``finite[i]`` is false
-    where the fiber is unbounded in direction v_i, and ``values[i]`` is the
-    support h(q_i, v_i) where it is true and +inf where it is false.  The
-    oracle must be positively 1-homogeneous in v and vanish at v = 0.
+    attached to it whose ``components`` have shape (m, d).  It returns one
+    float array of shape (m,): the support h(q_i, v_i) in row i, and +inf
+    where the fiber is unbounded in direction v_i.  Every consumer treats a
+    non-finite value, NaN included, as infinite.  The oracle must be
+    positively 1-homogeneous in v and vanish at v = 0.
 
     ``support_oracle`` is the only way in: quadrature, containment checks and
     ``support`` all call it, so a domain rebuilt with another oracle through
@@ -91,8 +91,13 @@ class GaugeDomain:
     """
 
     base: BaseDescriptor
-    support_oracle: Callable[[BasePoint, TangentVector], tuple[np.ndarray, np.ndarray]]
+    support_oracle: Callable[[BasePoint, TangentVector], np.ndarray]
     metadata: str = ""
+
+    def check_chart(self, chart: str) -> None:
+        """Raise ``ChartMismatchError`` unless the domain accepts ``chart``."""
+        if chart not in self.base.charts:
+            raise ChartMismatchError(f"chart {chart!r} not accepted by domain ({self.base.charts})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +158,11 @@ def _validate_attachment(q: BasePoint, v: TangentVector) -> None:
 
 def support(domain: GaugeDomain, q: BasePoint, v: TangentVector) -> ExtReal:
     """Evaluate the fiber support function of ``domain`` at one pair (q, v)."""
-    if q.chart_id not in domain.base.charts:
-        raise ChartMismatchError(
-            f"chart {q.chart_id!r} not accepted by domain ({domain.base.charts})"
-        )
+    domain.check_chart(q.chart_id)
     _validate_attachment(q, v)
     row = BasePoint(np.asarray(q.coords, dtype=float)[None], q.chart_id)
-    values, finite = domain.support_oracle(
-        row, TangentVector(np.asarray(v.components, dtype=float)[None], row)
-    )
-    return ExtReal.of(values[0]) if finite[0] else INFINITE
+    value = float(domain.support_oracle(row, TangentVector(np.asarray(v.components, dtype=float)[None], row))[0])
+    return ExtReal.of(value) if math.isfinite(value) else INFINITE
 
 
 def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:
@@ -182,11 +182,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=-1)
 
 
-def _bounded(values: np.ndarray) -> np.ndarray:
-    """The all-true finite mask of a domain whose fibers are bounded."""
-    return ~np.zeros(values.shape, dtype=bool)
-
-
 def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") -> GaugeDomain:
     """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
     r = metric.radius
@@ -194,8 +189,7 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") 
 
         def oracle(q: BasePoint, v: TangentVector):
             w = v.components
-            values = r * np.sqrt(_rowdot(w, w))
-            return values, _bounded(values)
+            return r * np.sqrt(_rowdot(w, w))
 
     else:
         jac_fn = metric.embedding_jacobian
@@ -204,8 +198,7 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") 
             jac = np.asarray(jac_fn(q))
             w = v.components
             pushed = w @ jac.T if jac.ndim == 2 else np.einsum("mij,mj->mi", jac, w)
-            values = r * np.sqrt(_rowdot(pushed, pushed))
-            return values, _bounded(values)
+            return r * np.sqrt(_rowdot(pushed, pushed))
 
     return GaugeDomain(base, oracle, metadata or f"codisk bundle, radius {metric.radius}")
 
@@ -270,13 +263,12 @@ def domain_contains(
     if inner.base != outer.base:
         raise ChartMismatchError("containment check requires a common base")
     for q, v in _sample_batches(inner.base, plan):
-        si, inner_finite = inner.support_oracle(q, v)
-        so, outer_finite = outer.support_oracle(q, v)
-        bad = outer_finite & (~inner_finite | (si > so + plan.tol * (1.0 + np.abs(so))))
+        si, so = inner.support_oracle(q, v), outer.support_oracle(q, v)
+        # an inner value that is inf or NaN counts as above every finite outer one
+        bad = np.isfinite(so) & ~(si <= so + plan.tol * (1.0 + np.abs(so)))
         hits = bad.nonzero()[0]
         if hits.size:
             i = hits[0]
             qi = BasePoint(q.coords[i], q.chart_id)
-            iv = float(si[i]) if inner_finite[i] else math.inf
-            return ContainmentResult(False, (qi, TangentVector(v.components[i], qi), iv, float(so[i])))
+            return ContainmentResult(False, (qi, TangentVector(v.components[i], qi), float(si[i]), float(so[i])))
     return ContainmentResult(True)

@@ -7,10 +7,10 @@ stacking them, so every length goes through the same batched path.
 
 A loop family has the same forms one axis up: ``points(P, ts)`` and
 ``velocities(P, ts)`` map family parameters ``P`` of shape (G, p) and ``ts``
-of shape (m,) to coordinates of shape (G, m, d).  The catalog writes its
-families in that form and gets ``loop_at`` from one-row evaluations; a family
-given only by ``loop_at`` is evaluated by stacking its loops, one batch per
-chart.
+of shape (m,) to coordinates of shape (G, m, d), and ``loop_at`` evaluates
+them on one row.  A grid of G loops sampled at m parameters is one stack of
+(G * m) samples for the support oracle, which returns one array of supports,
++inf where the fiber is unbounded.
 
 The length of a loop q is the integral over one period of the fiber support
 function evaluated on the velocity.  The integrand is smooth and periodic, so
@@ -251,24 +251,24 @@ class QuadratureSpec:
 # single row whose level is longer still goes whole
 _BLOCK_SAMPLES = 4096
 
-# values_at(rows, ts): the support of the velocity at every (row, t), as
-# (values, finite) of shape (len(rows), len(ts))
-ValuesFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# values_at(rows, ts): the support of the velocity at every (row, t), of
+# shape (len(rows), len(ts))
+ValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _in_blocks(values_at: ValuesFn, rows: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _in_blocks(values_at: ValuesFn, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """``values_at`` over ``rows`` in calls of at most ``_BLOCK_SAMPLES``
     samples, at least one whole row each."""
     step = max(1, _BLOCK_SAMPLES // ts.shape[0])
     if rows.shape[0] <= step:
         return values_at(rows, ts)
-    parts = [values_at(rows[i:i + step], ts) for i in range(0, rows.shape[0], step)]
-    return np.concatenate([v for v, _ in parts]), np.concatenate([f for _, f in parts])
+    return np.concatenate([values_at(rows[i:i + step], ts) for i in range(0, rows.shape[0], step)])
 
 
-def _first_infinite(ts: np.ndarray, finite: np.ndarray) -> Optional[tuple[int, float]]:
-    """The first row with a non-finite sample, as (row, its first non-finite
-    t), or None."""
+def _first_infinite(ts: np.ndarray, values: np.ndarray) -> Optional[tuple[int, float]]:
+    """The first row with a non-finite sample (inf or NaN), as (row, its
+    first non-finite t), or None."""
+    finite = np.isfinite(values)
     if finite.all():
         return None
     i = int(np.argmin(finite.all(axis=1)))
@@ -303,8 +303,8 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
     anything."""
     n = quad.panels
     ts = _first_levels(n, quad.max_doublings > 0)
-    values, finite = _in_blocks(values_at, np.arange(count), ts)
-    failed = _first_infinite(ts, finite)
+    values = _in_blocks(values_at, np.arange(count), ts)
+    failed = _first_infinite(ts, values)
     if failed is not None:
         values = values[:failed[0]]
     sums = values.reshape(values.shape[0], ts.shape[0] // n, n).sum(axis=2).tolist()  # per row and level
@@ -316,8 +316,8 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
             fresh = [s[1] for s in sums]
         else:
             ts = (np.arange(n) + 0.5) / n
-            values, finite = _in_blocks(values_at, np.array(rows), ts)
-            bad = _first_infinite(ts, finite)
+            values = _in_blocks(values_at, np.array(rows), ts)
+            bad = _first_infinite(ts, values)
             if bad is not None:
                 failed = (rows[bad[0]], bad[1])
                 rows, values = rows[:bad[0]], values[:bad[0]]
@@ -338,34 +338,13 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
 
 def _oracle_rows(
     domain: GaugeDomain, chart: str, points: np.ndarray, velocities: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Support at ``count`` rows of samples stacked as (count * m, d)
-    ``points`` and ``velocities`` in ``chart``, in one oracle call, as
-    (values, finite) of shape (count, m)."""
+    ``points`` and ``velocities`` in ``chart``, in one oracle call, with
+    shape (count, m)."""
+    domain.check_chart(chart)
     q = BasePoint(points, chart)
-    values, finite = domain.support_oracle(q, TangentVector(velocities, q))
-    return values.reshape(count, -1), finite.reshape(count, -1)
-
-
-def _loops_values(domain: GaugeDomain, loops: list[Loop], ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support of the velocity of every loop at every t, one oracle call per
-    chart among the loops."""
-    charts = [loop.chart for loop in loops]
-    groups = [[i for i, c in enumerate(charts) if c == chart] for chart in dict.fromkeys(charts)]
-    parts = [
-        _oracle_rows(
-            domain,
-            charts[idx[0]],
-            np.concatenate([loops[i].points(ts) for i in idx]),
-            np.concatenate([loops[i].velocities(ts) for i in idx]),
-            len(idx),
-        )
-        for idx in groups
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    order = np.argsort(np.concatenate(groups))  # rows back into loop order
-    return np.concatenate([v for v, _ in parts])[order], np.concatenate([f for _, f in parts])[order]
+    return domain.support_oracle(q, TangentVector(velocities, q)).reshape(count, -1)
 
 
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -379,7 +358,8 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
     agree before any sample lands in it, the result is finite and no
     ``InfiniteLengthError`` is raised. On the camel domain with ``panels=8``,
     a window of width 0.02 around t = 0.6 is missed this way. Otherwise the
-    error reports the first infinite t in level order."""
+    error reports the first non-finite t (inf or NaN) in level order.  A
+    chart the domain does not accept raises ``ChartMismatchError``."""
 
     def values_at(rows: np.ndarray, ts: np.ndarray):
         return _oracle_rows(domain, loop.chart, loop.points(ts), loop.velocities(ts), 1)
@@ -434,47 +414,32 @@ FamilyFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class LoopFamily:
-    """A named smooth family of loops over a parameter grid.
-
-    Give either the array forms ``points``/``velocities``, which map
-    parameters of shape (G, p) and loop parameters ts of shape (m,) to
-    coordinates of shape (G, m, d) in the family's ``chart`` (``identify`` is
-    passed on to its loops; ``ts`` may be read-only, as for loops), or
-    ``loop_at``, one Loop per parameter row of shape (p,).  ``loop_at`` of a
-    family with array forms evaluates them on one row.  A family given by
-    ``loop_at`` alone is evaluated by stacking its loops, each in its own
-    chart.
+    """A named smooth family of loops over a parameter grid, given by its
+    array forms: ``points`` and ``velocities`` map parameters of shape (G, p)
+    and loop parameters ts of shape (m,) to coordinates of shape (G, m, d),
+    all in the family's ``chart``.  ``ts`` may be read-only, as for loops;
+    ``identify`` is passed on to the family's loops.
     """
 
     name: str
     grid: ParamGrid
-    loop_at: Optional[Callable[[np.ndarray], Loop]] = None
-    points: Optional[FamilyFn] = None
-    velocities: Optional[FamilyFn] = None
+    points: FamilyFn
+    velocities: FamilyFn
     chart: str = "default"
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __post_init__(self):
-        if (self.points is None) != (self.velocities is None):
-            raise LoopValidationError(f"family {self.name!r} needs both array forms or neither")
-        if self.loop_at is None:
-            if self.points is None:
-                raise LoopValidationError(f"family {self.name!r} needs loop_at or points")
-            object.__setattr__(self, "loop_at", functools.partial(_family_loop, self))
-
-
-def _family_loop(family: LoopFamily, p: np.ndarray) -> Loop:
-    """The loop of ``family`` at parameter row ``p``: its array forms on one
-    row."""
-    P = np.asarray(p, dtype=float)[None]
-    pts, vel = family.points, family.velocities
-    return Loop(
-        points=lambda ts: pts(P, ts)[0],
-        velocities=lambda ts: vel(P, ts)[0],
-        chart=family.chart,
-        metadata=f"{family.name} at {P[0].tolist()}",
-        identify=family.identify,
-    )
+    def loop_at(self, p: np.ndarray) -> Loop:
+        """The loop at parameter row ``p`` of shape (p,): the array forms on
+        one row."""
+        P = np.asarray(p, dtype=float)[None]
+        pts, vel = self.points, self.velocities
+        return Loop(
+            points=lambda ts: pts(P, ts)[0],
+            velocities=lambda ts: vel(P, ts)[0],
+            chart=self.chart,
+            metadata=f"{self.name} at {P[0].tolist()}",
+            identify=self.identify,
+        )
 
 
 def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
@@ -483,16 +448,6 @@ def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLe
         t=t,
         params=params,
     )
-
-
-def _family_values(
-    domain: GaugeDomain, family: LoopFamily, P: np.ndarray, ts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Support of the velocity at every (row of ``P``, t) through the
-    family's array forms, in one oracle call."""
-    pts, vel = family.points(P, ts), family.velocities(P, ts)
-    d = pts.shape[-1]
-    return _oracle_rows(domain, family.chart, pts.reshape(-1, d), vel.reshape(-1, d), P.shape[0])
 
 
 def family_lengths(
@@ -510,14 +465,12 @@ def family_lengths(
     own ``loop_length`` raises, with that row as ``params`` and the same t;
     rows after it are not evaluated further."""
     params = np.asarray(params, dtype=float)
-    if family.points is not None:
-        def values_at(rows, ts):
-            return _family_values(domain, family, params[rows], ts)
-    else:
-        stack = [family.loop_at(p) for p in params]
 
-        def values_at(rows, ts):
-            return _loops_values(domain, [stack[r] for r in rows], ts)
+    def values_at(rows, ts):
+        P = params[rows]
+        pts, vel = family.points(P, ts), family.velocities(P, ts)
+        d = pts.shape[-1]
+        return _oracle_rows(domain, family.chart, pts.reshape(-1, d), vel.reshape(-1, d), P.shape[0])
 
     lengths, failed = _trapezoid(values_at, params.shape[0], quad)
     if failed is not None:
@@ -544,7 +497,6 @@ class ExtremalLengthReport:
     argmin_params: np.ndarray
     grid_E: float
     grid_e: float
-    grid_shape: tuple[int, ...]
     refinement_history: tuple[dict, ...]
     tolerance: float
 
@@ -657,7 +609,6 @@ def extremal_lengths(
         argmin_params=xmin,
         grid_E=grid_E,
         grid_e=grid_e,
-        grid_shape=tuple(ax.count for ax in family.grid.axes),
         refinement_history=history,
         tolerance=quad.qtol * (1.0 + abs(E)),
     )

@@ -109,8 +109,7 @@ def _scaled_domain(domain: GaugeDomain, lam: float) -> GaugeDomain:
     oracle = domain.support_oracle
 
     def scaled(q, v):
-        vals, fin = oracle(q, v)
-        return lam * vals, fin
+        return lam * oracle(q, v)
 
     return GaugeDomain(domain.base, scaled, metadata=f"scaled x{lam}: {domain.metadata}")
 
@@ -131,9 +130,8 @@ def test_both_orientation_targets_keep_the_smaller_bound():
     oracle = s.domain.support_oracle
 
     def lopsided(q, v):
-        vals, fin = oracle(q, v)
         x, w = q.coords, v.components
-        return np.where(x[:, -2] * w[:, -1] - x[:, -1] * w[:, -2] > 0, 2.0, 1.0) * vals, fin
+        return np.where(x[:, -2] * w[:, -1] - x[:, -1] * w[:, -2] > 0, 2.0, 1.0) * oracle(q, v)
 
     skewed = dataclasses.replace(s, domain=GaugeDomain(s.domain.base, lopsided))
     fundamental = _by_target(compute_bounds(skewed))["[S^n]"]

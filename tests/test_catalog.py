@@ -327,3 +327,14 @@ def test_array_loops_match_per_sample_reference():
                     np.testing.assert_allclose(loop.point(t).coords, q, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(loop.velocity(t).components, v, rtol=0, atol=1e-12)
                     assert loop.point(t).chart_id == chart
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "scenario,key",
+    [(name, key) for name, (_, keys) in SCENARIOS.items() for key, schema in keys.items() if schema.get("type") == "number"],
+)
+def test_build_scenario_refuses_non_finite_numbers(scenario, key, value):
+    # the schemas' minimum and exclusiveMinimum let NaN and +inf through
+    with pytest.raises(ScenarioParameterError, match=f"{key} must be finite"):
+        build_scenario({"scenario": scenario, key: value})

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+from stringcap.catalog import SCENARIOS
 from stringcap.cli import main
 
 
@@ -152,6 +154,39 @@ def test_flags_the_scenario_does_not_take_exit_2_without_output(scenario, tmp_pa
             assert code == 2, argv
             assert "invalid configuration" in err and "Traceback" not in err, argv
             assert not out.exists(), argv
+
+
+# every scenario key of JSON type number that has a flag
+FLOAT_FLAGS = [
+    (scenario, key)
+    for scenario, (_, keys) in SCENARIOS.items()
+    for key, schema in keys.items()
+    if schema.get("type") == "number" and key in FLAG_TAKES[scenario]
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("scenario,key", FLOAT_FLAGS)
+def test_non_finite_scenario_parameters_exit_2_without_output(scenario, key, value, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    for command in ("bound", "certify"):
+        argv = [command, "--scenario", scenario, f"--{key}", value, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert not out.exists(), argv
+        assert "Traceback" not in err and "RuntimeWarning" not in err, argv
+        assert caught == [], argv
+
+
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--quad-panels", "16"], ["--refine-budget", "5"]])
+def test_certify_refuses_the_flags_only_bound_reads(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--scenario", "camel", *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_klein_with_ellipsoid_and_camel_keys_exits_2(capsys):

@@ -18,7 +18,7 @@ from stringcap.catalog import (
     open_book_scenario,
     product_torus_scenario,
 )
-from stringcap.errors import InfiniteLengthError, LoopValidationError
+from stringcap.errors import InfiniteLengthError
 from stringcap.gauge import BaseDescriptor, BasePoint, GaugeDomain, TangentVector
 from stringcap.loops import (
     GridAxis,
@@ -79,7 +79,8 @@ def _reference_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec) -> 
 
     def level_sum(ts):
         q = BasePoint(loop.points(ts), loop.chart)
-        values, finite = domain.support_oracle(q, TangentVector(loop.velocities(ts), q))
+        values = domain.support_oracle(q, TangentVector(loop.velocities(ts), q))
+        finite = np.isfinite(values)
         if not finite.all():
             t = float(ts[np.argmin(finite)])
             raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
@@ -326,8 +327,7 @@ def _seam_domain() -> GaugeDomain:
     def oracle(q, v):
         w = v.components
         scale = 1.0 + 0.5 * np.cos(TWO_PI * (q.coords[:, 0] - 0.95))
-        values = scale * np.sqrt((w * w).sum(axis=1))
-        return values, np.ones(values.shape, dtype=bool)
+        return scale * np.sqrt((w * w).sum(axis=1))
 
     return GaugeDomain(BaseDescriptor("torus", 2, ("torus",)), oracle)
 
@@ -374,8 +374,7 @@ def _scaled_torus(scale) -> GaugeDomain:
 
     def oracle(q, v):
         w = v.components
-        values = scale(q.coords[:, 0], q.coords[:, 1]) * np.sqrt((w * w).sum(axis=1))
-        return values, np.isfinite(values)
+        return scale(q.coords[:, 0], q.coords[:, 1]) * np.sqrt((w * w).sum(axis=1))
 
     return GaugeDomain(BaseDescriptor("torus", 3, ("torus",)), oracle)
 
@@ -463,51 +462,34 @@ def test_refinement_never_loses_to_the_grid_and_reports_its_lengths(case, quad, 
     assert all(h["evals"] <= budget for h in rep.refinement_history)
 
 
-def _vertical_loops(upward_chart: str):
-    """``loop_at`` of vertical loops at q_0 = u on the camel domain: upward in
-    ``upward_chart`` for 0.2 < u < 0.6, downward in chart camel elsewhere,
-    and a list of the u it has built loops for."""
-    built = []
+def _nan_torus(t_nan: float, u_min: float) -> GaugeDomain:
+    """Flat-torus norm on coordinates (u, v, t), NaN at t = ``t_nan`` where
+    u > ``u_min``."""
 
-    def vertical(p):
-        u = float(p[0])
-        built.append(u)
-        chart, c = (upward_chart, 1.0) if 0.2 < u < 0.6 else ("camel", -1.0)
+    def oracle(q, v):
+        w = v.components
+        values = np.sqrt((w * w).sum(axis=1))
+        values[(q.coords[:, 0] > u_min) & (q.coords[:, 2] == t_nan)] = np.nan
+        return values
 
-        def point(t):
-            return BasePoint(np.array([u, t]), chart)
-
-        return Loop(point, lambda t: TangentVector(np.array([0.0, c]), point(t)))
-
-    return vertical, built
+    return GaugeDomain(BaseDescriptor("torus", 3, ("torus",)), oracle)
 
 
-def test_a_family_given_by_loops_keeps_each_loops_chart():
-    # on the q_1 = 0 slice (chart camel:q1zero) the last momentum is bounded
-    # above too, so the upward loops there have length eps/2 + 2 delta; the
-    # downward ones have eps/2 + delta in either chart
-    vertical, built = _vertical_loops("camel:q1zero")
-    fam = LoopFamily("vertical", ParamGrid((GridAxis(0.0, 1.0, 5),)), vertical)
-    assert built == []  # no loop is built before a length is asked for
-    lo, hi = 0.4 / 2 + 0.01, 0.4 / 2 + 0.02
-    domain, batches = _recording(CAMEL)
+# a sample of level 0 and one of level 1 at 8 panels
+@pytest.mark.parametrize("t_nan", [0.375, 0.0625])
+def test_a_nan_support_value_counts_as_infinite(t_nan):
+    domain = _nan_torus(t_nan, 0.5)
+    fam = _vertical_family(ParamGrid((GridAxis(0.0, 1.0, 4), GridAxis(0.0, 1.0, 2))))
+    P = fam.grid.array()
     quad = QuadratureSpec(panels=8)
-    lengths = family_lengths(domain, fam, fam.grid.array(), quad)
-    np.testing.assert_allclose(lengths, [lo, hi, hi, lo, lo], rtol=1e-12)
-    assert built == [0.0, 0.25, 0.5, 0.75, 1.0]  # one loop per row
-    assert batches == [3 * 16, 2 * 16]  # levels 0 and 1, one call per chart
-    rep = extremal_lengths(CAMEL, fam, quad)
-    assert (rep.E, rep.e) == (pytest.approx(hi, rel=1e-12), pytest.approx(lo, rel=1e-12))
-
-
-def test_a_family_given_by_loops_raises_for_its_first_infinite_row():
-    # upward loops in chart camel have infinite support everywhere
-    vertical, _ = _vertical_loops("camel")
-    fam = LoopFamily("vertical", ParamGrid((GridAxis(0.0, 1.0, 5),)), vertical)
+    assert loop_length(domain, fam.loop_at(P[3]), quad) == 1.0  # u = 1/3 sees no NaN
     with pytest.raises(InfiniteLengthError) as exc:
-        family_lengths(CAMEL, fam, fam.grid.array(), QuadratureSpec(panels=8))
-    np.testing.assert_array_equal(exc.value.params, [0.25])
-    assert exc.value.t == 0.0
+        loop_length(domain, fam.loop_at(P[4]), quad)
+    assert exc.value.t == t_nan
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(domain, fam, P, quad)
+    np.testing.assert_array_equal(exc.value.params, P[4])  # the first row with u > 1/2
+    assert exc.value.t == t_nan
 
 
 def test_a_family_needs_loops_or_both_array_forms():
@@ -516,9 +498,9 @@ def test_a_family_needs_loops_or_both_array_forms():
     def forms(P, ts):
         return np.zeros((P.shape[0], ts.shape[0], 2))
 
-    with pytest.raises(LoopValidationError):
+    with pytest.raises(TypeError):
         LoopFamily("none", grid)
-    with pytest.raises(LoopValidationError):
+    with pytest.raises(TypeError):
         LoopFamily("half", grid, points=forms)
-    with pytest.raises(LoopValidationError):
+    with pytest.raises(TypeError):
         LoopFamily("other half", grid, velocities=forms)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from stringcap.catalog import camel_domain, ellipsoid_domain, ellipsoid_round_domain, flat_torus_domain
+from stringcap.catalog import (
+    SCENARIOS,
+    build_scenario,
+    camel_domain,
+    ellipsoid_domain,
+    ellipsoid_round_domain,
+    flat_torus_domain,
+)
 from stringcap.errors import ChartMismatchError, InvalidInputError, RankDeficientError
 from stringcap.gauge import (
     BaseDescriptor,
@@ -233,7 +240,8 @@ def test_batched_codisk_oracles_match_row_by_row_evaluation():
         dom = codisk_domain(base, metric)
         V = _rows(3, rng)
         Q = rng.uniform(-1.0, 1.0, V.shape)
-        vals, fin = _batched(dom, Q, base.charts[0], V)
+        vals = _batched(dom, Q, base.charts[0], V)
+        fin = np.isfinite(vals)
         want = [metric.radius * np.linalg.norm(jac_at(q) @ v) for q, v in zip(Q, V)]
         assert vals.shape == fin.shape == (V.shape[0],)
         assert fin.all()
@@ -250,11 +258,34 @@ def test_batched_camel_oracle_matches_row_by_row_evaluation(chart):
     V = _rows(d, rng)
     V[:8, :-1] = 0.0  # on-axis rows of both signs
     Q = rng.uniform(0.0, 1.0, V.shape)
-    vals, fin = _batched(dom, Q, chart, V)
+    vals = _batched(dom, Q, chart, V)
+    fin = np.isfinite(vals)
     want = np.array([_ref_camel(d, eps, delta, chart, v) for v in V])
     np.testing.assert_array_equal(fin, np.isfinite(want))
     assert (~fin).any() and fin.any()
     np.testing.assert_array_equal(vals, want)  # inf exactly where not finite
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        *(build_scenario({"scenario": name}).domain for name in SCENARIOS),
+        build_scenario({"scenario": "open_book", "page": "circle"}).domain,
+        ellipsoid_round_domain(2, 0.5),
+    ],
+    ids=[*SCENARIOS, "open_book:circle", "ellipsoid_round"],
+)
+def test_every_catalog_oracle_returns_one_float_array(domain):
+    rng = np.random.default_rng(13)
+    base = domain.base
+    m = 7
+    coords = rng.standard_normal((m, base.dim + 1 if base.kind == "sphere" else base.dim))
+    if base.kind == "sphere":
+        coords /= np.linalg.norm(coords, axis=1)[:, None]
+    for chart in base.charts:
+        values = _batched(domain, coords, chart, rng.standard_normal(coords.shape))
+        assert type(values) is np.ndarray
+        assert values.dtype == np.float64 and values.shape == (m,)
 
 
 def _ref_sample_pairs(base, plan):
@@ -290,8 +321,7 @@ def _rarely_larger(domain, threshold=2.0):
     oracle = domain.support_oracle
 
     def scaled(q, v):
-        vals, fin = oracle(q, v)
-        return np.where(v.components[:, 0] > threshold, 1.5, 1.0) * vals, fin
+        return np.where(v.components[:, 0] > threshold, 1.5, 1.0) * oracle(q, v)
 
     return GaugeDomain(domain.base, scaled)
 

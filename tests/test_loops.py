@@ -13,6 +13,7 @@ from stringcap.catalog import (
 )
 from stringcap.errors import (
     BasepointMismatchError,
+    ChartMismatchError,
     InfiniteLengthError,
     InvalidInputError,
     LoopValidationError,
@@ -36,6 +37,7 @@ from stringcap.loops import (
     cutoff,
     cutoff_deriv,
     extremal_lengths,
+    family_lengths,
     loop_length,
     reverse,
 )
@@ -65,6 +67,25 @@ def _torus_vertical_loop(x0=0.25):
         return TangentVector(np.array([0.0, 1.0]), point(t))
 
     return Loop(point, deriv, identify=lambda c: np.mod(c, 1.0))
+
+
+def _torus_vertical_family():
+    """The loops t -> (u, t) of the flat 2-torus at parameters u on a
+    periodic grid of four points."""
+
+    def points(P, ts):
+        out = np.empty((P.shape[0], ts.shape[0], 2))
+        out[:, :, 0] = P[:, :1]
+        out[:, :, 1] = ts
+        return out
+
+    def velocities(P, ts):
+        out = np.zeros((P.shape[0], ts.shape[0], 2))
+        out[:, :, 1] = 1.0
+        return out
+
+    grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),))
+    return LoopFamily("vertical", grid, points, velocities, chart="torus", identify=lambda c: np.mod(c, 1.0))
 
 
 def test_constant_loop_has_zero_length():
@@ -194,21 +215,13 @@ def test_extremal_lengths_constant_family_exact():
 
 def test_zero_radius_codisk_has_zero_extremal_lengths():
     dom = flat_torus_domain(2, radius=0.0)
-    fam = LoopFamily(
-        "vertical",
-        ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),)),
-        lambda p: _torus_vertical_loop(float(p[0])),
-    )
+    fam = _torus_vertical_family()
     rep = extremal_lengths(dom, fam)
     assert rep.E == 0.0 and rep.e == 0.0
 
 
 def test_domain_monotonicity_of_extremal_lengths():
-    fam = LoopFamily(
-        "vertical",
-        ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),)),
-        lambda p: _torus_vertical_loop(float(p[0])),
-    )
+    fam = _torus_vertical_family()
     inner = flat_torus_domain(2, radius=0.5)
     outer = flat_torus_domain(2, radius=1.0)
     rep_in = extremal_lengths(inner, fam)
@@ -219,17 +232,14 @@ def test_domain_monotonicity_of_extremal_lengths():
 def test_infinite_length_raises_with_parameters():
     s = camel_scenario(2, 0.4, 0.01)
 
-    def diag_loop(p):
-        def point(t):
-            return BasePoint(np.array([t, t]), "camel")
+    def points(P, ts):
+        return np.broadcast_to(ts[None, :, None], (P.shape[0], ts.shape[0], 2))
 
-        return Loop(
-            point,
-            lambda t: TangentVector(np.array([1.0, 1.0]), point(t)),
-            identify=lambda c: np.mod(c, 1.0),
-        )
+    def velocities(P, ts):
+        return np.ones((P.shape[0], ts.shape[0], 2))
 
-    fam = LoopFamily("diag", ParamGrid((GridAxis(0.0, 1.0, 3),)), diag_loop)
+    grid = ParamGrid((GridAxis(0.0, 1.0, 3),))
+    fam = LoopFamily("diag", grid, points, velocities, chart="camel", identify=lambda c: np.mod(c, 1.0))
     with pytest.raises(InfiniteLengthError) as exc:
         extremal_lengths(s.domain, fam, s.quad)
     assert exc.value.params is not None
@@ -294,8 +304,7 @@ def test_loop_length_uses_a_swapped_in_oracle_once_per_level():
 
     def tripled(q, v):
         batches.append(q.coords.shape[0])
-        vals, fin = dom.support_oracle(q, v)
-        return 3.0 * vals, fin
+        return 3.0 * dom.support_oracle(q, v)
 
     swapped = dataclasses.replace(dom, support_oracle=tripled)
     loop = _equator_loop()
@@ -333,3 +342,13 @@ def test_scalar_loop_must_stay_in_its_chart():
     loop = Loop(point, lambda t: TangentVector(np.array([1.0, 0.0]), point(t)))
     with pytest.raises(LoopValidationError):
         loop_length(camel_scenario(2, 0.4, 0.01).domain, loop)
+
+
+def test_lengths_refuse_a_chart_the_domain_does_not_accept():
+    s = ellipsoid_scenario(2, 0.5)  # its domain accepts the chart "embedding" only
+    fam = dataclasses.replace(s.families["L+"], chart="default")
+    P = fam.grid.array()
+    with pytest.raises(ChartMismatchError):
+        loop_length(s.domain, fam.loop_at(P[0]))
+    with pytest.raises(ChartMismatchError):
+        family_lengths(s.domain, fam, P)
