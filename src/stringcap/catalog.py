@@ -3,16 +3,17 @@
 Each constructor bundles a gauge domain with the loop families whose extremal
 lengths feed the width bounds, the target classes those bounds apply to, and
 the intersection/sweep tables the symbolic calculus consults.  Each target
-class carries the recipe that derives its certificate.  ``SCENARIOS`` declares
-each scenario name once, with its constructor and the configuration keys it
-takes, and ``build_scenario`` builds a scenario from a configuration through
-it.  ``REFERENCE_CASES`` holds the paper's reference cases with their closed
-forms.
+class carries the recipe that derives its certificate.  Each constructor
+checks its own arguments and raises ``ScenarioParameterError`` for a value out
+of type or range.  ``SCENARIOS`` declares each scenario name once, with its
+constructor and the configuration keys it takes and their defaults, and
+``build_scenario`` builds a scenario from a configuration through it.
+``REFERENCE_CASES`` holds the paper's reference cases with their closed forms.
 """
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -227,12 +228,38 @@ def _fiber_pairing_target(name: str) -> TargetClass:
 # Scenario constructors
 # ---------------------------------------------------------------------------
 
+def _real(name: str, value) -> float:
+    """``value`` as a float: an int or a finite float; a bool, a string, a
+    NaN or infinite number or an int past the float range raises
+    ``ScenarioParameterError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise ScenarioParameterError(f"{name} must be finite, got {value!r}")
+    return real
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int no less than ``minimum``: an int or an
+    integer-valued float; anything else raises ``ScenarioParameterError``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioParameterError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ScenarioParameterError(f"{name} must be >= {minimum}")
+    return value
+
+
 def ellipsoid_scenario(n: int, a: float) -> Scenario:
     """Unit codisk of the stretched sphere metric (last two axes scaled by a),
     with the open-book rotation families over the page disk."""
-    n, a = int(n), float(a)
-    if n < 2:
-        raise ScenarioParameterError("n must be >= 2")
+    n, a = _integer("n", n, 2), _real("a", a)
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
     return Scenario(
@@ -251,9 +278,7 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
 def ellipsoid2_scenario(n: int, a: float) -> Scenario:
     """Sphere metric stretched on the last four axes; the diagonal circle
     action rotates two of them, with orbit lengths 2 pi a r."""
-    n, a = int(n), float(a)
-    if n < 3:
-        raise ScenarioParameterError("n must be >= 3")
+    n, a = _integer("n", n, 3), _real("a", a)
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
     domain = codisk_domain(
@@ -341,10 +366,10 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     return GaugeDomain(base, oracle, metadata=f"camel domain, eps={eps}, delta={delta}")
 
 
-def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str) -> LoopFamily:
+def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, count: int) -> LoopFamily:
     """Straight loops (0 x zeros, p..., sign * t) in lifted torus coordinates,
-    one per parameter p of the torus grid; the closure check folds back into
-    the fundamental domain."""
+    one per parameter p of the torus grid with ``count`` points per axis; the
+    closure check folds back into the fundamental domain."""
 
     def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
         out = np.empty((P.shape[0], ts.shape[0], d))
@@ -360,7 +385,7 @@ def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str) -> 
 
     return LoopFamily(
         name,
-        _torus_grid(d - zeros - 1),
+        _torus_grid(d - zeros - 1, count),
         points=points,
         velocities=velocities,
         chart=chart,
@@ -372,7 +397,7 @@ def _unit_torus_fold(c: np.ndarray) -> np.ndarray:
     return np.mod(c, 1.0)
 
 
-def _torus_grid(dim: int, count: int = 4) -> ParamGrid:
+def _torus_grid(dim: int, count: int) -> ParamGrid:
     return ParamGrid(tuple(GridAxis(0.0, 1.0, count, periodic=True) for _ in range(dim)))
 
 
@@ -383,8 +408,8 @@ def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str
     ``charts[1]``, with the subtorus target they bound."""
     d = domain.base.dim
     families = {
-        "L-": _torus_line_family("L-", 0, -1, d, charts[0]),
-        "L+^k": _torus_line_family("L+^k", k, +1, d, charts[1]),
+        "L-": _torus_line_family("L-", 0, -1, d, charts[0], 4),
+        "L+^k": _torus_line_family("L+^k", k, +1, d, charts[1], 4),
     }
     ctx = RuleContext(
         sweep_table={"slice-": "id", "slice+k": f"T^{d - k}"},
@@ -415,11 +440,11 @@ def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str
 def product_torus_scenario(d: int, k: int, radius: float) -> Scenario:
     """The flat d-torus codisk of the given radius, with the loop families of
     ``_torus_scenario``."""
-    d, k, radius = int(d), int(k), float(radius)
-    if d < 1:
-        raise ScenarioParameterError("d must be >= 1")
-    if not (0 < k < d):
+    d, k, radius = _integer("d", d, 1), _integer("k", k, 1), _real("radius", radius)
+    if k >= d:
         raise ScenarioParameterError("k must satisfy 0 < k < d")
+    if radius < 0:
+        raise ScenarioParameterError("radius must be >= 0")
     params = {"scenario": "product_torus", "d": d, "k": k, "radius": radius}
     return _torus_scenario(
         params, flat_torus_domain(d, radius), k, ("torus", "torus"), "flat geodesic loops along the last factor"
@@ -430,9 +455,7 @@ def camel_scenario(n: int, eps: float, delta: float) -> Scenario:
     """The camel domain over the n-torus, with the loop families of
     ``_torus_scenario`` for k = 1; the positive rotation runs in the q1 = 0
     chart, where the last momentum is bounded above."""
-    n, eps, delta = int(n), float(eps), float(delta)
-    if n <= 1:
-        raise ScenarioParameterError("n must be > 1")
+    n, eps, delta = _integer("n", n, 2), _real("eps", eps), _real("delta", delta)
     if eps <= 0 or delta <= 0:
         raise ScenarioParameterError("eps and delta must be positive")
     params = {"scenario": "camel", "n": n, "eps": eps, "delta": delta}
@@ -458,9 +481,11 @@ def klein_identify(a: float, b: float):
 def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     """Flat Klein bottle; the loop class consists of straight lines with
     x-winding one, which reverse orientation, paired with their reverses."""
-    a, b, radius = float(a), float(b), float(radius)
+    a, b, radius = _real("a", a), _real("b", b), _real("radius", radius)
     if a <= 0 or b <= 0:
         raise ScenarioParameterError("a and b must be positive")
+    if radius < 0:
+        raise ScenarioParameterError("radius must be >= 0")
     base = BaseDescriptor("klein", 2, ("klein",))
     domain = codisk_domain(
         base, MetricSpec("flat", radius=radius), metadata=f"flat Klein bottle codisk, a={a}, b={b}"
@@ -545,7 +570,11 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
     page and fiber lengths are 1; page 'circle' has the trivial profile and
     gives the flat 2-torus with page and fiber lengths len_page, len_fiber.
     """
-    radius, len_page, len_fiber = float(radius), float(len_page), float(len_fiber)
+    radius, len_page, len_fiber = _real("radius", radius), _real("len_page", len_page), _real("len_fiber", len_fiber)
+    if radius < 0:
+        raise ScenarioParameterError("radius must be >= 0")
+    if len_page <= 0 or len_fiber <= 0:
+        raise ScenarioParameterError("len_page and len_fiber must be positive")
     params = {"scenario": "open_book", "page": page, "radius": radius, "len_page": len_page, "len_fiber": len_fiber}
 
     if page == "interval":
@@ -568,31 +597,15 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
         )
 
     if page == "circle":
-        domain = flat_torus_domain(2, radius, (len_page, len_fiber))
-
-        def fiber_family(name: str, sign: int) -> LoopFamily:
-            # the fiber loop t -> (u, sign * t) over page point u = params[:, 0]
-            def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-                out = np.empty((P.shape[0], ts.shape[0], 2))
-                out[:, :, 0] = P[:, :1]
-                out[:, :, 1] = sign * ts
-                return out
-
-            def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-                out = np.zeros((P.shape[0], ts.shape[0], 2))
-                out[:, :, 1] = float(sign)
-                return out
-
-            return LoopFamily(
-                name, grid, points=points, velocities=velocities, chart="torus", identify=_unit_torus_fold
-            )
-
-        grid = ParamGrid((GridAxis(0.0, 1.0, 8, periodic=True),))
+        # the fiber loops t -> (u, +-t) over the page points u
         return Scenario(
             id=f"open_book(circle,trivial,r={radius},lp={len_page},lf={len_fiber})",
             params=params,
-            domain=domain,
-            families={"L+": fiber_family("L+", +1), "L-": fiber_family("L-", -1)},
+            domain=flat_torus_domain(2, radius, (len_page, len_fiber)),
+            families={
+                "L+": _torus_line_family("L+", 0, +1, 2, "torus", 8),
+                "L-": _torus_line_family("L-", 0, -1, 2, "torus", 8),
+            },
             targets=(
                 _CONSTANT_LOOPS_TARGET,
                 TargetClass(
@@ -615,104 +628,33 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
 # The scenario table and JSON round-tripping
 # ---------------------------------------------------------------------------
 
-def _integer(minimum: int, default: int) -> dict:
-    return {"type": "integer", "minimum": minimum, "default": default}
-
-
-def _positive(default: float) -> dict:
-    return {"type": "number", "exclusiveMinimum": 0, "default": default}
-
-
-_RADIUS = {"type": "number", "minimum": 0, "default": 1.0}
-
-# every scenario name with its constructor and the keys it takes: the JSON
-# schema of each key, with its default, keyed by the constructor argument the
-# key fills
-SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict[str, dict]]] = {
-    "ellipsoid1": (ellipsoid_scenario, {"n": _integer(1, 2), "a": _positive(1.0)}),
-    "ellipsoid2": (ellipsoid2_scenario, {"n": _integer(1, 3), "a": _positive(1.0)}),
-    "open_book": (
-        open_book_scenario,
-        {
-            "page": {"enum": ["interval", "circle"], "default": "interval"},
-            "radius": _RADIUS,
-            "len_page": _positive(1.0),
-            "len_fiber": _positive(1.0),
-        },
-    ),
-    "product_torus": (product_torus_scenario, {"d": _integer(2, 2), "k": _integer(1, 1), "radius": _RADIUS}),
-    "camel": (camel_scenario, {"n": _integer(1, 2), "eps": _positive(1.0), "delta": _positive(0.1)}),
-    "klein": (klein_bottle_scenario, {"a": _positive(1.0), "b": _positive(1.0), "radius": _RADIUS}),
-}
-
-_DRAFT = "https://json-schema.org/draft/2020-12/schema"
-
-# what every configuration has: the name of a scenario in the table
-SCENARIO_SCHEMA = {
-    "$schema": _DRAFT,
-    "type": "object",
-    "properties": {"scenario": {"enum": list(SCENARIOS)}},
-    "required": ["scenario"],
-}
-
-
-def lazy_validator(schema: dict) -> Callable[[dict], None]:
-    """``jsonschema.validate(instance, schema)`` with the same errors, but the
-    schema is checked against its metaschema and its validator built once, on
-    first use, instead of on every call. jsonschema itself is imported then
-    too, so code that never validates a configuration never loads it."""
-
-    @functools.cache
-    def validator():
-        from jsonschema.validators import validator_for
-
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        return cls(schema)
-
-    def validate(instance: dict) -> None:
-        from jsonschema.exceptions import best_match
-
-        error = best_match(validator().iter_errors(instance))
-        if error is not None:
-            raise error
-
-    return validate
-
-
-_validate_name = lazy_validator(SCENARIO_SCHEMA)
-
-# one schema per scenario: its name and the keys it takes, no others
-_VALIDATORS = {
-    name: lazy_validator(
-        {
-            "$schema": _DRAFT,
-            "type": "object",
-            "properties": {"scenario": {"const": name}, **keys},
-            "required": ["scenario"],
-            "additionalProperties": False,
-        }
-    )
-    for name, (_, keys) in SCENARIOS.items()
+# every scenario name with its constructor and the keys it takes, each with
+# its default, keyed by the constructor argument the key fills; the
+# constructor checks the values
+SCENARIOS: dict[str, tuple[Callable[..., Scenario], dict[str, object]]] = {
+    "ellipsoid1": (ellipsoid_scenario, {"n": 2, "a": 1.0}),
+    "ellipsoid2": (ellipsoid2_scenario, {"n": 3, "a": 1.0}),
+    "open_book": (open_book_scenario, {"page": "interval", "radius": 1.0, "len_page": 1.0, "len_fiber": 1.0}),
+    "product_torus": (product_torus_scenario, {"d": 2, "k": 1, "radius": 1.0}),
+    "camel": (camel_scenario, {"n": 2, "eps": 1.0, "delta": 0.1}),
+    "klein": (klein_bottle_scenario, {"a": 1.0, "b": 1.0, "radius": 1.0}),
 }
 
 
 def build_scenario(config: dict) -> Scenario:
-    """Construct the scenario that ``config["scenario"]`` names, after
-    validating ``config`` against that scenario's schema; a key the
-    configuration leaves out takes its default.  A NaN or infinite number
-    raises ``ScenarioParameterError``: the schemas' bounds let NaN and +inf
-    through."""
+    """Construct the scenario that ``config["scenario"]`` names from the
+    other keys of ``config``; a key the configuration leaves out takes its
+    default.  An unknown name or a key the scenario does not take raises
+    ``ScenarioParameterError``, and so does every value its constructor
+    refuses."""
     name = config.get("scenario")
     if not isinstance(name, str) or name not in SCENARIOS:
-        _validate_name(config)  # raises: the name is missing or not in the table
-    build, keys = SCENARIOS[name]
-    _VALIDATORS[name](config)
-    args = {key: config.get(key, schema["default"]) for key, schema in keys.items()}
-    for key, value in args.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioParameterError(f"{key} must be finite, got {value!r}")
-    return build(**args)
+        raise ScenarioParameterError(f"scenario must be one of {list(SCENARIOS)}, got {name!r}")
+    build, defaults = SCENARIOS[name]
+    foreign = [key for key in config if key != "scenario" and key not in defaults]
+    if foreign:
+        raise ScenarioParameterError(f"scenario {name!r} takes no key {', '.join(map(repr, foreign))}")
+    return build(**{key: config.get(key, default) for key, default in defaults.items()})
 
 
 def scenario_config(s: Scenario) -> dict:

@@ -23,20 +23,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the keys of one run; the scenario keys are left to build_scenario, which
-# validates them against the schema of the scenario they configure
-RUN_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "quad_panels": {"type": "integer", "minimum": 8},
-        "refine_budget": {"type": "integer", "minimum": 1},
-        "out": {"type": "string"},
-        "format": {"enum": ["json", "csv", "text"]},
-    },
-}
-
-_validate_run = _catalog.lazy_validator(RUN_SCHEMA)
+# the keys of one run; the other keys configure the scenario and are left to
+# build_scenario
+_RUN_KEYS = ("quad_panels", "refine_budget", "out", "format")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -79,19 +68,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_config_from_args(args: argparse.Namespace) -> dict:
-    """The keys the flags set, with their run keys validated."""
-    config = {key: val for key, val in vars(args).items() if val is not None and key not in ("command", "target")}
-    _validate_run({key: val for key, val in config.items() if key in RUN_SCHEMA["properties"]})
-    return config
+    """The keys the flags set."""
+    return {key: val for key, val in vars(args).items() if val is not None and key not in ("command", "target")}
 
 
 def _scenario_from_config(config: dict):
-    return _catalog.build_scenario({k: v for k, v in config.items() if k not in RUN_SCHEMA["properties"]})
+    return _catalog.build_scenario({k: v for k, v in config.items() if k not in _RUN_KEYS})
 
 
 def _quad_refine(config: dict):
     """The flags' quadrature (None: the scenario's own) and refinement; a
-    flag left out takes the spec's default."""
+    flag left out takes the spec's default.  A panel count below 8 or a
+    refinement budget below 1 raises ``ScenarioParameterError``."""
+    if config.get("quad_panels", 8) < 8:
+        raise ScenarioParameterError(f"quad_panels must be >= 8, got {config['quad_panels']}")
+    if config.get("refine_budget", 1) < 1:
+        raise ScenarioParameterError(f"refine_budget must be >= 1, got {config['refine_budget']}")
     quad = QuadratureSpec(panels=config["quad_panels"]) if "quad_panels" in config else None
     refine = RefineSpec(budget=config["refine_budget"]) if "refine_budget" in config else RefineSpec()
     return quad, refine
@@ -125,8 +117,8 @@ def _format_bounds(bound_list, fmt: str) -> str:
 
 
 def cmd_bound(config: dict) -> int:
-    scenario = _scenario_from_config(config)
     quad, refine = _quad_refine(config)
+    scenario = _scenario_from_config(config)
     result = _bounds.compute_bounds(scenario, quad, refine)
     _emit(_format_bounds(result, config.get("format", "json")), config.get("out"))
     return EXIT_OK
@@ -202,8 +194,6 @@ def cmd_certify(config: dict, target_name: Optional[str]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    import jsonschema  # not at module level: importing the package loads no jsonschema
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -213,11 +203,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "bound":
             return cmd_bound(config)
         return cmd_certify(config, args.target)
-    except jsonschema.ValidationError as exc:
-        sys.stderr.write(f"invalid configuration: {exc.message}\n")
-        return EXIT_CONFIG
     except ScenarioParameterError as exc:
-        sys.stderr.write(f"invalid parameters: {exc}\n")
+        sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_CONFIG
     except StringcapError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

@@ -120,6 +120,8 @@ def test_runs_are_reproducible(tmp_path):
 def test_quad_panel_override_is_validated():
     assert main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
                  "--delta", "0.01", "--quad-panels", "7"]) == 2
+    assert main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
+                 "--delta", "0.01", "--refine-budget", "0"]) == 2
 
 
 def test_odd_quad_panel_count_gives_the_camel_bound(capsys):
@@ -156,12 +158,12 @@ def test_flags_the_scenario_does_not_take_exit_2_without_output(scenario, tmp_pa
             assert not out.exists(), argv
 
 
-# every scenario key of JSON type number that has a flag
+# every scenario key with a float default that has a flag
 FLOAT_FLAGS = [
     (scenario, key)
     for scenario, (_, keys) in SCENARIOS.items()
-    for key, schema in keys.items()
-    if schema.get("type") == "number" and key in FLAG_TAKES[scenario]
+    for key, default in keys.items()
+    if isinstance(default, float) and key in FLAG_TAKES[scenario]
 ]
 
 
@@ -196,11 +198,18 @@ def test_klein_with_ellipsoid_and_camel_keys_exits_2(capsys):
     assert "invalid configuration" in captured.err
 
 
-def test_importing_the_package_loads_no_jsonschema():
-    # a fresh interpreter: this one has already validated configurations
+def test_importing_the_package_loads_no_jsonschema(tmp_path):
+    # a fresh interpreter, which imports the package, runs bound and certify
+    # and builds a scenario from a configuration
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, stringcap, stringcap.cli, stringcap.frames; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))")
+    out_path = str(tmp_path / "out.json")
+    code = (
+        "import sys, stringcap, stringcap.cli, stringcap.frames\n"
+        f"assert stringcap.cli.main(['bound', '--scenario', 'camel', '--out', {out_path!r}]) == 0\n"
+        f"assert stringcap.cli.main(['certify', '--scenario', 'klein', '--out', {out_path!r}]) == 0\n"
+        "stringcap.build_scenario({'scenario': 'ellipsoid1', 'n': 3, 'a': 0.5})\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
