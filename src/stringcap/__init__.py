@@ -18,7 +18,6 @@ from .catalog import (
     klein_bottle_scenario,
     open_book_scenario,
     product_torus_scenario,
-    scenario_config,
 )
 from .gauge import (
     BaseDescriptor,

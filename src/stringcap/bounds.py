@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .catalog import Scenario, TargetClass
+from .catalog import Scenario, TargetClass, camel_scenario
 from .errors import ScenarioParameterError
 from .loops import ExtremalLengthReport, QuadratureSpec, RefineSpec, extremal_lengths
 from .stralg import Certificate, check_certificate, derive_certificate
@@ -128,8 +128,6 @@ def camel_limit_report(n: int, eps: float, delta_grid) -> dict:
     if deltas[0] <= 0.0:
         raise ScenarioParameterError("delta values must be positive")
     rows = []
-    from .catalog import camel_scenario
-
     for d in deltas:
         (b,) = compute_bounds(camel_scenario(n, eps, d))
         rows.append({"delta": d, "bound": b.upper_bound})

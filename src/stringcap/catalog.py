@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -88,7 +88,7 @@ class Scenario:
     targets: tuple[TargetClass, ...]
     symbolic_bindings: dict[str, BindingSelector]
     rule_context: RuleContext
-    quad: QuadratureSpec = QuadratureSpec(panels=64)
+    quad: ClassVar[QuadratureSpec] = QuadratureSpec(panels=64)
     equality: dict = field(default_factory=dict)  # target name -> note
     notes: str = ""
 
@@ -123,13 +123,13 @@ def ellipsoid_metric(n: int, a: float, stretched_axes: int = 2) -> MetricSpec:
     diag = np.ones(n + 1)
     diag[n + 1 - stretched_axes:] = a
     jac = np.diag(diag)
-    return MetricSpec("embedding-induced", lambda q: jac, 1.0)
+    return MetricSpec(lambda q: jac, 1.0)
 
 
 def round_metric(n: int, a: float) -> MetricSpec:
     """The comparison metric a^2 x Euclidean, i.e. scaling every direction."""
     jac = a * np.eye(n + 1)
-    return MetricSpec("embedding-induced", lambda q: jac, 1.0)
+    return MetricSpec(lambda q: jac, 1.0)
 
 
 def ellipsoid_domain(n: int, a: float, stretched_axes: int = 2) -> GaugeDomain:
@@ -338,12 +338,12 @@ def flat_torus_domain(
 ) -> GaugeDomain:
     base = BaseDescriptor("torus", d, charts)
     if lengths is None:
-        metric = MetricSpec("flat", radius=radius)
+        metric = MetricSpec(radius=radius)
     else:
         if len(lengths) != d:
             raise ScenarioParameterError("lengths must have one entry per factor")
         jac = np.diag(np.asarray(lengths, dtype=float))
-        metric = MetricSpec("embedding-induced", lambda q: jac, radius)
+        metric = MetricSpec(lambda q: jac, radius)
     return codisk_domain(base, metric, metadata=f"flat torus codisk, radius {radius}")
 
 
@@ -488,7 +488,7 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         raise ScenarioParameterError("radius must be >= 0")
     base = BaseDescriptor("klein", 2, ("klein",))
     domain = codisk_domain(
-        base, MetricSpec("flat", radius=radius), metadata=f"flat Klein bottle codisk, a={a}, b={b}"
+        base, MetricSpec(radius=radius), metadata=f"flat Klein bottle codisk, a={a}, b={b}"
     )
     fold = klein_identify(a, b)
     x0 = a / 4.0
@@ -549,7 +549,6 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
             ),
         ),
         symbolic_bindings={
-            "E": BindingSelector("Ldoubled", "inf"),
             "l_q": BindingSelector("Ldoubled", "inf", scale=0.5),
             "l_qbar": BindingSelector("Ldoubled", "inf", scale=0.5),
         },
@@ -582,7 +581,7 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
             raise ScenarioParameterError("the interval page has the round profile: len_page and len_fiber are 1")
         domain = codisk_domain(
             _sphere_base(2),
-            MetricSpec("embedding-induced", lambda q: np.eye(3), radius),
+            MetricSpec(lambda q: np.eye(3), radius),
             metadata=f"round 2-sphere codisk, radius {radius}",
         )
         return Scenario(
@@ -625,7 +624,7 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
 
 
 # ---------------------------------------------------------------------------
-# The scenario table and JSON round-tripping
+# The scenario table
 # ---------------------------------------------------------------------------
 
 # every scenario name with its constructor and the keys it takes, each with
@@ -655,11 +654,6 @@ def build_scenario(config: dict) -> Scenario:
     if foreign:
         raise ScenarioParameterError(f"scenario {name!r} takes no key {', '.join(map(repr, foreign))}")
     return build(**{key: config.get(key, default) for key, default in defaults.items()})
-
-
-def scenario_config(s: Scenario) -> dict:
-    """The configuration mapping that reconstructs ``s`` via build_scenario."""
-    return dict(s.params)
 
 
 # ---------------------------------------------------------------------------

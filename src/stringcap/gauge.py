@@ -102,22 +102,20 @@ class GaugeDomain:
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
-    """A Riemannian metric given either as flat or as the pullback of the
-    Euclidean metric under an embedding with Jacobian ``embedding_jacobian``.
+    """A Riemannian metric: the pullback of the Euclidean metric under an
+    embedding with Jacobian ``embedding_jacobian``, or flat when there is no
+    Jacobian.
 
     The codisk oracle calls ``embedding_jacobian`` with a batched point; it
     returns either one (D, d) matrix for every row or an (m, D, d) stack.
     """
 
-    kind: str  # "embedding-induced" | "flat"
     embedding_jacobian: Optional[Callable[[BasePoint], np.ndarray]] = None
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("embedding-induced", "flat"):
-            raise InvalidInputError(f"unknown metric kind {self.kind!r}")
-        if self.kind == "embedding-induced" and self.embedding_jacobian is None:
-            raise InvalidInputError("embedding-induced metric needs a Jacobian")
+        if self.embedding_jacobian is not None and not callable(self.embedding_jacobian):
+            raise InvalidInputError(f"embedding Jacobian must be callable, got {self.embedding_jacobian!r}")
         if self.radius < 0:
             raise InvalidInputError("codisk radius must be nonnegative")
 
@@ -129,7 +127,7 @@ def embedding_metric(
     rank_tol: float = 1e-10,
 ) -> MetricSpec:
     """Build an embedding-induced metric, rank-checking at sample points."""
-    spec = MetricSpec("embedding-induced", jacobian, radius)
+    spec = MetricSpec(jacobian, radius)
     for q in check_points:
         _checked_jacobian(spec, q, rank_tol)
     return spec
@@ -169,7 +167,7 @@ def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:
     """radius x Euclidean norm of the pushed-forward vector; equals the
     support of the associated codisk bundle."""
     _validate_attachment(q, v)
-    if metric.kind == "flat":
+    if metric.embedding_jacobian is None:
         return metric.radius * float(np.linalg.norm(v.components))
     jac = _checked_jacobian(metric, q)
     return metric.radius * float(np.linalg.norm(jac @ v.components))
@@ -185,7 +183,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") -> GaugeDomain:
     """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
     r = metric.radius
-    if metric.kind == "flat":
+    if metric.embedding_jacobian is None:
 
         def oracle(q: BasePoint, v: TangentVector):
             w = v.components

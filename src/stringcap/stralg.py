@@ -6,13 +6,14 @@ loop-rotation operator ``delta`` and the constant-loop inclusion ``iota``.
 Identities between these operations are encoded as rewrite rules; a chain of
 rule applications that ends in a constant-loop identity is packaged as a
 machine-checkable certificate whose total filtration bounds the width of the
-target class.
+target class.  The conclusion is read off the chain, and the checker reads it
+again from the replayed steps.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 from .errors import IncompatibleBindingError, MissingAxiomError
 
@@ -143,7 +144,6 @@ class FilteredClass:
 
     term: Term
     filtration: FiltExpr
-    param_dim: Optional[int] = None
 
     def __str__(self) -> str:
         return f"{self.term} @ {self.filtration}"
@@ -222,7 +222,7 @@ class RuleContext:
     intersection_table: dict = field(default_factory=dict)
     sweep_table: dict = field(default_factory=dict)
     iota_table: dict = field(default_factory=dict)
-    boundary_nonempty: Optional[bool] = None
+    boundary_nonempty: bool = False
 
     def intersect(self, g1: str, g2: str) -> str:
         if g1 == "id":
@@ -258,16 +258,14 @@ def iota(beta_label: str, cycle: str = "pt") -> FilteredClass:
 
 
 def delta(c: FilteredClass, ctx: RuleContext = EMPTY_CONTEXT) -> FilteredClass:
-    """Loop-rotation operator.  Filtration is preserved; the parameter
-    dimension grows by one when known.  Action classes rewrite eagerly, and
-    registered BV-preimage axioms resolve immediately."""
-    pd = None if c.param_dim is None else c.param_dim + 1
+    """Loop-rotation operator.  Filtration is preserved.  Action classes
+    rewrite eagerly, and registered BV-preimage axioms resolve immediately."""
     t = c.term
     if isinstance(t, ActionClass):
-        return FilteredClass(ActionClass(ctx.sweep(t.g), t.sign), c.filtration, pd)
+        return FilteredClass(ActionClass(ctx.sweep(t.g), t.sign), c.filtration)
     if isinstance(t, BVPreimage) and t.axiom in ctx.axioms:
-        return FilteredClass(t.of, c.filtration, pd)
-    return FilteredClass(Delta(t), c.filtration, pd)
+        return FilteredClass(t.of, c.filtration)
+    return FilteredClass(Delta(t), c.filtration)
 
 
 def _flatten(t: Term) -> tuple[Term, ...]:
@@ -372,7 +370,7 @@ class CertificateStep:
     note: str = ""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class ConclusionFactor:
     kind: str  # "delta" | "iota"
     alpha: Union[FilteredClass, str]
@@ -380,18 +378,22 @@ class ConclusionFactor:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A validated rewrite derivation of iota(beta) = Delta(a1)*...*iota(a_{k+1})
-    whose total filtration upper-bounds the width of the paired target."""
+    """A rewrite derivation of iota(beta) = Delta(a_1) * ... * iota(a_{k+1}),
+    ``beta`` the target's declared pairing.  ``factors`` are the derivation's
+    leaves and ``filtration``, the threshold of the class the last step turns
+    into iota(beta), upper-bounds the target's width."""
 
     scenario_id: str
     target_name: str
-    target_pairing: str
     beta: str
     steps: tuple[CertificateStep, ...]
     factors: tuple[ConclusionFactor, ...]
-    filtration: FiltExpr
     context: RuleContext
     note: str = ""
+
+    @property
+    def filtration(self) -> FiltExpr:
+        return self.steps[-1].inputs[0].filtration
 
     def to_jsonable(self) -> dict:
         return {
@@ -464,7 +466,8 @@ def _is_axiomatic(c: FilteredClass) -> bool:
 
 def check_certificate(cert: Certificate) -> ValidationReport:
     """Independent replay: re-execute every step against the rule table,
-    re-derive filtrations from scratch and confirm the conclusion shape."""
+    re-derive filtrations from scratch, read the conclusion again off the
+    steps and confirm its shape."""
     ctx = cert.context
     available: list[FilteredClass] = []
     reports: list[StepReport] = []
@@ -472,7 +475,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
         ok = True
         msg = ""
         for inp in step.inputs:
-            if not (_is_axiomatic(inp) or any(_same(inp, a) for a in available)):
+            if not (_is_axiomatic(inp) or inp in available):
                 ok, msg = False, f"input {inp} is neither an axiom nor a prior output"
         if ok:
             try:
@@ -480,7 +483,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
             except Exception as exc:  # rule refused or axiom missing
                 ok, msg = False, f"replay failed: {exc}"
             else:
-                if not _same(out, step.output):
+                if out != step.output:
                     ok, msg = False, f"replayed output {out} differs from recorded {step.output}"
                 elif not filt_leq(
                     out.filtration,
@@ -490,30 +493,53 @@ def check_certificate(cert: Certificate) -> ValidationReport:
         reports.append(StepReport(i, step.rule, ok, msg))
         available.append(step.output)
 
-    # conclusion shape: iota(beta) = Delta(a_1) * ... * Delta(a_k) * iota(a_{k+1})
-    c_ok = True
-    c_msg = ""
-    deltas = [f for f in cert.factors if f.kind == "delta"]
-    iotas = [f for f in cert.factors if f.kind == "iota"]
-    bad = [f for f in cert.factors if f.kind not in ("delta", "iota")]
-    if bad or not deltas or len(iotas) > 1:
-        c_ok, c_msg = False, "conclusion factors are not of the required shape"
-    else:
-        total = _sum_filt([f.alpha.filtration for f in deltas])
-        if total != cert.filtration:
-            c_ok, c_msg = False, (
-                f"conclusion filtration {cert.filtration} does not equal the sum "
-                f"of the rotation-factor thresholds {total}"
-            )
-        elif any(f.alpha.filtration.is_zero for f in deltas):
-            c_ok, c_msg = False, "a rotation factor carries a zero threshold"
-        elif cert.target_pairing != cert.beta:
-            c_ok, c_msg = False, "target's declared pairing does not match beta"
-        else:
-            final = cert.steps[-1].output if cert.steps else None
-            if not (final and isinstance(final.term, Iota) and final.term.label == cert.beta):
-                c_ok, c_msg = False, "derivation does not end in iota(beta)"
-    return ValidationReport(tuple(reports), c_ok, c_msg)
+    c_msg = _conclusion_fault(cert)
+    return ValidationReport(tuple(reports), not c_msg, c_msg)
+
+
+def _conclusion(steps) -> tuple[ConclusionFactor, ...]:
+    """The derivation's leaves, the inputs no earlier step put out, in order
+    of use: an iota leaf is an iota factor, a rotated leaf Delta(x) is the
+    rotation factor x and any other leaf is a rotation factor itself."""
+    produced: set[FilteredClass] = set()
+    factors = []
+    for step in steps:
+        for c in step.inputs:
+            if c in produced:
+                continue
+            t = c.term
+            if isinstance(t, Iota):
+                factors.append(ConclusionFactor("iota", t.label))
+            elif isinstance(t, Delta):
+                factors.append(ConclusionFactor("delta", FilteredClass(t.of, c.filtration)))
+            else:
+                factors.append(ConclusionFactor("delta", c))
+        produced.add(step.output)
+    return tuple(factors)
+
+
+def _conclusion_fault(cert: Certificate) -> str:
+    """What is wrong with the conclusion iota(beta) = Delta(a_1) * ... *
+    Delta(a_k) * iota(a_{k+1}); empty when nothing."""
+    if not cert.steps or cert.steps[-1].rule != "IOTA_CONST" or len(cert.steps[-1].inputs) != 1:
+        return "derivation does not end in a constant-loop identity"
+    if cert.factors != _conclusion(cert.steps):
+        return "conclusion factors are not the leaves of the derivation"
+    deltas = [f.alpha.filtration for f in cert.factors if f.kind == "delta"]
+    if not deltas or len(cert.factors) - len(deltas) > 1:
+        return "conclusion factors are not of the required shape"
+    total = _sum_filt(deltas)
+    if total != cert.filtration:
+        return (
+            f"conclusion filtration {cert.filtration} does not equal the sum "
+            f"of the rotation-factor thresholds {total}"
+        )
+    if any(f.is_zero for f in deltas):
+        return "a rotation factor carries a zero threshold"
+    final = cert.steps[-1].output
+    if not (isinstance(final.term, Iota) and final.term.label == cert.beta):
+        return "derivation does not end in iota(beta)"
+    return ""
 
 
 def _orientation(sign: int) -> str:
@@ -521,9 +547,8 @@ def _orientation(sign: int) -> str:
 
 
 # Derivation recipes.  A target class carries one of these: it runs the rule
-# chain that ends in the constant-loop identity for that target and returns the
-# conclusion factors with their total filtration.  ``sign`` picks the rotation
-# orientation where the chain has one; the others ignore it.
+# chain that ends in the constant-loop identity for that target.  ``sign``
+# picks the rotation orientation where the chain has one; the others ignore it.
 
 def open_book_point_recipe(d: _Derivation, sign: int):
     """[pt] of an open book: the two page rotations meet in the constant
@@ -534,8 +559,6 @@ def open_book_point_recipe(d: _Derivation, sign: int):
     a_minus = d.apply("ACTION_IS_BV", b_minus, note="rotation of the doubled page, negative orientation")
     const = d.apply("CS1", a_plus, a_minus)
     d.apply("IOTA_CONST", const)
-    factors = (ConclusionFactor("delta", b_plus), ConclusionFactor("delta", b_minus))
-    return factors, fsym("E+") + fsym("E-")
 
 
 def open_book_fundamental_recipe(d: _Derivation, sign: int):
@@ -552,11 +575,6 @@ def open_book_fundamental_recipe(d: _Derivation, sign: int):
     a_s = d.apply("ACTION_IS_BV", b_s)
     a_pt = d.apply("CS2", a_s, iota("T*M_pt", "pt"), note="cut down to a single fiber")
     d.apply("IOTA_CONST", a_pt, note="the single orbit contracts through the binding")
-    factors = (
-        ConclusionFactor("delta", b_s),
-        ConclusionFactor("iota", "T*M_pt"),
-    )
-    return factors, fsym(f"E{s_name}")
 
 
 def closed_page_recipe(d: _Derivation, sign: int):
@@ -573,8 +591,6 @@ def closed_page_recipe(d: _Derivation, sign: int):
     a_o = d.apply("ACTION_IS_BV", b_o)
     const = d.apply("CS1", orbit, a_o)
     d.apply("IOTA_CONST", const)
-    factors = (ConclusionFactor("delta", a_pt), ConclusionFactor("delta", b_o))
-    return factors, fsym(f"e{s_name}") + fsym(f"E{o_name}")
 
 
 def product_torus_recipe(d: _Derivation, sign: int):
@@ -586,8 +602,6 @@ def product_torus_recipe(d: _Derivation, sign: int):
     sw_plus = d.apply("CS3", a_plus, note="rotating the constrained positive family")
     const = d.apply("CS1", sw_plus, sw_minus)
     d.apply("IOTA_CONST", const)
-    factors = (ConclusionFactor("delta", a_minus), ConclusionFactor("delta", a_plus))
-    return factors, fsym("E-") + fsym("E+^k")
 
 
 def non_orientable_recipe(d: _Derivation, sign: int):
@@ -602,8 +616,6 @@ def non_orientable_recipe(d: _Derivation, sign: int):
         note="an orientation-reversing loop meets its reverse in a point",
     )
     d.apply("IOTA_CONST", const)
-    factors = (ConclusionFactor("delta", dq), ConclusionFactor("delta", dqbar))
-    return factors, fsym("l_q") + fsym("l_qbar")
 
 
 def diagonal_action_recipe(d: _Derivation, sign: int):
@@ -615,7 +627,6 @@ def diagonal_action_recipe(d: _Derivation, sign: int):
         "HOPF_CONTRACT", a_diag, note="diagonal action contracts below the orbit length"
     )
     d.apply("IOTA_CONST", const)
-    return (ConclusionFactor("delta", b_diag),), fsym("E_A")
 
 
 def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
@@ -625,26 +636,19 @@ def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
     selects the rotation orientation of recipes that have one."""
     ctx = scenario.rule_context
     d = _Derivation(ctx)
-    factors, filt = target.recipe(d, sign)
-    beta = target.declared_nonzero_pairing
+    target.recipe(d, sign)
     return Certificate(
         scenario_id=scenario.id,
         target_name=target.name,
-        target_pairing=beta,
-        beta=beta,
+        beta=target.declared_nonzero_pairing,
         steps=tuple(d.steps),
-        factors=factors,
-        filtration=filt,
+        factors=_conclusion(d.steps),
         context=ctx,
         note=(
             "thresholds are computed suprema; the strict/closed filtration "
             "distinction is below reported tolerance"
         ),
     )
-
-
-def _same(a: FilteredClass, b: FilteredClass) -> bool:
-    return a.term == b.term and a.filtration == b.filtration
 
 
 def _sum_filt(filts) -> FiltExpr:

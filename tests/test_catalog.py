@@ -13,7 +13,6 @@ from stringcap.catalog import (
     klein_bottle_scenario,
     open_book_scenario,
     product_torus_scenario,
-    scenario_config,
 )
 from stringcap.errors import ScenarioParameterError
 from stringcap.loops import check_loop, extremal_lengths
@@ -144,7 +143,7 @@ def test_parameter_validation():
 
 def test_config_round_trip_and_schema_rejection():
     for s in _all_scenarios():
-        cfg = scenario_config(s)
+        cfg = dict(s.params)
         rebuilt = build_scenario(cfg)
         assert rebuilt.id == s.id
         assert rebuilt.params == s.params

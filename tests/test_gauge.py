@@ -39,10 +39,50 @@ def _sphere_point(coords):
 def test_flat_codisk_support_is_radius_on_unit_vectors():
     base = BaseDescriptor("torus", 2, ("torus",))
     for r in (0.5, 1.0, 2.0):
-        dom = codisk_domain(base, MetricSpec("flat", radius=r))
+        dom = codisk_domain(base, MetricSpec(radius=r))
         q = BasePoint(np.array([0.1, 0.2]), "torus")
         v = TangentVector(np.array([0.6, 0.8]), q)  # unit length
         assert float(support(dom, q, v)) == pytest.approx(r, abs=1e-12)
+
+
+def test_metric_support_is_radius_times_pushed_forward_norm():
+    base = BaseDescriptor("torus", 2, ("torus",))
+    q = BasePoint(np.array([0.3, 0.4]), "torus")
+    # a scaled identity Jacobian scales every support value
+    dom = codisk_domain(base, MetricSpec(lambda q: 2.0 * np.eye(2)))
+    assert float(support(dom, q, TangentVector(np.array([1.0, 0.0]), q))) == 2.0
+    rng = np.random.default_rng(5)
+    jac = np.array([[1.0, 0.5], [0.0, 3.0]])
+    for r in (0.0, 0.7, 2.0):
+        dom = codisk_domain(base, MetricSpec(lambda q: jac, r))
+        for _ in range(20):
+            q = BasePoint(rng.uniform(0.0, 1.0, 2), "torus")
+            v = TangentVector(rng.standard_normal(2), q)
+            expected = r * float(np.linalg.norm(jac @ v.components))
+            assert float(support(dom, q, v)) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_metric_without_jacobian_is_flat():
+    base = BaseDescriptor("torus", 2, ("torus",))
+    rng = np.random.default_rng(6)
+    for r in (0.5, 1.0):
+        metric = MetricSpec(radius=r)
+        assert metric.embedding_jacobian is None
+        dom = codisk_domain(base, metric)
+        for _ in range(20):
+            q = BasePoint(rng.uniform(0.0, 1.0, 2), "torus")
+            v = TangentVector(rng.standard_normal(2), q)
+            expected = r * float(np.linalg.norm(v.components))
+            assert float(support(dom, q, v)) == pytest.approx(expected, rel=1e-12)
+            assert metric_norm(metric, q, v) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("jacobian", ["flat", np.eye(2), 2.0])
+def test_non_callable_jacobian_is_refused(jacobian):
+    with pytest.raises(InvalidInputError):
+        MetricSpec(jacobian)
+    with pytest.raises(InvalidInputError):
+        MetricSpec(jacobian, lambda q: 5.0 * np.eye(2))
 
 
 def test_stretched_sphere_equator_support_is_constant():
@@ -127,10 +167,10 @@ def test_support_of_zero_vector_is_exactly_zero():
 def test_codisk_duality_support_equals_radius_times_unit_metric_norm():
     base = BaseDescriptor("sphere", 2, ("embedding",))
     jac = np.diag([1.0, 1.0, 0.5])
-    unit_metric = MetricSpec("embedding-induced", lambda q: jac, 1.0)
+    unit_metric = MetricSpec(lambda q: jac, 1.0)
     rng = np.random.default_rng(1)
     for r in (0.5, 1.0, 3.0):
-        dom = codisk_domain(base, MetricSpec("embedding-induced", lambda q: jac, r))
+        dom = codisk_domain(base, MetricSpec(lambda q: jac, r))
         for _ in range(50):
             qc = rng.standard_normal(3)
             qc /= np.linalg.norm(qc)
@@ -145,8 +185,8 @@ def test_metric_norm_round_vs_stretched_comparison():
     # the scaled round metric never exceeds the stretched one
     jac_s = np.diag([1.0, 0.3, 0.3])
     jac_r = 0.3 * np.eye(3)
-    ms = MetricSpec("embedding-induced", lambda q: jac_s, 1.0)
-    mr = MetricSpec("embedding-induced", lambda q: jac_r, 1.0)
+    ms = MetricSpec(lambda q: jac_s, 1.0)
+    mr = MetricSpec(lambda q: jac_r, 1.0)
     rng = np.random.default_rng(2)
     for _ in range(100):
         qc = rng.standard_normal(3)
@@ -177,8 +217,8 @@ def test_rank_deficient_jacobian_is_rejected():
 
 def test_containment_reflexive_and_radius_violations():
     base = BaseDescriptor("sphere", 2, ("embedding",))
-    unit = codisk_domain(base, MetricSpec("embedding-induced", lambda q: np.eye(3), 1.0))
-    bigger = codisk_domain(base, MetricSpec("embedding-induced", lambda q: np.eye(3), 1.1))
+    unit = codisk_domain(base, MetricSpec(lambda q: np.eye(3), 1.0))
+    bigger = codisk_domain(base, MetricSpec(lambda q: np.eye(3), 1.1))
     plan = SamplePlan(count=500, seed=0)
     assert domain_contains(unit, unit, plan)
     res = domain_contains(bigger, unit, plan)
@@ -228,12 +268,12 @@ def test_batched_codisk_oracles_match_row_by_row_evaluation():
     rng = np.random.default_rng(11)
     jac = np.diag([1.0, 0.3, 0.3])
     cases = [
-        (BaseDescriptor("torus", 3, ("torus",)), MetricSpec("flat", radius=0.7), lambda q: np.eye(3)),
-        (BaseDescriptor("sphere", 2, ("embedding",)), MetricSpec("embedding-induced", lambda q: jac, 1.3),
+        (BaseDescriptor("torus", 3, ("torus",)), MetricSpec(radius=0.7), lambda q: np.eye(3)),
+        (BaseDescriptor("sphere", 2, ("embedding",)), MetricSpec(lambda q: jac, 1.3),
          lambda q: jac),
         # a point-dependent Jacobian, given per row
         (BaseDescriptor("torus", 3, ("torus",)),
-         MetricSpec("embedding-induced", lambda q: np.stack([np.diag(1.0 + c * c) for c in q.coords]), 2.0),
+         MetricSpec(lambda q: np.stack([np.diag(1.0 + c * c) for c in q.coords]), 2.0),
          lambda q: np.diag(1.0 + q * q)),
     ]
     for base, metric, jac_at in cases:

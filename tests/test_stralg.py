@@ -1,11 +1,14 @@
 """Filtered term calculus: operations, rules, certificates and mutations."""
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from stringcap.catalog import (
+    SCENARIOS,
+    build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
     ellipsoid_scenario,
@@ -86,11 +89,10 @@ def test_action_against_constant_loops_keeps_action_form():
 
 def test_rotation_of_action_class_sweeps_label():
     ctx = RuleContext(sweep_table={"g": "zg"})
-    c = FilteredClass(ActionClass("g", -1), fnum(2.0), param_dim=0)
+    c = FilteredClass(ActionClass("g", -1), fnum(2.0))
     out = delta(c, ctx)
     assert out.term == ActionClass("zg", -1)
     assert out.filtration == fnum(2.0)
-    assert out.param_dim == 1
 
 
 def test_rotation_resolves_registered_bv_preimages():
@@ -178,13 +180,23 @@ def test_dropping_a_rotation_factor_fails_the_shape_check():
     assert not check_certificate(one_factor).passed
 
 
+def test_a_lowered_conclusion_cannot_be_written_down():
+    # dropping the E- factor and lowering the filtration to E+ together would
+    # certify half the proven bound; the filtration is read off the steps
+    s = ellipsoid_scenario(2, 0.5)
+    cert = derive_certificate(s, s.target("[pt]"))
+    with pytest.raises(TypeError):
+        dataclasses.replace(cert, filtration=fsym("E+"))
+    assert str(dataclasses.replace(cert, factors=cert.factors[:1]).filtration) == "E+ + E-"
+
+
 def test_mismatched_pairing_fails():
     s = camel_scenario(2, 0.4, 0.01)
     cert = derive_certificate(s, s.target("[T^k]"))
-    bad = dataclasses.replace(cert, target_pairing="something_else")
+    bad = dataclasses.replace(cert, beta="something_else")
     report = check_certificate(bad)
     assert not report.passed
-    assert "pairing" in report.conclusion_message
+    assert "iota(beta)" in report.conclusion_message
 
 
 def test_rule_table_is_complete_and_quotable():
@@ -211,3 +223,90 @@ def test_certificate_json_export_embeds_rule_statements():
     for step in payload["steps"]:
         assert step["statement"] == RULES[step["rule"]].statement
     assert payload["conclusion"]["lhs"] == "iota[PD(T*M)]"
+
+
+def _catalog_certificates() -> dict:
+    """Every catalog certificate: the default configuration of each scenario
+    name and the circle page, each target, each orientation its recipe
+    derives."""
+    configs = [{"scenario": name} for name in SCENARIOS] + [{"scenario": "open_book", "page": "circle"}]
+    certs = {}
+    for config in configs:
+        s = build_scenario(config)
+        for target in s.targets:
+            for sign in (+1, -1):
+                try:
+                    certs[f"{s.id} {target.name} {sign:+d}"] = derive_certificate(s, target, sign)
+                except IncompatibleBindingError:
+                    pass
+    return certs
+
+
+# sha256 of each catalog certificate's JSON; the JSON is symbolic (no floats),
+# so the digests are the same on every platform
+CERTIFICATE_DIGESTS = {
+    "camel(n=2,eps=1.0,delta=0.1) [T^k] -1": "3cba50ae5ca33256eef174057d541ac81275261030ffb875695ffe4b80ca4ad4",
+    "camel(n=2,eps=1.0,delta=0.1) [T^k] +1": "3cba50ae5ca33256eef174057d541ac81275261030ffb875695ffe4b80ca4ad4",
+    "ellipsoid1(n=2,a=1.0) [S^n] -1": "f5b0ad9822b8cc4154509221968471a932685b5943370dfc60957b0c67552374",
+    "ellipsoid1(n=2,a=1.0) [S^n] +1": "df695f1e199546e69ac0b03ca41f84ebcb34db698c06f58a7fea9b83d3b966dc",
+    "ellipsoid1(n=2,a=1.0) [pt] -1": "d2eb964acb4bbc75d77086c85198bac136b04f82057da371b381623f1d42fd32",
+    "ellipsoid1(n=2,a=1.0) [pt] +1": "d2eb964acb4bbc75d77086c85198bac136b04f82057da371b381623f1d42fd32",
+    "ellipsoid2(n=3,a=1.0) [S^n] -1": "f0ee4a39ce13697ce3f28873d381f76dad05150b5467a5967be3fb84f0d272c3",
+    "ellipsoid2(n=3,a=1.0) [S^n] +1": "f0ee4a39ce13697ce3f28873d381f76dad05150b5467a5967be3fb84f0d272c3",
+    "ellipsoid2(n=3,a=1.0) [pt] -1": "4dca5f721db4bcefc01989677281fec6935313a9b38163badfdbfe2c55d994eb",
+    "ellipsoid2(n=3,a=1.0) [pt] +1": "4dca5f721db4bcefc01989677281fec6935313a9b38163badfdbfe2c55d994eb",
+    "klein(a=1.0,b=1.0,r=1.0) [Sigma] -1": "d946b879516f1911ebaee51cd21669f1d99bbe45cf1d204361be538124c0e7dc",
+    "klein(a=1.0,b=1.0,r=1.0) [Sigma] +1": "d946b879516f1911ebaee51cd21669f1d99bbe45cf1d204361be538124c0e7dc",
+    "open_book(circle,trivial,r=1.0,lp=1.0,lf=1.0) [V] -1": "bb142ecceae6216e8a7a688667b6164ee3b20920982eb899613dbddf9fa56f18",
+    "open_book(circle,trivial,r=1.0,lp=1.0,lf=1.0) [V] +1": "1ead4c85ed189bde51a61eb238c2f522ae03d7d1d5002f1d22ff6cfa38c00b02",
+    "open_book(circle,trivial,r=1.0,lp=1.0,lf=1.0) [pt] -1": "fa6ded5c14436b7605afbb22bc3598a06bad21ff6aa92697c110f364e382696d",
+    "open_book(circle,trivial,r=1.0,lp=1.0,lf=1.0) [pt] +1": "fa6ded5c14436b7605afbb22bc3598a06bad21ff6aa92697c110f364e382696d",
+    "open_book(interval,round,r=1.0) [M] -1": "bb012fcb86acd1987741322243d88c08c7b3dffa7b5a4e40422dd50b2677d220",
+    "open_book(interval,round,r=1.0) [M] +1": "84aad7a631d7ff39ea9bcf4905dca4b7656bca096751a0b3925e4736b9d17e61",
+    "open_book(interval,round,r=1.0) [pt] -1": "6e5a79cedc51b2d4a2da89f2fff079c1c7cc9d6d239ad4c0f5af155ac8494df7",
+    "open_book(interval,round,r=1.0) [pt] +1": "6e5a79cedc51b2d4a2da89f2fff079c1c7cc9d6d239ad4c0f5af155ac8494df7",
+    "product_torus(d=2,k=1,radius=1.0) [T^k] -1": "75e6bfb1f64db8e802ea982ba87c981ce8d1ec34e958f1522692003cb9a1f800",
+    "product_torus(d=2,k=1,radius=1.0) [T^k] +1": "75e6bfb1f64db8e802ea982ba87c981ce8d1ec34e958f1522692003cb9a1f800",
+}
+
+
+def test_catalog_certificates_are_unchanged():
+    digests = {key: hashlib.sha256(cert.to_json().encode()).hexdigest() for key, cert in _catalog_certificates().items()}
+    assert digests == CERTIFICATE_DIGESTS
+
+
+def _single_field_mutations(cert: Certificate):
+    """Every single-field change of a certificate's beta, conclusion factors
+    and steps that alters it."""
+    def with_factors(factors):
+        return dataclasses.replace(cert, factors=tuple(factors))
+
+    def with_steps(steps):
+        return dataclasses.replace(cert, steps=tuple(steps))
+
+    yield "beta changed", dataclasses.replace(cert, beta=cert.beta + "'")
+    factors, steps = list(cert.factors), list(cert.steps)
+    for i, f in enumerate(factors):
+        yield f"factor {i} dropped", with_factors(factors[:i] + factors[i + 1:])
+        if f.kind == "delta":
+            swapped = ConclusionFactor("delta", FilteredClass(LoopCycle("x"), f.alpha.filtration))
+            yield f"factor {i} swapped", with_factors(factors[:i] + [swapped] + factors[i + 1:])
+    for i, step in enumerate(steps):
+        yield f"step {i} dropped", with_steps(steps[:i] + steps[i + 1:])
+        if not step.output.filtration.is_zero:
+            zeroed = dataclasses.replace(step, output=dataclasses.replace(step.output, filtration=fnum(0.0)))
+            yield f"step {i} output threshold zeroed", with_steps(steps[:i] + [zeroed] + steps[i + 1:])
+
+
+def test_every_single_field_mutation_of_a_catalog_certificate_is_rejected():
+    certs = _catalog_certificates()
+    assert len(certs) == 22
+    passed, count = [], 0
+    for key, cert in certs.items():
+        assert check_certificate(cert).passed, key
+        for what, mutant in _single_field_mutations(cert):
+            count += 1
+            if check_certificate(mutant).passed:
+                passed.append(f"{key}: {what}")
+    assert count == 228
+    assert passed == []
