@@ -23,9 +23,7 @@ from .gauge import (
     BaseDescriptor,
     BasePoint,
     ContainmentResult,
-    ExtReal,
     GaugeDomain,
-    INFINITE,
     MetricSpec,
     SamplePlan,
     TangentVector,

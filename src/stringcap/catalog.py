@@ -1,9 +1,11 @@
 """Built-in scenarios: geometry, loop families, targets and rewrite data.
 
 Each constructor bundles a gauge domain with the loop families whose extremal
-lengths feed the width bounds, the target classes those bounds apply to, and
-the intersection/sweep tables the symbolic calculus consults.  Each target
-class carries the recipe that derives its certificate.  Each constructor
+lengths feed the width bounds, the target classes those bounds apply to, the
+intersection/sweep tables the symbolic calculus consults, and the generator
+table: every class a certificate may start from, with the sup or inf of the
+family length that bounds its threshold.  Each target class carries the
+recipe that derives its certificate from those generators.  Each constructor
 checks its own arguments and raises ``ScenarioParameterError`` for a value out
 of type or range.  ``SCENARIOS`` declares each scenario name once, with its
 constructor and the configuration keys it takes and their defaults, and
@@ -37,7 +39,11 @@ from .loops import (
     cutoff_deriv,
 )
 from .stralg import (
+    ActionClass,
+    BVPreimage,
+    LoopCycle,
     RuleContext,
+    Term,
     closed_page_recipe,
     diagonal_action_recipe,
     non_orientable_recipe,
@@ -71,9 +77,10 @@ class TargetClass:
 
 @dataclass(frozen=True, slots=True)
 class BindingSelector:
-    """Resolves a symbolic filtration name to scale x (sup or inf) of a
-    named loop family."""
+    """Resolves the filtration symbol ``symbol`` to scale x (sup or inf) of
+    the lengths of a named loop family."""
 
+    symbol: str
     family: str
     mode: str  # "sup" | "inf"
     scale: float = 1.0
@@ -81,25 +88,38 @@ class BindingSelector:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A gauge domain with its loop families, targets and rewrite data.
+
+    ``generators`` maps each class a certificate may start from to the
+    selector of its threshold: the class lies in the filtration at the
+    selector's symbol, which resolves to the sup or inf of a family's
+    lengths.  Recipes take their leaves from this table, and the replay
+    accepts no other leaf."""
+
     id: str
     params: dict
     domain: GaugeDomain
     families: dict[str, LoopFamily]
     targets: tuple[TargetClass, ...]
-    symbolic_bindings: dict[str, BindingSelector]
+    generators: dict[Term, BindingSelector]
     rule_context: RuleContext
     quad: ClassVar[QuadratureSpec] = QuadratureSpec(panels=64)
     equality: dict = field(default_factory=dict)  # target name -> note
     notes: str = ""
 
     def __post_init__(self):
-        for name, sel in self.symbolic_bindings.items():
+        for sel in self.generators.values():
             if sel.family not in self.families:
                 raise ScenarioParameterError(
-                    f"binding {name!r} refers to unknown family {sel.family!r}"
+                    f"binding {sel.symbol!r} refers to unknown family {sel.family!r}"
                 )
             if sel.mode not in ("sup", "inf"):
-                raise ScenarioParameterError(f"binding {name!r} has bad mode {sel.mode!r}")
+                raise ScenarioParameterError(f"binding {sel.symbol!r} has bad mode {sel.mode!r}")
+
+    @property
+    def symbolic_bindings(self) -> dict[str, BindingSelector]:
+        """The generators' selectors, keyed by symbol."""
+        return {sel.symbol: sel for sel in self.generators.values()}
 
     def target(self, name: str) -> TargetClass:
         for t in self.targets:
@@ -189,14 +209,14 @@ def _page_rotation_families(page_dim: int) -> dict[str, LoopFamily]:
     return {"L+": _page_circle_family("L+", grid, +1), "L-": _page_circle_family("L-", grid, -1)}
 
 
-# the rotation families of every open book are named L+ and L-
-def _rotation_bindings() -> dict[str, BindingSelector]:
-    return {
-        "E+": BindingSelector("L+", "sup"),
-        "E-": BindingSelector("L-", "sup"),
-        "e+": BindingSelector("L+", "inf"),
-        "e-": BindingSelector("L-", "inf"),
-    }
+# the rotation families of every open book are named L+ and L-: a page
+# rotation is bounded by the longest loop, a single orbit by the shortest
+_OPEN_BOOK_GENERATORS = {
+    BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"): BindingSelector("E+", "L+", "sup"),
+    BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"): BindingSelector("E-", "L-", "sup"),
+    ActionClass("pt", +1): BindingSelector("e+", "L+", "inf"),
+    ActionClass("pt", -1): BindingSelector("e-", "L-", "inf"),
+}
 
 
 def _open_book_context(boundary_nonempty: bool) -> RuleContext:
@@ -268,7 +288,7 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
         domain=ellipsoid_domain(n, a),
         families=_page_rotation_families(n - 1),
         targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[S^n]")),
-        symbolic_bindings=_rotation_bindings(),
+        generators=_OPEN_BOOK_GENERATORS,
         rule_context=_open_book_context(boundary_nonempty=True),
         equality={"[S^n]": "width of the fundamental class equals the equator length"},
         notes="rotation-orbit lengths are 2 pi a sqrt(1-|x|^2); binding loops are constant",
@@ -320,7 +340,7 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
             TargetClass("[pt]", "PD(T*M)", diagonal_action_recipe, "constant loops sweep the whole base"),
             TargetClass("[S^n]", "PD(T*M)", diagonal_action_recipe, "same derivation; equality is known"),
         ),
-        symbolic_bindings={"E_A": BindingSelector("orbits", "sup")},
+        generators={BVPreimage(ActionClass("id", +1), "OB_BV2"): BindingSelector("E_A", "orbits", "sup")},
         rule_context=ctx,
         equality={
             "[pt]": "matching lower bound by an explicit ball family",
@@ -428,9 +448,9 @@ def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str
                 "coordinate subtorus pairs with the complementary slice",
             ),
         ),
-        symbolic_bindings={
-            "E-": BindingSelector("L-", "sup"),
-            "E+^k": BindingSelector("L+^k", "sup"),
+        generators={
+            ActionClass("slice-", -1): BindingSelector("E-", "L-", "sup"),
+            ActionClass("slice+k", +1): BindingSelector("E+^k", "L+^k", "sup"),
         },
         rule_context=ctx,
         notes=notes,
@@ -548,9 +568,9 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
                 "[Sigma]", "T*Sigma_pt", non_orientable_recipe, "fundamental class pairs with a fiber"
             ),
         ),
-        symbolic_bindings={
-            "l_q": BindingSelector("Ldoubled", "inf", scale=0.5),
-            "l_qbar": BindingSelector("Ldoubled", "inf", scale=0.5),
+        generators={
+            LoopCycle("q"): BindingSelector("l_q", "Ldoubled", "inf", scale=0.5),
+            LoopCycle("qbar"): BindingSelector("l_qbar", "Ldoubled", "inf", scale=0.5),
         },
         rule_context=ctx,
         notes=(
@@ -590,7 +610,7 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
             domain=domain,
             families=_page_rotation_families(1),
             targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
-            symbolic_bindings=_rotation_bindings(),
+            generators=_OPEN_BOOK_GENERATORS,
             rule_context=_open_book_context(boundary_nonempty=True),
             notes="the interval page with round profile closes up to the 2-sphere",
         )
@@ -615,7 +635,7 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
                     both_orientations=True,
                 ),
             ),
-            symbolic_bindings=_rotation_bindings(),
+            generators=_OPEN_BOOK_GENERATORS,
             rule_context=_open_book_context(boundary_nonempty=False),
             notes="circle page with trivial profile: the flat 2-torus",
         )

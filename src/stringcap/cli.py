@@ -1,7 +1,7 @@
 """Command-line front end: bound computation, regression tables, certificates.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numeric or
-derivation failure.
+Exit codes: 0 success, 2 configuration/validation failure or an unwritable
+output path, 3 numeric or derivation failure.
 """
 from __future__ import annotations
 
@@ -209,6 +209,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StringcapError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -7,41 +7,12 @@ from it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ChartMismatchError, InvalidInputError, RankDeficientError
-
-
-# ---------------------------------------------------------------------------
-# Extended reals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class ExtReal:
-    """Tagged extended nonnegative real: Finite(x) or Infinite.
-
-    Encoded as a tagged value rather than a float sentinel so that infinite
-    fibers cannot silently propagate through arithmetic.
-    """
-
-    value: float = 0.0
-    finite: bool = True
-
-    @staticmethod
-    def of(x: float) -> "ExtReal":
-        return ExtReal(float(x), True)
-
-    def __float__(self) -> float:
-        if not self.finite:
-            raise InvalidInputError("cannot convert infinite support value to float")
-        return self.value
-
-
-INFINITE = ExtReal(math.inf, False)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +125,13 @@ def _validate_attachment(q: BasePoint, v: TangentVector) -> None:
         raise InvalidInputError("NaN in support evaluation inputs")
 
 
-def support(domain: GaugeDomain, q: BasePoint, v: TangentVector) -> ExtReal:
-    """Evaluate the fiber support function of ``domain`` at one pair (q, v)."""
+def support(domain: GaugeDomain, q: BasePoint, v: TangentVector) -> float:
+    """Evaluate the fiber support function of ``domain`` at one pair (q, v):
+    the oracle's value, +inf where the fiber is unbounded."""
     domain.check_chart(q.chart_id)
     _validate_attachment(q, v)
     row = BasePoint(np.asarray(q.coords, dtype=float)[None], q.chart_id)
-    value = float(domain.support_oracle(row, TangentVector(np.asarray(v.components, dtype=float)[None], row))[0])
-    return ExtReal.of(value) if math.isfinite(value) else INFINITE
+    return float(domain.support_oracle(row, TangentVector(np.asarray(v.components, dtype=float)[None], row))[0])
 
 
 def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:

@@ -6,8 +6,11 @@ loop-rotation operator ``delta`` and the constant-loop inclusion ``iota``.
 Identities between these operations are encoded as rewrite rules; a chain of
 rule applications that ends in a constant-loop identity is packaged as a
 machine-checkable certificate whose total filtration bounds the width of the
-target class.  The conclusion is read off the chain, and the checker reads it
-again from the replayed steps.
+target class.  The chain starts from leaves: generators the scenario declares,
+each at the threshold symbol its table gives, and iota classes at threshold 0.
+The conclusion is read off the chain, and the checker replays the chain
+against the scenario, checks every leaf against its generator table and reads
+the conclusion again from the replayed steps.
 """
 from __future__ import annotations
 
@@ -378,17 +381,16 @@ class ConclusionFactor:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A rewrite derivation of iota(beta) = Delta(a_1) * ... * iota(a_{k+1}),
-    ``beta`` the target's declared pairing.  ``factors`` are the derivation's
-    leaves and ``filtration``, the threshold of the class the last step turns
-    into iota(beta), upper-bounds the target's width."""
+    """A rewrite derivation of iota(beta) = Delta(a_1) * ... * iota(a_{k+1})
+    in ``scenario``, ``beta`` the target's declared pairing.  ``factors`` are
+    the derivation's leaves and ``filtration``, the threshold of the class the
+    last step turns into iota(beta), upper-bounds the target's width."""
 
-    scenario_id: str
+    scenario: object  # the catalog Scenario: rule context and generators
     target_name: str
     beta: str
     steps: tuple[CertificateStep, ...]
     factors: tuple[ConclusionFactor, ...]
-    context: RuleContext
     note: str = ""
 
     @property
@@ -397,7 +399,7 @@ class Certificate:
 
     def to_jsonable(self) -> dict:
         return {
-            "scenario": self.scenario_id,
+            "scenario": self.scenario.id,
             "target": self.target_name,
             "beta": self.beta,
             "filtration": str(self.filtration),
@@ -426,9 +428,17 @@ class Certificate:
 
 
 class _Derivation:
-    def __init__(self, ctx: RuleContext):
-        self.ctx = ctx
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.ctx: RuleContext = scenario.rule_context
         self.steps: list[CertificateStep] = []
+
+    def leaf(self, term: Term) -> FilteredClass:
+        """The declared generator ``term`` at its threshold symbol."""
+        sel = self.scenario.generators.get(term)
+        if sel is None:
+            raise IncompatibleBindingError(f"scenario {self.scenario.id} declares no generator {term}")
+        return FilteredClass(term, fsym(sel.symbol))
 
     def apply(self, rule_id: str, *inputs: FilteredClass, note: str = "") -> FilteredClass:
         out = apply_rule(rule_id, tuple(inputs), self.ctx)
@@ -455,28 +465,30 @@ class ValidationReport:
         return self.conclusion_ok and all(s.ok for s in self.steps)
 
 
-def _is_axiomatic(c: FilteredClass) -> bool:
-    t = c.term
-    if isinstance(t, (BVPreimage, LoopCycle, ActionClass, Iota)):
-        return True
-    if isinstance(t, Delta) and isinstance(t.of, LoopCycle):
-        return True
-    return False
+def _is_leaf(c: FilteredClass, generators: dict) -> bool:
+    """A declared generator, or its rotation, at exactly its threshold
+    symbol, or an iota class at threshold 0."""
+    if isinstance(c.term, Iota):
+        return c.filtration.is_zero
+    t = c.term.of if isinstance(c.term, Delta) else c.term
+    sel = generators.get(t)
+    return sel is not None and c.filtration == fsym(sel.symbol)
 
 
 def check_certificate(cert: Certificate) -> ValidationReport:
-    """Independent replay: re-execute every step against the rule table,
-    re-derive filtrations from scratch, read the conclusion again off the
-    steps and confirm its shape."""
-    ctx = cert.context
+    """Independent replay in the certificate's scenario: check every leaf
+    against the generator table, re-execute every step against the rule
+    table, re-derive filtrations from scratch, read the conclusion again off
+    the steps and confirm its shape."""
+    ctx, generators = cert.scenario.rule_context, cert.scenario.generators
     available: list[FilteredClass] = []
     reports: list[StepReport] = []
     for i, step in enumerate(cert.steps):
         ok = True
         msg = ""
         for inp in step.inputs:
-            if not (_is_axiomatic(inp) or inp in available):
-                ok, msg = False, f"input {inp} is neither an axiom nor a prior output"
+            if not (inp in available or _is_leaf(inp, generators)):
+                ok, msg = False, f"input {inp} is neither a declared generator nor a prior output"
         if ok:
             try:
                 out = apply_rule(step.rule, step.inputs, ctx)
@@ -542,21 +554,21 @@ def _conclusion_fault(cert: Certificate) -> str:
     return ""
 
 
-def _orientation(sign: int) -> str:
-    return "+" if sign > 0 else "-"
-
-
 # Derivation recipes.  A target class carries one of these: it runs the rule
-# chain that ends in the constant-loop identity for that target.  ``sign``
-# picks the rotation orientation where the chain has one; the others ignore it.
+# chain that ends in the constant-loop identity for that target, starting
+# from the scenario's generators (``d.leaf``).  ``sign`` picks the rotation
+# orientation where the chain has one; the others ignore it.
+
+def _page_rotation(sign: int) -> BVPreimage:
+    return BVPreimage(ActionClass("id", sign), "ACTION_IS_BV")
+
 
 def open_book_point_recipe(d: _Derivation, sign: int):
     """[pt] of an open book: the two page rotations meet in the constant
     loops (CS1)."""
-    b_plus = FilteredClass(BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"), fsym("E+"))
-    b_minus = FilteredClass(BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"), fsym("E-"))
-    a_plus = d.apply("ACTION_IS_BV", b_plus, note="rotation of the doubled page, positive orientation")
-    a_minus = d.apply("ACTION_IS_BV", b_minus, note="rotation of the doubled page, negative orientation")
+    note = "rotation of the doubled page, {} orientation"
+    a_plus = d.apply("ACTION_IS_BV", d.leaf(_page_rotation(+1)), note=note.format("positive"))
+    a_minus = d.apply("ACTION_IS_BV", d.leaf(_page_rotation(-1)), note=note.format("negative"))
     const = d.apply("CS1", a_plus, a_minus)
     d.apply("IOTA_CONST", const)
 
@@ -568,11 +580,7 @@ def open_book_fundamental_recipe(d: _Derivation, sign: int):
         raise IncompatibleBindingError(
             "the single-orientation bound needs a page with boundary"
         )
-    s_name = _orientation(sign)
-    b_s = FilteredClass(
-        BVPreimage(ActionClass("id", sign), "ACTION_IS_BV"), fsym(f"E{s_name}")
-    )
-    a_s = d.apply("ACTION_IS_BV", b_s)
+    a_s = d.apply("ACTION_IS_BV", d.leaf(_page_rotation(sign)))
     a_pt = d.apply("CS2", a_s, iota("T*M_pt", "pt"), note="cut down to a single fiber")
     d.apply("IOTA_CONST", a_pt, note="the single orbit contracts through the binding")
 
@@ -582,13 +590,8 @@ def closed_page_recipe(d: _Derivation, sign: int):
     rotated, meets the opposite page rotation in the constant loops."""
     if d.ctx.boundary_nonempty:
         raise IncompatibleBindingError("the page bound needs a closed page")
-    s_name, o_name = _orientation(sign), _orientation(-sign)
-    a_pt = FilteredClass(ActionClass("pt", sign), fsym(f"e{s_name}"))
-    orbit = d.apply("CS3", a_pt, note="rotating the shortest single orbit")
-    b_o = FilteredClass(
-        BVPreimage(ActionClass("id", -sign), "ACTION_IS_BV"), fsym(f"E{o_name}")
-    )
-    a_o = d.apply("ACTION_IS_BV", b_o)
+    orbit = d.apply("CS3", d.leaf(ActionClass("pt", sign)), note="rotating the shortest single orbit")
+    a_o = d.apply("ACTION_IS_BV", d.leaf(_page_rotation(-sign)))
     const = d.apply("CS1", orbit, a_o)
     d.apply("IOTA_CONST", const)
 
@@ -596,10 +599,8 @@ def closed_page_recipe(d: _Derivation, sign: int):
 def product_torus_recipe(d: _Derivation, sign: int):
     """Coordinate subtorus of V x T^d: the full negative rotation meets the
     constrained positive one in the constant loops."""
-    a_minus = FilteredClass(ActionClass("slice-", -1), fsym("E-"))
-    a_plus = FilteredClass(ActionClass("slice+k", +1), fsym("E+^k"))
-    sw_minus = d.apply("CS3", a_minus, note="rotating the full negative family")
-    sw_plus = d.apply("CS3", a_plus, note="rotating the constrained positive family")
+    sw_minus = d.apply("CS3", d.leaf(ActionClass("slice-", -1)), note="rotating the full negative family")
+    sw_plus = d.apply("CS3", d.leaf(ActionClass("slice+k", +1)), note="rotating the constrained positive family")
     const = d.apply("CS1", sw_plus, sw_minus)
     d.apply("IOTA_CONST", const)
 
@@ -607,12 +608,10 @@ def product_torus_recipe(d: _Derivation, sign: int):
 def non_orientable_recipe(d: _Derivation, sign: int):
     """Fundamental class of a non-orientable surface: an
     orientation-reversing loop and its reverse meet in a point."""
-    dq = FilteredClass(LoopCycle("q"), fsym("l_q"))
-    dqbar = FilteredClass(LoopCycle("qbar"), fsym("l_qbar"))
     const = d.apply(
         "CS1",
-        delta(dq),
-        delta(dqbar),
+        delta(d.leaf(LoopCycle("q"))),
+        delta(d.leaf(LoopCycle("qbar"))),
         note="an orientation-reversing loop meets its reverse in a point",
     )
     d.apply("IOTA_CONST", const)
@@ -621,7 +620,7 @@ def non_orientable_recipe(d: _Derivation, sign: int):
 def diagonal_action_recipe(d: _Derivation, sign: int):
     """Diagonal circle action on four stretched axes: its rotation contracts
     to the constant loops below the orbit length."""
-    b_diag = FilteredClass(BVPreimage(ActionClass("id", +1), "OB_BV2"), fsym("E_A"))
+    b_diag = d.leaf(BVPreimage(ActionClass("id", +1), "OB_BV2"))
     a_diag = d.apply("OB_BV2", b_diag, note="rotation of the deformed diagonal family")
     const = d.apply(
         "HOPF_CONTRACT", a_diag, note="diagonal action contracts below the orbit length"
@@ -630,20 +629,19 @@ def diagonal_action_recipe(d: _Derivation, sign: int):
 
 
 def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
-    """Run the target's recipe (its rewrite chain) in the scenario's rule
-    context and package the result as a certificate.  ``scenario`` supplies
-    the rule context (axioms, intersection/sweep/dual-label tables); ``sign``
-    selects the rotation orientation of recipes that have one."""
-    ctx = scenario.rule_context
-    d = _Derivation(ctx)
+    """Run the target's recipe (its rewrite chain) in the scenario and
+    package the result as a certificate.  ``scenario`` supplies the rule
+    context (axioms, intersection/sweep/dual-label tables) and the generators
+    the chain starts from; ``sign`` selects the rotation orientation of
+    recipes that have one."""
+    d = _Derivation(scenario)
     target.recipe(d, sign)
     return Certificate(
-        scenario_id=scenario.id,
+        scenario=scenario,
         target_name=target.name,
         beta=target.declared_nonzero_pairing,
         steps=tuple(d.steps),
         factors=_conclusion(d.steps),
-        context=ctx,
         note=(
             "thresholds are computed suprema; the strict/closed filtration "
             "distinction is below reported tolerance"

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ from stringcap.catalog import (
     open_book_scenario,
     product_torus_scenario,
 )
-from stringcap.errors import MissingAxiomError, ScenarioParameterError
+from stringcap.errors import IncompatibleBindingError, ScenarioParameterError
 from stringcap.gauge import GaugeDomain
 
 TWO_PI = 2.0 * math.pi
@@ -158,13 +159,12 @@ def test_camel_limit_table_rejects_bad_grids():
 
 
 def test_bound_dispatch_rejects_mismatched_scenarios():
-    # the open-book [pt] recipe needs the ACTION_IS_BV axiom, which the Klein
-    # bottle does not register
+    # the open-book [pt] recipe starts from a page rotation, a generator the
+    # Klein bottle does not declare
     s = klein_bottle_scenario(1.0, 1.0)
     mismatched = dataclasses.replace(s, targets=(ellipsoid_scenario(2, 0.5).target("[pt]"),))
-    with pytest.raises(MissingAxiomError) as exc:
+    with pytest.raises(IncompatibleBindingError, match=re.escape("B[A[id,+]]")):
         compute_bounds(mismatched)
-    assert exc.value.rule_id == "ACTION_IS_BV"
 
 
 def test_bound_report_carries_grid_and_refined_values():

@@ -85,6 +85,18 @@ def test_reproduce_all_writes_every_reference_row(tmp_path):
     assert all(r["pass"] == "True" for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--scenario", "klein"], ["reproduce", "klein"], ["certify", "--scenario", "klein"]],
+)
+def test_unwritable_out_path_exits_2_without_traceback(argv, tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ")
+    assert str(out) in err
+
+
 def test_reproduce_unknown_table_exits_2(capsys):
     assert main(["reproduce", "nosuch"]) == 2
 

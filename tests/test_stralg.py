@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringcap.catalog import (
     SCENARIOS,
@@ -30,13 +32,24 @@ from stringcap.stralg import (
     RULES,
     RuleContext,
     Star,
+    _conclusion,
+    apply_rule,
     check_certificate,
     delta,
     derive_certificate,
+    filt_leq,
     fnum,
     fsym,
     iota,
     star,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# dyadic constants add exactly, so float rounding cannot break associativity
+_FILTS = st.builds(
+    FiltExpr,
+    st.integers(0, 16).map(lambda k: k / 4),
+    st.lists(st.sampled_from(["E+", "E-", "e+", "l_q"]), max_size=3).map(lambda s: tuple(sorted(s))),
 )
 
 
@@ -68,6 +81,33 @@ def test_star_is_commutative_after_canonicalization():
     b = FilteredClass(LoopCycle("h"), fnum(2.0))
     assert star(a, b).term == star(b, a).term
     assert star(a, b).filtration == star(b, a).filtration
+
+
+@PROPERTY
+@given(a=_FILTS, b=_FILTS, c=_FILTS)
+def test_filtration_sum_is_associative_and_commutative(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+
+
+@PROPERTY
+@given(a=_FILTS, b=_FILTS, c=_FILTS)
+def test_filt_leq_is_reflexive_and_transitive(a, b, c):
+    assert filt_leq(a, a)
+    assert filt_leq(a, a + b) and filt_leq(a + b, a + b + c) and filt_leq(a, a + b + c)
+    if filt_leq(a, b) and filt_leq(b, c):
+        assert filt_leq(a, c)
+
+
+@PROPERTY
+@given(
+    labels=st.lists(st.text("gqx", min_size=1, max_size=3), min_size=2, max_size=2),
+    filts=st.lists(_FILTS, min_size=2, max_size=2),
+)
+def test_star_of_generic_loop_classes_ignores_argument_order(labels, filts):
+    a, b = (FilteredClass(LoopCycle(lab), f) for lab, f in zip(labels, filts))
+    assert star(a, b) == star(b, a)
+    assert isinstance(star(a, b).term, Star)
 
 
 def test_opposite_orientation_product_gives_constant_loops():
@@ -310,3 +350,73 @@ def test_every_single_field_mutation_of_a_catalog_certificate_is_rejected():
                 passed.append(f"{key}: {what}")
     assert count == 228
     assert passed == []
+
+
+def _leaves(cert: Certificate) -> list:
+    """The derivation's leaves other than iota classes, in order of use."""
+    produced, leaves = set(), []
+    for step in cert.steps:
+        leaves += [c for c in step.inputs if c not in produced and c not in leaves and not isinstance(c.term, Iota)]
+        produced.add(step.output)
+    return leaves
+
+
+def _with_leaf(cert: Certificate, leaf: FilteredClass, new: FilteredClass) -> Certificate:
+    """``cert`` with ``leaf`` replaced by ``new`` wherever a step takes it,
+    the chain replayed forward with ``apply_rule`` and the factors read off
+    again, so every step is consistent with the rules."""
+    ctx = cert.scenario.rule_context
+    subst, steps = {leaf: new}, []
+    for step in cert.steps:
+        inputs = tuple(subst.get(c, c) for c in step.inputs)
+        subst[step.output] = output = apply_rule(step.rule, inputs, ctx)
+        steps.append(dataclasses.replace(step, inputs=inputs, output=output))
+    return dataclasses.replace(cert, steps=tuple(steps), factors=_conclusion(steps))
+
+
+def _leaf_mutations(cert: Certificate):
+    """Each leaf at the constant 1e-3, and at every other symbol its
+    scenario declares."""
+    symbols = [sel.symbol for sel in cert.scenario.generators.values()]
+    for leaf in _leaves(cert):
+        yield f"{leaf} lowered", _with_leaf(cert, leaf, FilteredClass(leaf.term, fnum(1e-3)))
+        for s in symbols:
+            if fsym(s) != leaf.filtration:
+                yield f"{leaf} swapped for {s}", _with_leaf(cert, leaf, FilteredClass(leaf.term, fsym(s)))
+
+
+def test_every_leaf_mutation_of_a_catalog_certificate_is_rejected():
+    # every mutant replays step by step; only the generator table tells it
+    # from the certificate it came from
+    passed, count = [], 0
+    for key, cert in _catalog_certificates().items():
+        for what, mutant in _leaf_mutations(cert):
+            count += 1
+            report = check_certificate(mutant)
+            if report.passed or "declared generator" not in " ".join(s.message for s in report.steps):
+                passed.append(f"{key}: {what}")
+    assert count == 108
+    assert passed == []
+
+
+def test_a_certificate_replayed_without_an_axiom_it_uses_is_rejected():
+    checked = 0
+    for key, cert in _catalog_certificates().items():
+        ctx = cert.scenario.rule_context
+        for axiom in ctx.axioms & {step.rule for step in cert.steps}:
+            stripped = dataclasses.replace(cert.scenario, rule_context=dataclasses.replace(ctx, axioms=ctx.axioms - {axiom}))
+            report = check_certificate(dataclasses.replace(cert, scenario=stripped))
+            assert not report.passed, (key, axiom)
+            assert any(axiom in s.message for s in report.steps), (key, axiom)
+            checked += 1
+    assert checked == 20  # one per open-book certificate, two per ellipsoid2 one
+
+
+def test_an_iota_leaf_above_threshold_zero_is_rejected():
+    s = ellipsoid_scenario(2, 0.5)
+    cert = derive_certificate(s, s.target("[S^n]"))
+    leaf = cert.steps[1].inputs[1]
+    assert isinstance(leaf.term, Iota)
+    report = check_certificate(_with_leaf(cert, leaf, FilteredClass(leaf.term, fnum(1.0))))
+    assert not report.passed
+    assert "declared generator" in report.steps[1].message
