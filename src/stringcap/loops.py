@@ -1,16 +1,18 @@
 """Loops, loop families, the gauge length functional and its extremization.
 
-A loop is evaluated in array form: ``points(ts)`` and ``velocities(ts)`` map
-parameters ``ts`` of shape (m,) to coordinates of shape (m, d), all in the
-loop's ``chart``.  A loop built from scalar closures gets its array forms by
-stacking them, so every length goes through the same batched path.
+A loop is evaluated in array form only: ``points(ts)`` and ``velocities(ts)``
+map parameters ``ts`` of shape (m,) to coordinates of shape (m, d), all in
+the loop's ``chart``.  A loop built from scalar closures gets its array forms
+by stacking them, once, in its constructor; validation, concatenation and
+every length then go through the array forms.
 
 A loop family has the same forms one axis up: ``points(P, ts)`` and
 ``velocities(P, ts)`` map family parameters ``P`` of shape (G, p) and ``ts``
 of shape (m,) to coordinates of shape (G, m, d), and ``loop_at`` evaluates
-them on one row.  A grid of G loops sampled at m parameters is one stack of
-(G * m) samples for the support oracle, which returns one array of supports,
-+inf where the fiber is unbounded.
+them on one row.  A parameter grid is likewise one (G, p) array.  A grid of
+G loops sampled at m parameters is one stack of (G * m) samples for the
+support oracle, which returns one array of supports, +inf where the fiber is
+unbounded.
 
 The length of a loop q is the integral over one period of the fiber support
 function evaluated on the velocity.  The integrand is smooth and periodic, so
@@ -56,21 +58,22 @@ ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(eq=False)
 class Loop:
-    """A parametrized loop t in [0, 1) -> base manifold.
+    """A parametrized loop t in [0, 1) -> base manifold, in array form:
+    ``points`` and ``velocities`` map parameters of shape (m,) to
+    coordinates of shape (m, d) in ``chart``.
 
-    Give either the array forms ``points``/``velocities`` (parameters of
-    shape (m,) to coordinates of shape (m, d)) with their ``chart``, or the
-    scalar closures ``point_fn``/``deriv_fn``; the missing forms are derived.
-    The array forms may be handed read-only ``ts`` and must not write to it.
-    Without a velocity form the velocity is a central finite difference.
-    Points may be a lift (for flat quotients they can leave the fundamental
-    domain); ``identify`` maps raw coordinates to a canonical representative
-    and is used only by validation.
+    A loop may instead be given by the scalar closures ``point_fn`` and
+    ``deriv_fn``; they are stacked into the array forms once, here, and the
+    chart is read off ``point_fn(0.0)``.  The array forms may be handed
+    read-only ``ts`` and must not write to it.  Without a velocity form the
+    velocity is a central finite difference.  Points may be a lift (for flat
+    quotients they can leave the fundamental domain); ``identify`` maps raw
+    coordinates to a canonical representative and is used only by
+    validation.
     """
 
     point_fn: Optional[Callable[[float], BasePoint]] = None
     deriv_fn: Optional[Callable[[float], TangentVector]] = None
-    metadata: str = ""
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
     points: Optional[ArrayFn] = None
     velocities: Optional[ArrayFn] = None
@@ -92,18 +95,6 @@ class Loop:
                 return (pts(ts + _FD_STEP) - pts(ts - _FD_STEP)) / (2 * _FD_STEP)
 
             self.velocities = fd
-        if self.point_fn is None:
-            pts, chart = self.points, self.chart
-            self.point_fn = lambda t: BasePoint(pts(np.array([float(t)]))[0], chart)
-        if self.deriv_fn is None:
-            vel, pf = self.velocities, self.point_fn
-            self.deriv_fn = lambda t: TangentVector(vel(np.array([float(t)]))[0], pf(t))
-
-    def point(self, t: float) -> BasePoint:
-        return self.point_fn(t)
-
-    def velocity(self, t: float) -> TangentVector:
-        return self.deriv_fn(t)
 
 
 def _stacked_points(point_fn: Callable[[float], BasePoint], chart: str) -> ArrayFn:
@@ -124,25 +115,22 @@ def _stacked_points(point_fn: Callable[[float], BasePoint], chart: str) -> Array
 def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
     """Validate closure (within 1e-10) and derivative consistency against a
     central finite difference at ``samples`` interior points."""
-    p0 = loop.point_fn(0.0).coords
-    p1 = loop.point_fn(1.0).coords
+    p0, p1 = loop.points(np.array([0.0, 1.0]))
     if loop.identify is not None:
         p0, p1 = loop.identify(p0), loop.identify(p1)
     if np.linalg.norm(p1 - p0) > 1e-10:
         raise LoopValidationError(f"loop does not close: gap {np.linalg.norm(p1 - p0):.3e}")
     scale = max(1.0, float(np.linalg.norm(p0)))
-    for j in range(samples):
-        # offset avoids kinks that piecewise loops place at rational points
-        t = (j + 0.37) / samples
-        d = loop.deriv_fn(t).components
-        fd = (loop.point_fn(t + _FD_STEP).coords - loop.point_fn(t - _FD_STEP).coords) / (
-            2 * _FD_STEP
+    # offset avoids kinks that piecewise loops place at rational points
+    ts = (np.arange(samples) + 0.37) / samples
+    d = loop.velocities(ts)
+    fd = (loop.points(ts + _FD_STEP) - loop.points(ts - _FD_STEP)) / (2 * _FD_STEP)
+    denom = np.maximum(np.linalg.norm(d, axis=1), scale * 1e-3)
+    bad = np.linalg.norm(d - fd, axis=1) > fd_rtol * denom
+    if bad.any():
+        raise LoopValidationError(
+            f"derivative inconsistent with finite differences at t={ts[np.argmax(bad)]:.4f}"
         )
-        denom = max(np.linalg.norm(d), scale * 1e-3)
-        if np.linalg.norm(d - fd) > fd_rtol * denom:
-            raise LoopValidationError(
-                f"derivative inconsistent with finite differences at t={t:.4f}"
-            )
 
 
 def reverse(loop: Loop) -> Loop:
@@ -152,7 +140,6 @@ def reverse(loop: Loop) -> Loop:
         points=lambda ts: pts(1.0 - ts),
         velocities=lambda ts: -vel(1.0 - ts),
         chart=loop.chart,
-        metadata=f"reverse({loop.metadata})",
         identify=loop.identify,
     )
 
@@ -197,13 +184,11 @@ def _halves(first: np.ndarray, s: np.ndarray, fa: ArrayFn, fb: ArrayFn) -> np.nd
 def concatenate(a: Loop, b: Loop) -> Loop:
     """Cutoff-reparametrized concatenation of two loops with a shared
     basepoint; length is additive by reparametrization invariance."""
-    pa0, pb0 = a.point_fn(0.0), b.point_fn(0.0)
-    if pa0.chart_id != pb0.chart_id:
+    if a.chart != b.chart:
         raise BasepointMismatchError("loops live in different charts")
-    if np.linalg.norm(pa0.coords - pb0.coords) > 1e-9:
-        raise BasepointMismatchError(
-            f"basepoints differ by {np.linalg.norm(pa0.coords - pb0.coords):.3e}"
-        )
+    gap = np.linalg.norm(a.points(np.zeros(1))[0] - b.points(np.zeros(1))[0])
+    if gap > 1e-9:
+        raise BasepointMismatchError(f"basepoints differ by {gap:.3e}")
 
     def split(ts: np.ndarray):
         t = np.mod(ts, 1.0)
@@ -223,7 +208,6 @@ def concatenate(a: Loop, b: Loop) -> Loop:
         points=points,
         velocities=velocities,
         chart=a.chart,
-        metadata=f"concat({a.metadata},{b.metadata})",
         identify=a.identify,
     )
 
@@ -232,14 +216,18 @@ def concatenate(a: Loop, b: Loop) -> Loop:
 # Quadrature
 # ---------------------------------------------------------------------------
 
+# the trapezoid rule doubles a row's samples at most this many times
+_MAX_DOUBLINGS = 6
+
+
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
-    doubled up to ``max_doublings`` times until two levels agree to qtol."""
+    doubled up to ``_MAX_DOUBLINGS`` (six) times until two levels agree to
+    qtol."""
 
     panels: int = 512
     qtol: float = 1e-7
-    max_doublings: int = 6
 
     def __post_init__(self):
         if self.panels < 8:
@@ -276,15 +264,12 @@ def _first_infinite(ts: np.ndarray, values: np.ndarray) -> Optional[tuple[int, f
 
 
 @functools.lru_cache(maxsize=16)
-def _first_levels(n: int, doubling: bool) -> np.ndarray:
+def _first_levels(n: int) -> np.ndarray:
     """Samples of levels 0 and 1 in level order: the n points j/n, then their
-    n midpoints (j + 1/2)/n; level 0 alone without doublings.  Every length
-    of a quadrature starts from them, and on short levels building them costs
-    about a tenth of the length, so they are built once and shared,
-    read-only."""
-    ts = np.arange(n) / n
-    if doubling:
-        ts = np.concatenate([ts, (np.arange(n) + 0.5) / n])
+    n midpoints (j + 1/2)/n.  Every length of a quadrature starts from them,
+    and on short levels building them costs about a tenth of the length, so
+    they are built once and shared, read-only."""
+    ts = np.concatenate([np.arange(n) / n, (np.arange(n) + 0.5) / n])
     ts.flags.writeable = False
     return ts
 
@@ -302,16 +287,16 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
     None); rows after it stop, and only the lengths of rows before it mean
     anything."""
     n = quad.panels
-    ts = _first_levels(n, quad.max_doublings > 0)
+    ts = _first_levels(n)
     values = _in_blocks(values_at, np.arange(count), ts)
     failed = _first_infinite(ts, values)
     if failed is not None:
         values = values[:failed[0]]
-    sums = values.reshape(values.shape[0], ts.shape[0] // n, n).sum(axis=2).tolist()  # per row and level
+    sums = values.reshape(values.shape[0], 2, n).sum(axis=2).tolist()  # per row and level
     totals = [s[0] for s in sums]
     lengths = [total / n for total in totals]  # each row's latest level
     rows = list(range(len(sums)))  # rows still doubling, in row order
-    for k in range(quad.max_doublings):
+    for k in range(_MAX_DOUBLINGS):
         if k == 0:
             fresh = [s[1] for s in sums]
         else:
@@ -396,17 +381,11 @@ class ParamGrid:
     def dim(self) -> int:
         return len(self.axes)
 
-    def points(self):
-        if not self.axes:
-            yield np.empty(0)
-            return
-        for combo in itertools.product(*(ax.points() for ax in self.axes)):
-            yield np.array(combo)
-
-    def array(self) -> np.ndarray:
-        """The grid points as the rows of a (G, dim) array, in ``points()``
-        order."""
-        return np.array(list(self.points()), dtype=float)
+    def points(self) -> np.ndarray:
+        """The grid points as the rows of a (G, dim) array in
+        ``itertools.product`` order, the last axis varying fastest; one empty
+        row, of shape (1, 0), when dim is 0."""
+        return np.array(list(itertools.product(*(ax.points() for ax in self.axes))), dtype=float)
 
 
 FamilyFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -437,7 +416,6 @@ class LoopFamily:
             points=lambda ts: pts(P, ts)[0],
             velocities=lambda ts: vel(P, ts)[0],
             chart=self.chart,
-            metadata=f"{self.name} at {P[0].tolist()}",
             identify=self.identify,
         )
 
@@ -581,7 +559,7 @@ def extremal_lengths(
     below ``refine.xtol`` on every axis or when its next round would take it
     past ``refine.budget`` lengths.  Each ``refinement_history`` entry counts
     its extremum's lengths (``evals``) and ``rounds``."""
-    pts = family.grid.array()
+    pts = family.grid.points()
     lengths = family_lengths(domain, family, pts, quad)
     i_max = int(np.argmax(lengths))
     i_min = int(np.argmin(lengths))

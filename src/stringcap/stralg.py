@@ -465,11 +465,12 @@ class ValidationReport:
         return self.conclusion_ok and all(s.ok for s in self.steps)
 
 
-def _is_leaf(c: FilteredClass, generators: dict) -> bool:
+def _is_leaf(c: FilteredClass, generators: dict, ctx: RuleContext) -> bool:
     """A declared generator, or its rotation, at exactly its threshold
-    symbol, or an iota class at threshold 0."""
+    symbol, or an iota class at threshold 0 under the label ``ctx`` declares
+    for its cycle."""
     if isinstance(c.term, Iota):
-        return c.filtration.is_zero
+        return c.filtration.is_zero and ctx.iota_table.get(c.term.cycle) == c.term.label
     t = c.term.of if isinstance(c.term, Delta) else c.term
     sel = generators.get(t)
     return sel is not None and c.filtration == fsym(sel.symbol)
@@ -487,7 +488,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
         ok = True
         msg = ""
         for inp in step.inputs:
-            if not (inp in available or _is_leaf(inp, generators)):
+            if not (inp in available or _is_leaf(inp, generators, ctx)):
                 ok, msg = False, f"input {inp} is neither a declared generator nor a prior output"
         if ok:
             try:

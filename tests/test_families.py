@@ -44,13 +44,11 @@ SCENARIOS = [
     klein_bottle_scenario(0.8, 1.5),
 ]
 CASES = [(s, name) for s in SCENARIOS for name in s.families]
-# the scenarios' own rule, coarse ones whose rows stop at different levels,
-# and one without doublings
+# the scenarios' own rule and coarse ones whose rows stop at different levels
 QUADS = [
     QuadratureSpec(panels=64),
     QuadratureSpec(panels=8),
     QuadratureSpec(panels=16, qtol=1e-12),
-    QuadratureSpec(panels=8, max_doublings=0),
 ]
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -89,7 +87,7 @@ def _reference_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec) -> 
     n = quad.panels
     total = level_sum(np.arange(n) / n)
     prev = total / n
-    for _ in range(quad.max_doublings):
+    for _ in range(loops._MAX_DOUBLINGS):
         total += level_sum((np.arange(n) + 0.5) / n)
         n *= 2
         cur = total / n
@@ -220,28 +218,17 @@ def test_family_grid_oracle_batches():
     s = ellipsoid_scenario(3, 0.5)  # a 9 x 9 page grid, 64 panels
     fam = s.families["L+"]
     domain, batches = _recording(s.domain)
-    family_lengths(domain, fam, fam.grid.array(), s.quad)
+    family_lengths(domain, fam, fam.grid.points(), s.quad)
     # 81 rows of 128 samples (levels 0 and 1) in blocks of 32 rows; the
     # constant integrands all agree after one doubling
     assert batches == [4096, 4096, 2176]
-
-
-def test_without_doublings_only_level_zero_is_evaluated():
-    s = klein_bottle_scenario(0.8, 1.5)
-    fam = s.families["Ldoubled"]
-    quad = QuadratureSpec(panels=8, max_doublings=0)
-    domain, batches = _recording(s.domain)
-    P = fam.grid.array()
-    lengths = family_lengths(domain, fam, P, quad)
-    assert loop_length(domain, fam.loop_at(P[3]), quad) == lengths[3]
-    assert batches == [17 * 8, 8]
 
 
 def test_unconverged_rows_double_together():
     s = klein_bottle_scenario(0.8, 1.5)
     fam = s.families["Ldoubled"]
     quad = QuadratureSpec(panels=8, qtol=1e-12)
-    P = fam.grid.array()
+    P = fam.grid.points()
     per_row = []  # the level sizes each row's reference rule samples
     for p in P:
         domain, batches = _recording(s.domain)
@@ -296,7 +283,7 @@ def test_grid_is_batched_and_each_refinement_round_is_one_family_lengths_call(mo
     assert lengths == []
     np.testing.assert_array_equal([rep.argmax_params, rep.argmin_params], [[-0.375], [0.0]])
     assert [(h["evals"], h["rounds"]) for h in rep.refinement_history] == [(30, 15), (30, 15)]
-    np.testing.assert_array_equal(calls[0], fam.grid.array())
+    np.testing.assert_array_equal(calls[0], fam.grid.points())
     # then one call per round, the sup's two trial rows and then the inf's,
     # each within one grid gap of its grid point
     gap = 0.75 / 16
@@ -409,7 +396,7 @@ def test_refinement_crosses_the_seam_of_both_periodic_axes():
     # the grid's largest value is at (0, 0), and the maximum lies across the
     # seam from there on both axes
     rep = extremal_lengths(_scaled_torus(_bump), _vertical_family(TORUS_GRID))
-    np.testing.assert_array_equal(TORUS_GRID.array()[0], [0.0, 0.0])
+    np.testing.assert_array_equal(TORUS_GRID.points()[0], [0.0, 0.0])
     assert rep.grid_E == pytest.approx(float(_bump(0.0, 0.0)), rel=1e-12)
     assert rep.E == pytest.approx(1.5, rel=1e-9)
     np.testing.assert_allclose(rep.argmax_params, [0.95, 0.95], atol=1e-5)
@@ -480,7 +467,7 @@ def _nan_torus(t_nan: float, u_min: float) -> GaugeDomain:
 def test_a_nan_support_value_counts_as_infinite(t_nan):
     domain = _nan_torus(t_nan, 0.5)
     fam = _vertical_family(ParamGrid((GridAxis(0.0, 1.0, 4), GridAxis(0.0, 1.0, 2))))
-    P = fam.grid.array()
+    P = fam.grid.points()
     quad = QuadratureSpec(panels=8)
     assert loop_length(domain, fam.loop_at(P[3]), quad) == 1.0  # u = 1/3 sees no NaN
     with pytest.raises(InfiniteLengthError) as exc:

@@ -1,10 +1,12 @@
 """Loop validation, length quadrature and extremal-length machinery."""
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from stringcap import loops
 from stringcap.catalog import (
     camel_scenario,
     ellipsoid_domain,
@@ -56,7 +58,7 @@ def _equator_loop(a_dummy=None):
             np.array([0.0, -TWO_PI * math.sin(ang), TWO_PI * math.cos(ang)]), point(t)
         )
 
-    return Loop(point, deriv, metadata="equator")
+    return Loop(point, deriv)
 
 
 def _torus_vertical_loop(x0=0.25):
@@ -112,9 +114,9 @@ def test_flat_torus_factor_loop_has_unit_length():
 def test_reverse_is_an_involution_pointwise():
     loop = _equator_loop()
     rr = reverse(reverse(loop))
-    for t in np.linspace(0.0, 1.0, 64, endpoint=False):
-        assert np.allclose(rr.point(t).coords, loop.point(t).coords, atol=1e-12)
-        assert np.allclose(rr.velocity(t).components, loop.velocity(t).components, atol=1e-9)
+    ts = np.linspace(0.0, 1.0, 64, endpoint=False)
+    assert np.allclose(rr.points(ts), loop.points(ts), atol=1e-12)
+    assert np.allclose(rr.velocities(ts), loop.velocities(ts), atol=1e-9)
 
 
 def test_reverse_preserves_length_on_symmetric_domain():
@@ -137,7 +139,7 @@ def test_reversed_constrained_loop_probes_the_opposite_direction():
 def test_concatenation_with_constant_preserves_length():
     dom = ellipsoid_domain(2, 0.5)
     loop = _equator_loop()
-    p0 = loop.point(0.0)
+    p0 = loop.point_fn(0.0)
     const = Loop(lambda t: p0, lambda t: TangentVector(np.zeros(3), p0))
     both = concatenate(loop, const)
     assert loop_length(dom, both) == pytest.approx(loop_length(dom, loop), abs=1e-7)
@@ -171,7 +173,7 @@ def test_reparametrization_invariance():
                 2 * TWO_PI
             )
 
-        warped = Loop(lambda t: base.point(rho(t)), metadata="reparametrized")
+        warped = Loop(lambda t: base.point_fn(rho(t)))
         assert abs(loop_length(dom, warped) - ell) <= 1e-6 * (1.0 + ell)
 
 
@@ -195,6 +197,16 @@ def test_quadrature_spec_validation():
     with pytest.raises(InvalidInputError):
         QuadratureSpec(panels=6)
     QuadratureSpec(panels=8)
+
+
+def test_grid_points_are_an_array_in_product_order():
+    grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True), GridAxis(-0.5, 0.5, 3)))
+    P = grid.points()
+    assert P.shape == (12, 2)
+    product = list(itertools.product(grid.axes[0].points(), grid.axes[1].points()))
+    for row, combo in zip(P, product, strict=True):
+        np.testing.assert_array_equal(row, combo)
+    assert ParamGrid(()).points().shape == (1, 0)
 
 
 def test_extremal_lengths_on_rotation_family():
@@ -284,12 +296,12 @@ def test_infinite_length_reports_the_first_infinite_sample(center, half_width, e
     loop = _window_loop(center, half_width)
     # per-sample reference: the samples in the order the levels add them
     n, levels = quad.panels, [np.arange(quad.panels) / quad.panels]
-    for _ in range(quad.max_doublings):
+    for _ in range(loops._MAX_DOUBLINGS):
         levels.append((np.arange(n) + 0.5) / n)
         n *= 2
     first = next(
         t for ts in levels for t in ts
-        if not math.isfinite(support(dom, loop.point(t), loop.velocity(t)))
+        if not math.isfinite(support(dom, loop.point_fn(t), loop.deriv_fn(t)))
     )
     assert first == expected
     with pytest.raises(InfiniteLengthError) as exc:
@@ -315,7 +327,7 @@ def test_loop_length_uses_a_swapped_in_oracle_once_per_level():
     both = concatenate(loop, reverse(loop))
     assert loop_length(swapped, both, QuadratureSpec(panels=16)) == pytest.approx(6.0 * TWO_PI * 0.5, rel=1e-9)
     assert batches == [32, 32, 64]  # levels 0 and 1, then one call per later level
-    q, v = loop.point(0.1), loop.velocity(0.1)
+    q, v = loop.point_fn(0.1), loop.deriv_fn(0.1)
     assert float(support(swapped, q, v)) == pytest.approx(3.0 * float(support(dom, q, v)), rel=1e-14)
 
 
@@ -327,12 +339,12 @@ def test_concatenate_and_reverse_array_forms_match_per_sample_composition():
         u = t % 1.0
         inner, s = (a, 2.0 * u) if u < 0.5 else (b, 2.0 * u - 1.0)
         c = float(cutoff(s))
-        np.testing.assert_allclose(q, inner.point(c).coords, rtol=0, atol=1e-14)
-        want = 2.0 * float(cutoff_deriv(s)) * inner.velocity(c).components
+        np.testing.assert_allclose(q, inner.points(np.array([c]))[0], rtol=0, atol=1e-14)
+        want = 2.0 * float(cutoff_deriv(s)) * inner.velocities(np.array([c]))[0]
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
     rts = reverse(a)
-    np.testing.assert_allclose(rts.points(ts), [a.point(1.0 - t).coords for t in ts], atol=1e-15)
-    np.testing.assert_allclose(rts.velocities(ts), [-a.velocity(1.0 - t).components for t in ts], atol=1e-15)
+    np.testing.assert_allclose(rts.points(ts), [a.point_fn(1.0 - t).coords for t in ts], atol=1e-15)
+    np.testing.assert_allclose(rts.velocities(ts), [-a.deriv_fn(1.0 - t).components for t in ts], atol=1e-15)
 
 
 def test_scalar_loop_must_stay_in_its_chart():
@@ -347,7 +359,7 @@ def test_scalar_loop_must_stay_in_its_chart():
 def test_lengths_refuse_a_chart_the_domain_does_not_accept():
     s = ellipsoid_scenario(2, 0.5)  # its domain accepts the chart "embedding" only
     fam = dataclasses.replace(s.families["L+"], chart="default")
-    P = fam.grid.array()
+    P = fam.grid.points()
     with pytest.raises(ChartMismatchError):
         loop_length(s.domain, fam.loop_at(P[0]))
     with pytest.raises(ChartMismatchError):

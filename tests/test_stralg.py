@@ -353,10 +353,10 @@ def test_every_single_field_mutation_of_a_catalog_certificate_is_rejected():
 
 
 def _leaves(cert: Certificate) -> list:
-    """The derivation's leaves other than iota classes, in order of use."""
+    """The derivation's leaves, in order of use."""
     produced, leaves = set(), []
     for step in cert.steps:
-        leaves += [c for c in step.inputs if c not in produced and c not in leaves and not isinstance(c.term, Iota)]
+        leaves += [c for c in step.inputs if c not in produced and c not in leaves]
         produced.add(step.output)
     return leaves
 
@@ -375,10 +375,15 @@ def _with_leaf(cert: Certificate, leaf: FilteredClass, new: FilteredClass) -> Ce
 
 
 def _leaf_mutations(cert: Certificate):
-    """Each leaf at the constant 1e-3, and at every other symbol its
-    scenario declares."""
+    """Each iota leaf under a label its scenario does not declare; each
+    other leaf at the constant 1e-3, and at every other symbol its scenario
+    declares."""
     symbols = [sel.symbol for sel in cert.scenario.generators.values()]
     for leaf in _leaves(cert):
+        if isinstance(leaf.term, Iota):
+            renamed = dataclasses.replace(leaf.term, label="no-such-label")
+            yield f"{leaf} renamed", _with_leaf(cert, leaf, FilteredClass(renamed, leaf.filtration))
+            continue
         yield f"{leaf} lowered", _with_leaf(cert, leaf, FilteredClass(leaf.term, fnum(1e-3)))
         for s in symbols:
             if fsym(s) != leaf.filtration:
@@ -395,7 +400,7 @@ def test_every_leaf_mutation_of_a_catalog_certificate_is_rejected():
             report = check_certificate(mutant)
             if report.passed or "declared generator" not in " ".join(s.message for s in report.steps):
                 passed.append(f"{key}: {what}")
-    assert count == 108
+    assert count == 112
     assert passed == []
 
 
