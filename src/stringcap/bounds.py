@@ -1,11 +1,12 @@
 """Turn scenarios into numeric width bounds with attached certificates.
 
 The symbolic filtration of each certificate is resolved against the extremal
-lengths of the scenario's loop families; the resolved number is the reported
-upper bound.
+lengths of the loop families the scenario's generators select; the resolved
+number is the reported upper bound.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -14,21 +15,39 @@ from .errors import ScenarioParameterError
 from .loops import ExtremalLengthReport, QuadratureSpec, RefineSpec, extremal_lengths
 from .stralg import Certificate, check_certificate, derive_certificate
 
+# the most points a family's parameter grid may have: the grid is built as one
+# row per point, and each row gets a length
+MAX_GRID_POINTS = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class CapacityBound:
-    """A certified numeric upper bound on the width of ``target``."""
+    """A certified numeric upper bound on the width of ``target``; its
+    scenario is the certificate's, and whether the width is known to equal
+    the bound is the target's."""
 
-    scenario_id: str
     target: TargetClass
     upper_bound: float
     certificate: Certificate
     numeric_bindings: dict
     tolerance: float
-    gr_symbol: str
-    equality_known: bool = False
-    equality_note: str = ""
     family_reports: dict = field(default_factory=dict)
+
+    @property
+    def scenario_id(self) -> str:
+        return self.certificate.scenario.id
+
+    @property
+    def gr_symbol(self) -> str:
+        return f"Gr({self.target.name}, Omega)"
+
+    @property
+    def equality_known(self) -> bool:
+        return bool(self.target.equality)
+
+    @property
+    def equality_note(self) -> str:
+        return self.target.equality
 
     def to_jsonable(self) -> dict:
         return {
@@ -53,16 +72,23 @@ def resolve_bindings(
     quad: Optional[QuadratureSpec] = None,
     refine: RefineSpec = RefineSpec(),
 ) -> tuple[dict, dict]:
-    """Extremal lengths for every family, mapped through the scenario's
-    symbolic binding selectors.  Returns (bindings, per-family reports)."""
+    """Extremal lengths of every family a generator selects, mapped through
+    the scenario's symbolic binding selectors.  Returns (bindings,
+    per-family reports).  A family grid of more than ``MAX_GRID_POINTS``
+    points raises ``ScenarioParameterError`` before any family is
+    evaluated."""
     quad = quad or scenario.quad
+    families = scenario.families
+    for name, fam in families.items():
+        size = math.prod(ax.count for ax in fam.grid.axes)
+        if size > MAX_GRID_POINTS:
+            raise ScenarioParameterError(f"family {name!r} has {size} grid points, more than {MAX_GRID_POINTS}")
     reports: dict[str, ExtremalLengthReport] = {
-        name: extremal_lengths(scenario.domain, fam, quad, refine)
-        for name, fam in scenario.families.items()
+        name: extremal_lengths(scenario.domain, fam, quad, refine) for name, fam in families.items()
     }
     bindings = {}
     for name, sel in scenario.symbolic_bindings.items():
-        rep = reports[sel.family]
+        rep = reports[sel.family.name]
         bindings[name] = sel.scale * (rep.E if sel.mode == "sup" else rep.e)
     return bindings, reports
 
@@ -81,20 +107,15 @@ def _make_bound(
         )
     value = cert.filtration.resolve(bindings)
     tol = sum(
-        reports[scenario.symbolic_bindings[s].family].tolerance
+        reports[scenario.symbolic_bindings[s].family.name].tolerance
         for s in cert.filtration.symbols
     )
-    note = scenario.equality.get(target.name, "")
     return CapacityBound(
-        scenario_id=scenario.id,
         target=target,
         upper_bound=value,
         certificate=cert,
         numeric_bindings={s: bindings[s] for s in cert.filtration.symbols},
         tolerance=tol,
-        gr_symbol=f"Gr({target.name}, Omega)",
-        equality_known=bool(note),
-        equality_note=note,
         family_reports=reports,
     )
 

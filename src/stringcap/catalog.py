@@ -1,10 +1,11 @@
 """Built-in scenarios: geometry, loop families, targets and rewrite data.
 
-Each constructor bundles a gauge domain with the loop families whose extremal
-lengths feed the width bounds, the target classes those bounds apply to, the
-intersection/sweep tables the symbolic calculus consults, and the generator
-table: every class a certificate may start from, with the sup or inf of the
-family length that bounds its threshold.  Each target class carries the
+Each constructor bundles a gauge domain with the target classes its width
+bounds apply to, the intersection/sweep tables the symbolic calculus consults,
+and the generator table: every class a certificate may start from, with the
+loop family whose sup or inf length bounds its threshold.  That table is the
+one list of a scenario's numeric work: its families are read off the
+selectors, and no other family is evaluated.  Each target class carries the
 recipe that derives its certificate from those generators.  Each constructor
 checks its own arguments and raises ``ScenarioParameterError`` for a value out
 of type or range.  ``SCENARIOS`` declares each scenario name once, with its
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -66,29 +67,35 @@ class TargetClass:
 
     ``recipe`` is the ``stralg`` rule chain that derives the target's
     certificate; ``both_orientations`` marks a chain that holds for either
-    rotation orientation, so the bound is the smaller of the two."""
+    rotation orientation, so the bound is the smaller of the two.
+    ``equality``, when not empty, says why the width is known to equal the
+    bound."""
 
     name: str
     declared_nonzero_pairing: str
     recipe: Callable
-    justification: str = ""
     both_orientations: bool = False
+    equality: str = ""
 
 
 @dataclass(frozen=True, slots=True)
 class BindingSelector:
     """Resolves the filtration symbol ``symbol`` to scale x (sup or inf) of
-    the lengths of a named loop family."""
+    the lengths of the loop family ``family``."""
 
     symbol: str
-    family: str
+    family: LoopFamily
     mode: str  # "sup" | "inf"
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.mode not in ("sup", "inf"):
+            raise ScenarioParameterError(f"binding {self.symbol!r} has bad mode {self.mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A gauge domain with its loop families, targets and rewrite data.
+    """A gauge domain with its targets and rewrite data.
 
     ``generators`` maps each class a certificate may start from to the
     selector of its threshold: the class lies in the filtration at the
@@ -99,22 +106,22 @@ class Scenario:
     id: str
     params: dict
     domain: GaugeDomain
-    families: dict[str, LoopFamily]
     targets: tuple[TargetClass, ...]
     generators: dict[Term, BindingSelector]
     rule_context: RuleContext
     quad: ClassVar[QuadratureSpec] = QuadratureSpec(panels=64)
-    equality: dict = field(default_factory=dict)  # target name -> note
-    notes: str = ""
 
     def __post_init__(self):
-        for sel in self.generators.values():
-            if sel.family not in self.families:
-                raise ScenarioParameterError(
-                    f"binding {sel.symbol!r} refers to unknown family {sel.family!r}"
-                )
-            if sel.mode not in ("sup", "inf"):
-                raise ScenarioParameterError(f"binding {sel.symbol!r} has bad mode {sel.mode!r}")
+        # a family's name keys its lengths and its grid values
+        named = self.families
+        if any(named[sel.family.name] is not sel.family for sel in self.generators.values()):
+            raise ScenarioParameterError(f"scenario {self.id!r} has two families of one name")
+
+    @property
+    def families(self) -> dict[str, LoopFamily]:
+        """The families the generators' selectors name, keyed by name, in
+        order of first use."""
+        return {sel.family.name: sel.family for sel in self.generators.values()}
 
     @property
     def symbolic_bindings(self) -> dict[str, BindingSelector]:
@@ -204,19 +211,21 @@ def _page_grid(page_dim: int) -> ParamGrid:
     return ParamGrid(tuple(GridAxis(-s, s, count) for _ in range(page_dim)))
 
 
-def _page_rotation_families(page_dim: int) -> dict[str, LoopFamily]:
+def _page_rotation_families(page_dim: int) -> tuple[LoopFamily, LoopFamily]:
     grid = _page_grid(page_dim)
-    return {"L+": _page_circle_family("L+", grid, +1), "L-": _page_circle_family("L-", grid, -1)}
+    return _page_circle_family("L+", grid, +1), _page_circle_family("L-", grid, -1)
 
 
-# the rotation families of every open book are named L+ and L-: a page
-# rotation is bounded by the longest loop, a single orbit by the shortest
-_OPEN_BOOK_GENERATORS = {
-    BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"): BindingSelector("E+", "L+", "sup"),
-    BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"): BindingSelector("E-", "L-", "sup"),
-    ActionClass("pt", +1): BindingSelector("e+", "L+", "inf"),
-    ActionClass("pt", -1): BindingSelector("e-", "L-", "inf"),
-}
+def _open_book_generators(plus: LoopFamily, minus: LoopFamily) -> dict[Term, BindingSelector]:
+    """The generators of an open book with positive and negative rotation
+    families ``plus`` and ``minus``: a page rotation is bounded by the
+    longest loop, a single orbit by the shortest."""
+    return {
+        BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"): BindingSelector("E+", plus, "sup"),
+        BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"): BindingSelector("E-", minus, "sup"),
+        ActionClass("pt", +1): BindingSelector("e+", plus, "inf"),
+        ActionClass("pt", -1): BindingSelector("e-", minus, "inf"),
+    }
 
 
 def _open_book_context(boundary_nonempty: bool) -> RuleContext:
@@ -228,20 +237,14 @@ def _open_book_context(boundary_nonempty: bool) -> RuleContext:
     )
 
 
-_CONSTANT_LOOPS_TARGET = TargetClass(
-    "[pt]", "PD(T*M)", open_book_point_recipe, "constant loops sweep the whole base"
-)
+# the constant loops sweep the whole base
+_CONSTANT_LOOPS_TARGET = TargetClass("[pt]", "PD(T*M)", open_book_point_recipe)
 
 
-def _fiber_pairing_target(name: str) -> TargetClass:
-    """The fundamental class of an open book whose page has boundary."""
-    return TargetClass(
-        name,
-        "T*M_pt",
-        open_book_fundamental_recipe,
-        "fundamental class pairs with a fiber",
-        both_orientations=True,
-    )
+def _fiber_pairing_target(name: str, equality: str = "") -> TargetClass:
+    """The fundamental class of an open book whose page has boundary: it
+    pairs with a fiber."""
+    return TargetClass(name, "T*M_pt", open_book_fundamental_recipe, both_orientations=True, equality=equality)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +281,8 @@ def _integer(name: str, value, minimum: int) -> int:
 
 def ellipsoid_scenario(n: int, a: float) -> Scenario:
     """Unit codisk of the stretched sphere metric (last two axes scaled by a),
-    with the open-book rotation families over the page disk."""
+    with the open-book rotation families over the page disk, whose orbits
+    have length 2 pi a sqrt(1-|x|^2) and are constant at the binding."""
     n, a = _integer("n", n, 2), _real("a", a)
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
@@ -286,12 +290,12 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
         id=f"ellipsoid1(n={n},a={a})",
         params={"scenario": "ellipsoid1", "n": n, "a": a},
         domain=ellipsoid_domain(n, a),
-        families=_page_rotation_families(n - 1),
-        targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[S^n]")),
-        generators=_OPEN_BOOK_GENERATORS,
+        targets=(
+            _CONSTANT_LOOPS_TARGET,
+            _fiber_pairing_target("[S^n]", "width of the fundamental class equals the equator length"),
+        ),
+        generators=_open_book_generators(*_page_rotation_families(n - 1)),
         rule_context=_open_book_context(boundary_nonempty=True),
-        equality={"[S^n]": "width of the fundamental class equals the equator length"},
-        notes="rotation-orbit lengths are 2 pi a sqrt(1-|x|^2); binding loops are constant",
     )
 
 
@@ -307,7 +311,8 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         metadata=f"unit codisk, four stretched axes, n={n}, a={a}",
     )
 
-    # orbits of the diagonal action at radius r = params[:, 0]
+    # orbits of the diagonal action at radius r = params[:, 0], of length
+    # 2 pi a r, longest at r = 1
     def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
         r = P[:, :1]
         out = np.zeros((P.shape[0], ts.shape[0], n + 1))
@@ -324,9 +329,8 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         return out
 
     grid = ParamGrid((GridAxis(0.0, 1.0, 17),))
-    families = {
-        "orbits": LoopFamily("orbits", grid, points=points, velocities=velocities, chart="embedding")
-    }
+    orbits = LoopFamily("orbits", grid, points=points, velocities=velocities, chart="embedding")
+    ball = "matching lower bound by an explicit ball family"
     ctx = RuleContext(
         axioms=frozenset({"OB_BV2", "HOPF_CONTRACT"}),
         iota_table={"id": "PD(T*M)"},
@@ -335,18 +339,12 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         id=f"ellipsoid2(n={n},a={a})",
         params={"scenario": "ellipsoid2", "n": n, "a": a},
         domain=domain,
-        families=families,
         targets=(
-            TargetClass("[pt]", "PD(T*M)", diagonal_action_recipe, "constant loops sweep the whole base"),
-            TargetClass("[S^n]", "PD(T*M)", diagonal_action_recipe, "same derivation; equality is known"),
+            TargetClass("[pt]", "PD(T*M)", diagonal_action_recipe, equality=ball),
+            TargetClass("[S^n]", "PD(T*M)", diagonal_action_recipe, equality=ball),
         ),
-        generators={BVPreimage(ActionClass("id", +1), "OB_BV2"): BindingSelector("E_A", "orbits", "sup")},
+        generators={BVPreimage(ActionClass("id", +1), "OB_BV2"): BindingSelector("E_A", orbits, "sup")},
         rule_context=ctx,
-        equality={
-            "[pt]": "matching lower bound by an explicit ball family",
-            "[S^n]": "matching lower bound by an explicit ball family",
-        },
-        notes="diagonal-action orbit lengths are 2 pi a r, supremum at r = 1",
     )
 
 
@@ -414,23 +412,25 @@ def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, cou
 
 
 def _unit_torus_fold(c: np.ndarray) -> np.ndarray:
-    return np.mod(c, 1.0)
+    """``c`` folded into [0, 1)^d; a coordinate just below an integer, whose
+    remainder rounds up to 1, folds to 0."""
+    r = np.mod(c, 1.0)
+    return np.where(r < 1.0, r, 0.0)
 
 
 def _torus_grid(dim: int, count: int) -> ParamGrid:
     return ParamGrid(tuple(GridAxis(0.0, 1.0, count, periodic=True) for _ in range(dim)))
 
 
-def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str, str], notes: str) -> Scenario:
+def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str, str]) -> Scenario:
     """Loop families on pt x T^d over ``domain``: the negative rotation over
     the full torus, in chart ``charts[0]``, and the positive rotation
     constrained to the first k coordinates being zero, in chart
-    ``charts[1]``, with the subtorus target they bound."""
+    ``charts[1]``, with the subtorus target they bound; the coordinate
+    subtorus pairs with the complementary slice."""
     d = domain.base.dim
-    families = {
-        "L-": _torus_line_family("L-", 0, -1, d, charts[0], 4),
-        "L+^k": _torus_line_family("L+^k", k, +1, d, charts[1], 4),
-    }
+    minus = _torus_line_family("L-", 0, -1, d, charts[0], 4)
+    plus_k = _torus_line_family("L+^k", k, +1, d, charts[1], 4)
     ctx = RuleContext(
         sweep_table={"slice-": "id", "slice+k": f"T^{d - k}"},
         iota_table={f"T^{d - k}": f"PD(VxT^{d - k})"},
@@ -439,21 +439,12 @@ def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str
         id=f"{params['scenario']}(" + ",".join(f"{k2}={v}" for k2, v in params.items() if k2 != "scenario") + ")",
         params=params,
         domain=domain,
-        families=families,
-        targets=(
-            TargetClass(
-                "[T^k]",
-                f"PD(VxT^{d - k})",
-                product_torus_recipe,
-                "coordinate subtorus pairs with the complementary slice",
-            ),
-        ),
+        targets=(TargetClass("[T^k]", f"PD(VxT^{d - k})", product_torus_recipe),),
         generators={
-            ActionClass("slice-", -1): BindingSelector("E-", "L-", "sup"),
-            ActionClass("slice+k", +1): BindingSelector("E+^k", "L+^k", "sup"),
+            ActionClass("slice-", -1): BindingSelector("E-", minus, "sup"),
+            ActionClass("slice+k", +1): BindingSelector("E+^k", plus_k, "sup"),
         },
         rule_context=ctx,
-        notes=notes,
     )
 
 
@@ -466,41 +457,42 @@ def product_torus_scenario(d: int, k: int, radius: float) -> Scenario:
     if radius < 0:
         raise ScenarioParameterError("radius must be >= 0")
     params = {"scenario": "product_torus", "d": d, "k": k, "radius": radius}
-    return _torus_scenario(
-        params, flat_torus_domain(d, radius), k, ("torus", "torus"), "flat geodesic loops along the last factor"
-    )
+    return _torus_scenario(params, flat_torus_domain(d, radius), k, ("torus", "torus"))
 
 
 def camel_scenario(n: int, eps: float, delta: float) -> Scenario:
     """The camel domain over the n-torus, with the loop families of
     ``_torus_scenario`` for k = 1; the positive rotation runs in the q1 = 0
-    chart, where the last momentum is bounded above."""
+    chart, where the last momentum is bounded above.  Both families have
+    constant support integrands, and the bound is eps + 3 delta."""
     n, eps, delta = _integer("n", n, 2), _real("eps", eps), _real("delta", delta)
     if eps <= 0 or delta <= 0:
         raise ScenarioParameterError("eps and delta must be positive")
     params = {"scenario": "camel", "n": n, "eps": eps, "delta": delta}
-    notes = "both families have constant support integrands; the bound is eps + 3 delta"
-    return _torus_scenario(params, camel_domain(n, eps, delta), 1, ("camel", "camel:q1zero"), notes)
+    return _torus_scenario(params, camel_domain(n, eps, delta), 1, ("camel", "camel:q1zero"))
 
 
 def klein_identify(a: float, b: float):
-    """Fold lifted plane coordinates into the fundamental domain of the
-    quotient by (x, y) -> (x + a, -y) and (x, y) -> (x, y + b)."""
+    """Fold lifted plane coordinates into the fundamental domain [0, a) x
+    [0, b) of the quotient by (x, y) -> (x + a, -y) and (x, y) -> (x, y + b).
+    A coordinate just below a multiple of its period, whose remainder rounds
+    up to the period, folds to 0 across the seam."""
 
     def fold(c: np.ndarray) -> np.ndarray:
-        x, y = float(c[0]), float(c[1])
-        k = math.floor(x / a)
-        x -= k * a
-        if k % 2:
-            y = -y
-        return np.array([x, y % b])
+        k, x = divmod(float(c[0]), a)
+        if x == a:
+            k, x = k + 1, 0.0
+        y = (-float(c[1]) if k % 2 else float(c[1])) % b
+        return np.array([x, y if y < b else 0.0])
 
     return fold
 
 
 def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     """Flat Klein bottle; the loop class consists of straight lines with
-    x-winding one, which reverse orientation, paired with their reverses."""
+    x-winding one, which reverse orientation, paired with their reverses.
+    Restricted to straight lines in the flat structure, the infimum 2a is
+    the flat optimum."""
     a, b, radius = _real("a", a), _real("b", b), _real("radius", radius)
     if a <= 0 or b <= 0:
         raise ScenarioParameterError("a and b must be positive")
@@ -524,12 +516,6 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         out[:, :, 1] = y0 + phi * (-2.0 * y0) if origin else phi * (-2.0 * y0)
         return out
 
-    def straight_points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return along(P, ts, True)
-
-    def straight_velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return along(P, np.ones(ts.shape[0]), False)
-
     # out along the straight loop and back along its reverse; closes in the
     # lift, so its length is l(q) + l(reverse q)
     def split(ts: np.ndarray):
@@ -546,14 +532,9 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         return along(P, rate * cutoff_deriv(s), False)
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
-    families = {
-        "L": LoopFamily(
-            "L", grid, points=straight_points, velocities=straight_velocities, chart="klein", identify=fold
-        ),
-        "Ldoubled": LoopFamily(
-            "Ldoubled", grid, points=doubled_points, velocities=doubled_velocities, chart="klein", identify=fold
-        ),
-    }
+    doubled = LoopFamily(
+        "Ldoubled", grid, points=doubled_points, velocities=doubled_velocities, chart="klein", identify=fold
+    )
     ctx = RuleContext(
         intersection_table={("q", "qbar"): "pt"},
         iota_table={"pt": "T*Sigma_pt"},
@@ -562,22 +543,12 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         id=f"klein(a={a},b={b},r={radius})",
         params={"scenario": "klein", "a": a, "b": b, "radius": radius},
         domain=domain,
-        families=families,
-        targets=(
-            TargetClass(
-                "[Sigma]", "T*Sigma_pt", non_orientable_recipe, "fundamental class pairs with a fiber"
-            ),
-        ),
+        targets=(TargetClass("[Sigma]", "T*Sigma_pt", non_orientable_recipe),),
         generators={
-            LoopCycle("q"): BindingSelector("l_q", "Ldoubled", "inf", scale=0.5),
-            LoopCycle("qbar"): BindingSelector("l_qbar", "Ldoubled", "inf", scale=0.5),
+            LoopCycle("q"): BindingSelector("l_q", doubled, "inf", scale=0.5),
+            LoopCycle("qbar"): BindingSelector("l_qbar", doubled, "inf", scale=0.5),
         },
         rule_context=ctx,
-        notes=(
-            "loop class restricted to straight lines in the flat structure; "
-            "the straight-line infimum 2a sqrt(1) is the flat optimum, "
-            "cross-checked against a coarse piecewise-linear grid search"
-        ),
     )
 
 
@@ -608,36 +579,26 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
             id=f"open_book(interval,round,r={radius})",
             params=params,
             domain=domain,
-            families=_page_rotation_families(1),
             targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
-            generators=_OPEN_BOOK_GENERATORS,
+            generators=_open_book_generators(*_page_rotation_families(1)),
             rule_context=_open_book_context(boundary_nonempty=True),
-            notes="the interval page with round profile closes up to the 2-sphere",
         )
 
     if page == "circle":
-        # the fiber loops t -> (u, +-t) over the page points u
+        # the fiber loops t -> (u, +-t) over the page points u; the page
+        # class pairs with its dual
         return Scenario(
             id=f"open_book(circle,trivial,r={radius},lp={len_page},lf={len_fiber})",
             params=params,
             domain=flat_torus_domain(2, radius, (len_page, len_fiber)),
-            families={
-                "L+": _torus_line_family("L+", 0, +1, 2, "torus", 8),
-                "L-": _torus_line_family("L-", 0, -1, 2, "torus", 8),
-            },
             targets=(
                 _CONSTANT_LOOPS_TARGET,
-                TargetClass(
-                    "[V]",
-                    "PD_dual(V)",
-                    closed_page_recipe,
-                    "page class pairs with its dual",
-                    both_orientations=True,
-                ),
+                TargetClass("[V]", "PD_dual(V)", closed_page_recipe, both_orientations=True),
             ),
-            generators=_OPEN_BOOK_GENERATORS,
+            generators=_open_book_generators(
+                _torus_line_family("L+", 0, +1, 2, "torus", 8), _torus_line_family("L-", 0, -1, 2, "torus", 8)
+            ),
             rule_context=_open_book_context(boundary_nonempty=False),
-            notes="circle page with trivial profile: the flat 2-torus",
         )
 
     raise ScenarioParameterError(f"unknown page {page!r}")

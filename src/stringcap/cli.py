@@ -27,6 +27,10 @@ EXIT_NUMERIC = 3
 # build_scenario
 _RUN_KEYS = ("quad_panels", "refine_budget", "out", "format")
 
+# the most panels --quad-panels takes: every length samples twice this many
+# points at its first two levels
+MAX_QUAD_PANELS = 2**16
+
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True)
@@ -78,10 +82,11 @@ def _scenario_from_config(config: dict):
 
 def _quad_refine(config: dict):
     """The flags' quadrature (None: the scenario's own) and refinement; a
-    flag left out takes the spec's default.  A panel count below 8 or a
-    refinement budget below 1 raises ``ScenarioParameterError``."""
-    if config.get("quad_panels", 8) < 8:
-        raise ScenarioParameterError(f"quad_panels must be >= 8, got {config['quad_panels']}")
+    flag left out takes the spec's default.  A panel count outside [8,
+    ``MAX_QUAD_PANELS``] or a refinement budget below 1 raises
+    ``ScenarioParameterError``."""
+    if not 8 <= config.get("quad_panels", 8) <= MAX_QUAD_PANELS:
+        raise ScenarioParameterError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {config['quad_panels']}")
     if config.get("refine_budget", 1) < 1:
         raise ScenarioParameterError(f"refine_budget must be >= 1, got {config['refine_budget']}")
     quad = QuadratureSpec(panels=config["quad_panels"]) if "quad_panels" in config else None

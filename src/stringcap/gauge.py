@@ -174,11 +174,20 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") 
 
 @dataclass(frozen=True, slots=True)
 class SamplePlan:
-    """How to sample (q, v) pairs for containment checks."""
+    """How to sample (q, v) pairs for containment checks: ``count`` >= 1
+    pairs, compared with a finite relative tolerance ``tol`` >= 0; anything
+    else raises ``InvalidInputError``, since a plan that samples nothing or
+    forgives everything would report containment unchecked."""
 
     count: int = 10_000
     seed: int = 0
     tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidInputError(f"a sample plan needs count >= 1, got {self.count}")
+        if not 0.0 <= self.tol < np.inf:
+            raise InvalidInputError(f"a sample plan needs a finite tol >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True, eq=False)

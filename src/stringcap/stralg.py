@@ -160,58 +160,58 @@ class FilteredClass:
 class RewriteRule:
     id: str
     statement: str
-    side_condition: str = ""
 
 
+# the comment above a rule states its side condition, where it has one
 RULES: dict[str, RewriteRule] = {
     r.id: r
     for r in (
+        # g1, g2 transverse; for rotated plain loops the intersection is
+        # read off the scenario's intersection table
         RewriteRule(
             "CS1",
             "A[g1,+] * A[g2,-] = const[g1 cap g2], valid at the sum of the "
             "two sweep thresholds",
-            "g1, g2 transverse; for rotated plain loops the intersection is "
-            "read off the scenario's intersection table",
         ),
+        # g1, g2 transverse
         RewriteRule(
             "CS2",
             "A[g1,s] * const[g2] = A[g1 cap g2, s], valid at the sweep "
             "threshold of g1",
-            "g1, g2 transverse",
         ),
         RewriteRule(
             "CS3",
             "Delta(A[g,s]) = A[swept(g), s], same threshold",
         ),
+        # an open-book scenario registering the axiom
         RewriteRule(
             "ACTION_IS_BV",
             "Delta(B[s]) = A[id,s] at the sweep threshold of the page "
             "rotation; B is supported on the doubled page",
-            "open-book scenario registering the axiom",
         ),
+        # a diagonal-action open-book scenario registering the axiom
         RewriteRule(
             "OB_BV2",
             "Delta(D) = C, where C represents the diagonal action class of "
             "the deformed open book, at the diagonal sweep threshold",
-            "diagonal-action open-book scenario registering the axiom",
         ),
+        # the 4-axis structure with dim >= 3; the threshold equals the
+        # diagonal orbit sweep value
         RewriteRule(
             "HOPF_CONTRACT",
             "A[id,s] = const[id]: the diagonal circle action is homotopic "
             "to the trivial action through loops below the threshold",
-            "4-axis structure with dim >= 3; threshold equals the diagonal "
-            "orbit sweep value",
         ),
         RewriteRule(
             "STAR_COMM",
             "a * b = b * a; star factors are kept in canonical order",
         ),
+        # a single orbit class contracts to a constant loop first when the
+        # scenario declares a nonempty page boundary
         RewriteRule(
             "IOTA_CONST",
             "const[c] = iota[beta(c)]; a constant-loop class is the image "
             "of the dual cohomology label under the constant-loop inclusion",
-            "a single orbit class contracts to a constant loop first when "
-            "the scenario declares a nonempty page boundary",
         ),
     )
 }
@@ -448,7 +448,9 @@ class _Derivation:
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    index: int
+    """The replay of one step; its index is its position in
+    ``ValidationReport.steps``."""
+
     rule: str
     ok: bool
     message: str = ""
@@ -484,7 +486,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
     ctx, generators = cert.scenario.rule_context, cert.scenario.generators
     available: list[FilteredClass] = []
     reports: list[StepReport] = []
-    for i, step in enumerate(cert.steps):
+    for step in cert.steps:
         ok = True
         msg = ""
         for inp in step.inputs:
@@ -503,7 +505,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
                     _sum_filt([c.filtration for c in step.inputs]),
                 ):
                     ok, msg = False, "rule inflated the filtration threshold"
-        reports.append(StepReport(i, step.rule, ok, msg))
+        reports.append(StepReport(step.rule, ok, msg))
         available.append(step.output)
 
     c_msg = _conclusion_fault(cert)

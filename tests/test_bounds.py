@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stringcap import bounds
 from stringcap.bounds import camel_limit_report, compute_bounds, resolve_bindings
 from stringcap.catalog import (
     camel_scenario,
@@ -165,6 +166,37 @@ def test_bound_dispatch_rejects_mismatched_scenarios():
     mismatched = dataclasses.replace(s, targets=(ellipsoid_scenario(2, 0.5).target("[pt]"),))
     with pytest.raises(IncompatibleBindingError, match=re.escape("B[A[id,+]]")):
         compute_bounds(mismatched)
+
+
+def test_only_the_families_a_generator_selects_are_evaluated(monkeypatch):
+    evaluated = []
+    real = bounds.extremal_lengths
+
+    def recording(domain, family, *args):
+        evaluated.append(family.name)
+        return real(domain, family, *args)
+
+    monkeypatch.setattr(bounds, "extremal_lengths", recording)
+    (b,) = compute_bounds(klein_bottle_scenario(1.0, 1.0))
+    assert evaluated == ["Ldoubled"]
+    assert list(b.to_jsonable()["grid_values"]) == ["Ldoubled"]
+
+
+def test_family_grids_past_the_limit_are_refused_before_any_evaluation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a family was evaluated")
+
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "extremal_lengths", refuse)
+        with pytest.raises(ScenarioParameterError, match="grid points"):
+            resolve_bindings(product_torus_scenario(10, 1, 1.0))  # 4**9 points
+        m.setattr(bounds, "MAX_GRID_POINTS", 16)
+        with pytest.raises(ScenarioParameterError, match="17 grid points"):
+            resolve_bindings(klein_bottle_scenario(1.0, 1.0))
+    # a grid of exactly the limit is evaluated
+    monkeypatch.setattr(bounds, "MAX_GRID_POINTS", 17)
+    (b,) = compute_bounds(klein_bottle_scenario(1.0, 1.0))
+    assert b.upper_bound == pytest.approx(2.0, abs=1e-6)
 
 
 def test_bound_report_carries_grid_and_refined_values():

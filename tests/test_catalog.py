@@ -1,16 +1,22 @@
 """Scenario constructors: geometry values, validation and round-tripping."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stringcap.catalog import (
     SCENARIOS,
+    BindingSelector,
+    _unit_torus_fold,
     build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
     ellipsoid_scenario,
     klein_bottle_scenario,
+    klein_identify,
     open_book_scenario,
     product_torus_scenario,
 )
@@ -18,6 +24,7 @@ from stringcap.errors import ScenarioParameterError
 from stringcap.loops import check_loop, extremal_lengths
 
 TWO_PI = 2.0 * math.pi
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def _all_scenarios():
@@ -41,7 +48,7 @@ def test_every_family_yields_valid_loops_and_finite_lengths():
             rep = extremal_lengths(s.domain, fam, s.quad)
             assert math.isfinite(rep.E) and math.isfinite(rep.e), (s.id, name)
         for bname, sel in s.symbolic_bindings.items():
-            assert sel.family in s.families, (s.id, bname)
+            assert s.families[sel.family.name] is sel.family, (s.id, bname)
 
 
 @pytest.mark.parametrize(
@@ -200,6 +207,68 @@ def test_integer_valued_numbers_build_the_same_ids():
     )
 
 
+def test_families_are_the_ones_the_generators_select():
+    for s in _all_scenarios():
+        selected = dict.fromkeys(sel.family for sel in s.generators.values())
+        assert list(s.families.values()) == list(selected), s.id
+    assert list(klein_bottle_scenario(1.0, 1.0).families) == ["Ldoubled"]
+
+
+def test_generators_refuse_two_families_of_one_name_and_a_bad_mode():
+    s = ellipsoid_scenario(2, 0.5)
+    impostor = dataclasses.replace(s.families["L-"], name="L+")
+    generators = {
+        term: dataclasses.replace(sel, family=impostor) if sel.family.name == "L-" else sel
+        for term, sel in s.generators.items()
+    }
+    with pytest.raises(ScenarioParameterError, match="two families of one name"):
+        dataclasses.replace(s, generators=generators)
+    with pytest.raises(ScenarioParameterError, match="bad mode"):
+        BindingSelector("E+", s.families["L+"], "max")
+
+
+# a lifted coordinate: k periods plus a fraction of one, or the float just
+# below (-1), at (0) or just above (+1) k periods
+_LIFT = st.tuples(st.integers(-3, 3), st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([-1, 0, 1])))
+
+
+def _lifted(period: float, lift) -> float:
+    k, off = lift
+    if isinstance(off, int):
+        return float(np.nextafter(k * period, off * math.inf)) if off else k * period
+    return (k + off) * period
+
+
+@PROPERTY
+@given(a=st.floats(0.1, 4.0), b=st.floats(0.1, 4.0), x=_LIFT, y=_LIFT)
+@example(a=1.0, b=1.0, x=(0, -1), y=(0, 0.3))
+@example(a=1.0, b=1.0, x=(0, 0.3), y=(0, -1))
+@example(a=0.5, b=2.0, x=(-1, -1), y=(2, -1))
+def test_klein_fold_lands_in_the_fundamental_domain_and_is_idempotent(a, b, x, y):
+    fold = klein_identify(a, b)
+    c = np.array([_lifted(a, x), _lifted(b, y)])
+    f = fold(c)
+    assert 0.0 <= f[0] < a and 0.0 <= f[1] < b, (c, f)
+    np.testing.assert_array_equal(fold(f), f)
+    # the fold moves by whole periods, flipping y once per x-period
+    k = round((c[0] - f[0]) / a)
+    assert abs(c[0] - f[0] - k * a) <= 1e-9
+    y_moved = (-c[1] if k % 2 else c[1]) - f[1]
+    assert abs(y_moved - round(y_moved / b) * b) <= 1e-9
+
+
+@PROPERTY
+@given(lifts=st.lists(_LIFT, min_size=1, max_size=4))
+@example(lifts=[(0, -1), (0, 0.2)])
+@example(lifts=[(3, -1), (-2, -1), (1, 1)])
+def test_unit_torus_fold_lands_in_the_unit_cube_and_is_idempotent(lifts):
+    c = np.array([_lifted(1.0, lift) for lift in lifts])
+    f = _unit_torus_fold(c)
+    assert ((0.0 <= f) & (f < 1.0)).all(), (c, f)
+    np.testing.assert_array_equal(_unit_torus_fold(f), f)
+    np.testing.assert_allclose(c - f, np.round(c - f), rtol=0, atol=1e-12)
+
+
 def test_construction_is_deterministic():
     s1 = ellipsoid_scenario(3, 0.5)
     s2 = ellipsoid_scenario(3, 0.5)
@@ -276,8 +345,6 @@ def _reference_loop(s, family, p):
     a = s.params["a"]
     base_pt = np.array([a / 4.0, float(p[0])])
     w = np.array([a, -2.0 * float(p[0])])
-    if family == "L":
-        return lambda t: base_pt + t * w, lambda t: w, "klein"
 
     def point(t):
         t = t % 1.0

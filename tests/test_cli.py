@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from stringcap.catalog import SCENARIOS
-from stringcap.cli import main
+from stringcap.cli import MAX_QUAD_PANELS, main
 
 
 def test_bound_text_output(capsys):
@@ -134,6 +134,27 @@ def test_quad_panel_override_is_validated():
                  "--delta", "0.01", "--quad-panels", "7"]) == 2
     assert main(["bound", "--scenario", "camel", "--n", "2", "--eps", "0.4",
                  "--delta", "0.01", "--refine-budget", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "camel", "--quad-panels", str(MAX_QUAD_PANELS + 1)],
+        ["--scenario", "camel", "--quad-panels", str(10**12)],
+        ["--scenario", "ellipsoid1", "--n", "12"],
+        ["--scenario", "product_torus", "--d", "10"],
+        ["--scenario", "camel", "--n", "10"],
+    ],
+)
+def test_sizes_past_the_limits_exit_2_without_output(argv, tmp_path, capsys):
+    # refused before the quadrature levels or any family grid are built
+    out = tmp_path / "bounds.json"
+    assert main(["bound", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["bound", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("invalid configuration") == 2
 
 
 def test_odd_quad_panel_count_gives_the_camel_bound(capsys):

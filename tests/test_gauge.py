@@ -226,6 +226,15 @@ def test_containment_reflexive_and_radius_violations():
     assert inner_val > outer_val
 
 
+@pytest.mark.parametrize("fields", [{"count": 0}, {"count": -5}, {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf}])
+def test_sample_plans_that_check_nothing_are_refused(fields):
+    # such a plan reported the larger ellipsoid inside the smaller, which a
+    # plan of 100 pairs refutes
+    assert not domain_contains(ellipsoid_domain(2, 0.9), ellipsoid_domain(2, 0.3), SamplePlan(count=100))
+    with pytest.raises(InvalidInputError):
+        SamplePlan(**fields)
+
+
 # per-sample references for the batched oracles and the containment plan
 
 def _ref_camel(d, eps, delta, chart, w):
