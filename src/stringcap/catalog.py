@@ -10,7 +10,8 @@ recipe that derives its certificate from those generators.  Each constructor
 checks its own arguments and raises ``ScenarioParameterError`` for a value out
 of type or range.  ``SCENARIOS`` declares each scenario name once, with its
 constructor and the configuration keys it takes and their defaults, and
-``build_scenario`` builds a scenario from a configuration through it.
+``build_scenario`` builds a scenario from a configuration through it; the
+CLI's scenario flags are read off it too.
 ``REFERENCE_CASES`` holds the paper's reference cases with their closed forms.
 """
 from __future__ import annotations
@@ -160,19 +161,11 @@ def round_metric(n: int, a: float) -> MetricSpec:
 
 
 def ellipsoid_domain(n: int, a: float, stretched_axes: int = 2) -> GaugeDomain:
-    return codisk_domain(
-        _sphere_base(n),
-        ellipsoid_metric(n, a, stretched_axes),
-        metadata=f"unit codisk of stretched sphere metric, n={n}, a={a}",
-    )
+    return codisk_domain(_sphere_base(n), ellipsoid_metric(n, a, stretched_axes))
 
 
 def ellipsoid_round_domain(n: int, a: float) -> GaugeDomain:
-    return codisk_domain(
-        _sphere_base(n),
-        round_metric(n, a),
-        metadata=f"unit codisk of scaled round metric, n={n}, a={a}",
-    )
+    return codisk_domain(_sphere_base(n), round_metric(n, a))
 
 
 def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
@@ -251,6 +244,12 @@ def _fiber_pairing_target(name: str, equality: str = "") -> TargetClass:
 # Scenario constructors
 # ---------------------------------------------------------------------------
 
+# the largest dimension (n or d) a constructor takes: a stretched sphere's
+# Jacobian then has 8 MB, and the refusal of a family grid too large to
+# evaluate can still print its size
+MAX_DIM = 2**10
+
+
 def _real(name: str, value) -> float:
     """``value`` as a float: an int or a finite float; a bool, a string, a
     NaN or infinite number or an int past the float range raises
@@ -266,8 +265,8 @@ def _real(name: str, value) -> float:
     return real
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int no less than ``minimum``: an int or an
+def _integer(name: str, value, minimum: int, maximum: float = math.inf) -> int:
+    """``value`` as an int in [``minimum``, ``maximum``]: an int or an
     integer-valued float; anything else raises ``ScenarioParameterError``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -276,6 +275,8 @@ def _integer(name: str, value, minimum: int) -> int:
     value = int(value)
     if value < minimum:
         raise ScenarioParameterError(f"{name} must be >= {minimum}")
+    if value > maximum:
+        raise ScenarioParameterError(f"{name} must be <= {maximum}")
     return value
 
 
@@ -283,7 +284,7 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
     """Unit codisk of the stretched sphere metric (last two axes scaled by a),
     with the open-book rotation families over the page disk, whose orbits
     have length 2 pi a sqrt(1-|x|^2) and are constant at the binding."""
-    n, a = _integer("n", n, 2), _real("a", a)
+    n, a = _integer("n", n, 2, MAX_DIM), _real("a", a)
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
     return Scenario(
@@ -302,14 +303,10 @@ def ellipsoid_scenario(n: int, a: float) -> Scenario:
 def ellipsoid2_scenario(n: int, a: float) -> Scenario:
     """Sphere metric stretched on the last four axes; the diagonal circle
     action rotates two of them, with orbit lengths 2 pi a r."""
-    n, a = _integer("n", n, 3), _real("a", a)
+    n, a = _integer("n", n, 3, MAX_DIM), _real("a", a)
     if not (0.0 < a <= 1.0):
         raise ScenarioParameterError("a must lie in (0, 1]")
-    domain = codisk_domain(
-        _sphere_base(n),
-        ellipsoid_metric(n, a, stretched_axes=4),
-        metadata=f"unit codisk, four stretched axes, n={n}, a={a}",
-    )
+    domain = ellipsoid_domain(n, a, stretched_axes=4)
 
     # orbits of the diagonal action at radius r = params[:, 0], of length
     # 2 pi a r, longest at r = 1
@@ -362,7 +359,7 @@ def flat_torus_domain(
             raise ScenarioParameterError("lengths must have one entry per factor")
         jac = np.diag(np.asarray(lengths, dtype=float))
         metric = MetricSpec(lambda q: jac, radius)
-    return codisk_domain(base, metric, metadata=f"flat torus codisk, radius {radius}")
+    return codisk_domain(base, metric)
 
 
 def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
@@ -381,7 +378,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
             finite &= c <= 0.0
         return np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
 
-    return GaugeDomain(base, oracle, metadata=f"camel domain, eps={eps}, delta={delta}")
+    return GaugeDomain(base, oracle)
 
 
 def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, count: int) -> LoopFamily:
@@ -451,7 +448,7 @@ def _torus_scenario(params: dict, domain: GaugeDomain, k: int, charts: tuple[str
 def product_torus_scenario(d: int, k: int, radius: float) -> Scenario:
     """The flat d-torus codisk of the given radius, with the loop families of
     ``_torus_scenario``."""
-    d, k, radius = _integer("d", d, 1), _integer("k", k, 1), _real("radius", radius)
+    d, k, radius = _integer("d", d, 1, MAX_DIM), _integer("k", k, 1), _real("radius", radius)
     if k >= d:
         raise ScenarioParameterError("k must satisfy 0 < k < d")
     if radius < 0:
@@ -465,7 +462,7 @@ def camel_scenario(n: int, eps: float, delta: float) -> Scenario:
     ``_torus_scenario`` for k = 1; the positive rotation runs in the q1 = 0
     chart, where the last momentum is bounded above.  Both families have
     constant support integrands, and the bound is eps + 3 delta."""
-    n, eps, delta = _integer("n", n, 2), _real("eps", eps), _real("delta", delta)
+    n, eps, delta = _integer("n", n, 2, MAX_DIM), _real("eps", eps), _real("delta", delta)
     if eps <= 0 or delta <= 0:
         raise ScenarioParameterError("eps and delta must be positive")
     params = {"scenario": "camel", "n": n, "eps": eps, "delta": delta}
@@ -499,9 +496,7 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     if radius < 0:
         raise ScenarioParameterError("radius must be >= 0")
     base = BaseDescriptor("klein", 2, ("klein",))
-    domain = codisk_domain(
-        base, MetricSpec(radius=radius), metadata=f"flat Klein bottle codisk, a={a}, b={b}"
-    )
+    domain = codisk_domain(base, MetricSpec(radius=radius))
     fold = klein_identify(a, b)
     x0 = a / 4.0
 
@@ -570,15 +565,10 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
     if page == "interval":
         if (len_page, len_fiber) != (1.0, 1.0):
             raise ScenarioParameterError("the interval page has the round profile: len_page and len_fiber are 1")
-        domain = codisk_domain(
-            _sphere_base(2),
-            MetricSpec(lambda q: np.eye(3), radius),
-            metadata=f"round 2-sphere codisk, radius {radius}",
-        )
         return Scenario(
             id=f"open_book(interval,round,r={radius})",
             params=params,
-            domain=domain,
+            domain=codisk_domain(_sphere_base(2), MetricSpec(lambda q: np.eye(3), radius)),
             targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
             generators=_open_book_generators(*_page_rotation_families(1)),
             rule_context=_open_book_context(boundary_nonempty=True),

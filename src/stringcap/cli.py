@@ -15,33 +15,33 @@ from typing import Optional
 
 from . import bounds as _bounds
 from . import catalog as _catalog
-from .errors import ScenarioParameterError, StringcapError
-from .loops import QuadratureSpec, RefineSpec
+from .errors import InvalidInputError, ScenarioParameterError, StringcapError
+from .loops import MAX_QUAD_PANELS, QuadratureSpec, RefineSpec  # MAX_QUAD_PANELS is re-exported
 from .stralg import check_certificate, derive_certificate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# the keys of one run; the other keys configure the scenario and are left to
-# build_scenario
-_RUN_KEYS = ("quad_panels", "refine_budget", "out", "format")
 
-# the most panels --quad-panels takes: every length samples twice this many
-# points at its first two levels
-MAX_QUAD_PANELS = 2**16
+def _scenario_keys() -> dict[str, type]:
+    """Every key of ``SCENARIOS`` in order of first use, with the type of its
+    default."""
+    keys: dict[str, type] = {}
+    for _, defaults in _catalog.SCENARIOS.values():
+        for key, default in defaults.items():
+            keys.setdefault(key, type(default))
+    return keys
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _scenario_flags() -> argparse.ArgumentParser:
+    """``--scenario`` and a flag for every key of ``SCENARIOS``, ``_`` written
+    as ``-``; ``bound`` and ``certify`` share these actions."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--radius", type=float)
+    for key, kind in _scenario_keys().items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,47 +51,29 @@ def build_parser() -> argparse.ArgumentParser:
         "fiberwise starshaped cotangent domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario_flags = _scenario_flags()
 
-    p_bound = sub.add_parser("bound", help="compute a scenario's bounds")
-    _add_common_flags(p_bound)
+    p_bound = sub.add_parser("bound", help="compute a scenario's bounds", parents=[scenario_flags])
     p_bound.add_argument("--quad-panels", type=int, dest="quad_panels")
     p_bound.add_argument("--refine-budget", type=int, dest="refine_budget")
     p_bound.add_argument("--out")
-    p_bound.add_argument("--format", choices=["json", "csv", "text"])
+    p_bound.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
     p_rep = sub.add_parser("reproduce", help="emit a regression table")
     p_rep.add_argument("table", help="table id: " + ", ".join(_table_ids()))
     p_rep.add_argument("--out")
 
-    p_cert = sub.add_parser("certify", help="derive and check a certificate")
-    _add_common_flags(p_cert)
+    p_cert = sub.add_parser("certify", help="derive and check a certificate", parents=[scenario_flags])
     p_cert.add_argument("--out")
     p_cert.add_argument("target", nargs="?", help="target class name, e.g. [pt]")
 
     return parser
 
 
-def run_config_from_args(args: argparse.Namespace) -> dict:
-    """The keys the flags set."""
-    return {key: val for key, val in vars(args).items() if val is not None and key not in ("command", "target")}
-
-
-def _scenario_from_config(config: dict):
-    return _catalog.build_scenario({k: v for k, v in config.items() if k not in _RUN_KEYS})
-
-
-def _quad_refine(config: dict):
-    """The flags' quadrature (None: the scenario's own) and refinement; a
-    flag left out takes the spec's default.  A panel count outside [8,
-    ``MAX_QUAD_PANELS``] or a refinement budget below 1 raises
-    ``ScenarioParameterError``."""
-    if not 8 <= config.get("quad_panels", 8) <= MAX_QUAD_PANELS:
-        raise ScenarioParameterError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {config['quad_panels']}")
-    if config.get("refine_budget", 1) < 1:
-        raise ScenarioParameterError(f"refine_budget must be >= 1, got {config['refine_budget']}")
-    quad = QuadratureSpec(panels=config["quad_panels"]) if "quad_panels" in config else None
-    refine = RefineSpec(budget=config["refine_budget"]) if "refine_budget" in config else RefineSpec()
-    return quad, refine
+def _scenario(args: argparse.Namespace):
+    """The scenario of ``--scenario`` and the scenario flags given."""
+    config = {key: getattr(args, key) for key in ("scenario", *_scenario_keys())}
+    return _catalog.build_scenario({key: val for key, val in config.items() if val is not None})
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -121,11 +103,11 @@ def _format_bounds(bound_list, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_bound(config: dict) -> int:
-    quad, refine = _quad_refine(config)
-    scenario = _scenario_from_config(config)
-    result = _bounds.compute_bounds(scenario, quad, refine)
-    _emit(_format_bounds(result, config.get("format", "json")), config.get("out"))
+def cmd_bound(args: argparse.Namespace) -> int:
+    quad = None if args.quad_panels is None else QuadratureSpec(panels=args.quad_panels)
+    refine = RefineSpec() if args.refine_budget is None else RefineSpec(budget=args.refine_budget)
+    result = _bounds.compute_bounds(_scenario(args), quad, refine)
+    _emit(_format_bounds(result, args.format), args.out)
     return EXIT_OK
 
 
@@ -172,12 +154,10 @@ def cmd_reproduce(table: str, out_path: Optional[str]) -> int:
     return EXIT_OK if all(r["pass"] for r in rows) else EXIT_NUMERIC
 
 
-def cmd_certify(config: dict, target_name: Optional[str]) -> int:
-    scenario = _scenario_from_config(config)
-    targets = (
-        [scenario.target(target_name)] if target_name else list(scenario.targets)
-    )
-    payload = []
+def cmd_certify(args: argparse.Namespace) -> int:
+    scenario = _scenario(args)
+    targets = [scenario.target(args.target)] if args.target else list(scenario.targets)
+    payload, failed = [], None
     for target in targets:
         cert = derive_certificate(scenario, target)
         report = check_certificate(cert)
@@ -191,24 +171,24 @@ def cmd_certify(config: dict, target_name: Optional[str]) -> int:
             }
         )
         if not report.passed:
-            _emit(json.dumps(payload, indent=2), config.get("out"))
-            sys.stderr.write(f"certificate check failed for target {target.name}\n")
-            return EXIT_NUMERIC
-    _emit(json.dumps(payload, indent=2), config.get("out"))
+            failed = target
+            break
+    _emit(json.dumps(payload, indent=2), args.out)
+    if failed is not None:
+        sys.stderr.write(f"certificate check failed for target {failed.name}\n")
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
             return cmd_reproduce(args.table, args.out)
-        config = run_config_from_args(args)
         if args.command == "bound":
-            return cmd_bound(config)
-        return cmd_certify(config, args.target)
-    except ScenarioParameterError as exc:
+            return cmd_bound(args)
+        return cmd_certify(args)
+    except (ScenarioParameterError, InvalidInputError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_CONFIG
     except StringcapError as exc:

@@ -29,7 +29,6 @@ class UnitaryFrame:
     """A(q) for one point (``matrix`` (n+1, n+1), float residuals) or for a
     stack of m points (``matrix`` (m, n+1, n+1), residuals of shape (m,))."""
 
-    q: np.ndarray
     matrix: np.ndarray
     unitarity_residual: float | np.ndarray
     basepoint_residual: float | np.ndarray
@@ -88,7 +87,7 @@ def sphere_unitary_frame(n: int, q: np.ndarray) -> UnitaryFrame:
     b_res = _row_norms(cols[:, :, 0] - qs)
     if q.ndim == 1:
         cols, u_res, b_res = cols[0], float(u_res[0]), float(b_res[0])
-    return UnitaryFrame(q=q, matrix=cols, unitarity_residual=u_res, basepoint_residual=b_res)
+    return UnitaryFrame(matrix=cols, unitarity_residual=u_res, basepoint_residual=b_res)
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,7 +63,6 @@ class GaugeDomain:
 
     base: BaseDescriptor
     support_oracle: Callable[[BasePoint, TangentVector], np.ndarray]
-    metadata: str = ""
 
     def check_chart(self, chart: str) -> None:
         """Raise ``ChartMismatchError`` unless the domain accepts ``chart``."""
@@ -151,7 +150,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a * b, axis=-1)
 
 
-def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") -> GaugeDomain:
+def codisk_domain(base: BaseDescriptor, metric: MetricSpec) -> GaugeDomain:
     """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
     r = metric.radius
     if metric.embedding_jacobian is None:
@@ -169,7 +168,7 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec, metadata: str = "") 
             pushed = w @ jac.T if jac.ndim == 2 else np.einsum("mij,mj->mi", jac, w)
             return r * np.sqrt(_rowdot(pushed, pushed))
 
-    return GaugeDomain(base, oracle, metadata or f"codisk bundle, radius {metric.radius}")
+    return GaugeDomain(base, oracle)
 
 
 @dataclass(frozen=True, slots=True)

@@ -219,19 +219,23 @@ def concatenate(a: Loop, b: Loop) -> Loop:
 # the trapezoid rule doubles a row's samples at most this many times
 _MAX_DOUBLINGS = 6
 
+# the most panels a quadrature takes: every length samples twice this many
+# points at its first two levels
+MAX_QUAD_PANELS = 2**16
+
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
     doubled up to ``_MAX_DOUBLINGS`` (six) times until two levels agree to
-    qtol."""
+    qtol; ``panels`` lies in [8, ``MAX_QUAD_PANELS``]."""
 
     panels: int = 512
     qtol: float = 1e-7
 
     def __post_init__(self):
-        if self.panels < 8:
-            raise InvalidInputError("panel count must be >= 8")
+        if not 8 <= self.panels <= MAX_QUAD_PANELS:
+            raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
 
 
 # at most this many (row, t) samples go into one support-oracle call of the
@@ -274,6 +278,10 @@ def _first_levels(n: int) -> np.ndarray:
     return ts
 
 
+# a sample or a sum past the float range is +inf, which the callers report
+# (an infinite sample here, an infinite length in extremal_lengths) as an
+# InfiniteLengthError; numpy's overflow warning would only repeat it
+@np.errstate(over="ignore")
 def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[list[float], Optional[tuple]]:
     """The periodic trapezoid rule for ``count`` integrands (rows) at once.
 
@@ -460,10 +468,16 @@ def family_lengths(
 class RefineSpec:
     """Compass refinement of a family's sup and inf from their grid points:
     an extremum stops once its step is below ``xtol`` on every axis, or when
-    one more round would take its length evaluations past ``budget``."""
+    one more round would take its length evaluations past ``budget``, which
+    is at least 1 (a budget of 1 leaves a family with a parameter at its
+    grid values)."""
 
     budget: int = 200  # length evaluations per extremum
     xtol: float = 1e-6
+
+    def __post_init__(self):
+        if self.budget < 1:
+            raise InvalidInputError(f"refine_budget must be >= 1, got {self.budget}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -449,18 +449,24 @@ class _Derivation:
 @dataclass(frozen=True, eq=False)
 class StepReport:
     """The replay of one step; its index is its position in
-    ``ValidationReport.steps``."""
+    ``ValidationReport.steps``, and it failed when it has a message."""
 
     rule: str
-    ok: bool
     message: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return not self.message
 
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
     steps: tuple[StepReport, ...]
-    conclusion_ok: bool
     conclusion_message: str = ""
+
+    @property
+    def conclusion_ok(self) -> bool:
+        return not self.conclusion_message
 
     @property
     def passed(self) -> bool:
@@ -487,29 +493,27 @@ def check_certificate(cert: Certificate) -> ValidationReport:
     available: list[FilteredClass] = []
     reports: list[StepReport] = []
     for step in cert.steps:
-        ok = True
         msg = ""
         for inp in step.inputs:
             if not (inp in available or _is_leaf(inp, generators, ctx)):
-                ok, msg = False, f"input {inp} is neither a declared generator nor a prior output"
-        if ok:
+                msg = f"input {inp} is neither a declared generator nor a prior output"
+        if not msg:
             try:
                 out = apply_rule(step.rule, step.inputs, ctx)
             except Exception as exc:  # rule refused or axiom missing
-                ok, msg = False, f"replay failed: {exc}"
+                msg = f"replay failed: {exc}"
             else:
                 if out != step.output:
-                    ok, msg = False, f"replayed output {out} differs from recorded {step.output}"
+                    msg = f"replayed output {out} differs from recorded {step.output}"
                 elif not filt_leq(
                     out.filtration,
                     _sum_filt([c.filtration for c in step.inputs]),
                 ):
-                    ok, msg = False, "rule inflated the filtration threshold"
-        reports.append(StepReport(step.rule, ok, msg))
+                    msg = "rule inflated the filtration threshold"
+        reports.append(StepReport(step.rule, msg))
         available.append(step.output)
 
-    c_msg = _conclusion_fault(cert)
-    return ValidationReport(tuple(reports), not c_msg, c_msg)
+    return ValidationReport(tuple(reports), _conclusion_fault(cert))
 
 
 def _conclusion(steps) -> tuple[ConclusionFactor, ...]:

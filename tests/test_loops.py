@@ -197,6 +197,16 @@ def test_quadrature_spec_validation():
     with pytest.raises(InvalidInputError):
         QuadratureSpec(panels=6)
     QuadratureSpec(panels=8)
+    QuadratureSpec(panels=loops.MAX_QUAD_PANELS)
+    with pytest.raises(InvalidInputError, match=r"quad_panels must lie in \[8, 65536\], got 65537"):
+        QuadratureSpec(panels=loops.MAX_QUAD_PANELS + 1)
+
+
+def test_refine_spec_validation():
+    loops.RefineSpec(budget=1)
+    for budget in (0, -1):
+        with pytest.raises(InvalidInputError, match=f"refine_budget must be >= 1, got {budget}"):
+            loops.RefineSpec(budget=budget)
 
 
 def test_grid_points_are_an_array_in_product_order():
