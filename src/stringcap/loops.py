@@ -278,9 +278,13 @@ def _first_levels(n: int) -> np.ndarray:
     return ts
 
 
-# a sample or a sum past the float range is +inf, which the callers report
-# (an infinite sample here, an infinite length in extremal_lengths) as an
-# InfiniteLengthError; numpy's overflow warning would only repeat it
+# what an InfiniteLengthError says, with t = NaN, of a length whose samples
+# are finite but whose trapezoid sum passes the float range
+_OVERFLOWED = "the trapezoid sum overflowed"
+
+
+# a sample or a sum past the float range is +inf, which the callers report as
+# an InfiniteLengthError; numpy's overflow warning would only repeat it
 @np.errstate(over="ignore")
 def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[list[float], Optional[tuple]]:
     """The periodic trapezoid rule for ``count`` integrands (rows) at once.
@@ -290,10 +294,11 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
     n midpoints); then the rows that have not converged double together.
     Each row gets the same sums, in the same order, whatever the other rows.
 
-    Returns the lengths and, if a row meets a non-finite sample, the first
-    such row in row order with its first non-finite t in level order (else
-    None); rows after it stop, and only the lengths of rows before it mean
-    anything."""
+    Returns the lengths and, if a row meets a non-finite sample or its
+    length is not finite, the first such row in row order with its first
+    non-finite t in level order, or t = NaN when its samples are finite and
+    its sum overflowed (else None); rows after it stop, and only the lengths
+    of rows before it mean anything."""
     n = quad.panels
     ts = _first_levels(n)
     values = _in_blocks(values_at, np.arange(count), ts)
@@ -326,6 +331,10 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
         rows = going
         if not rows:
             break
+    # a row before the failed one whose samples are finite but whose sum is not
+    finite = list(map(math.isfinite, lengths[:len(lengths) if failed is None else failed[0]]))
+    if not all(finite):
+        failed = (finite.index(False), float("nan"))
     return lengths, failed
 
 
@@ -360,7 +369,9 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
     lengths, failed = _trapezoid(values_at, 1, quad)
     if failed is not None:
         t = failed[1]
-        raise InfiniteLengthError(f"infinite support at t={t:.6f}", t=t)
+        raise InfiniteLengthError(
+            f"infinite length: {_OVERFLOWED}" if math.isnan(t) else f"infinite support at t={t:.6f}", t=t
+        )
     return lengths[0]
 
 
@@ -429,8 +440,9 @@ class LoopFamily:
 
 
 def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
+    where = _OVERFLOWED if math.isnan(t) else f"t={t:.6f}"
     return InfiniteLengthError(
-        f"family {family.name!r} has infinite length at params {params!r} (t={t:.6f})",
+        f"family {family.name!r} has infinite length at params {params!r} ({where})",
         t=t,
         params=params,
     )
@@ -587,8 +599,6 @@ def extremal_lengths(
         refine.budget,
         refine.xtol,
     )
-    if not (math.isfinite(E) and math.isfinite(e)):
-        raise InfiniteLengthError("non-finite extremal length", t=float("nan"))
     history = (
         {"extremum": "sup", "grid": grid_E, "refined": E, "evals": n_max, "rounds": r_max},
         {"extremum": "inf", "grid": grid_e, "refined": e, "evals": n_min, "rounds": r_min},

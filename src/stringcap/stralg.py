@@ -3,20 +3,22 @@
 Classes carry a length-filtration threshold (numeric and/or symbolic).  Three
 operations act on them: the concatenation-intersection product ``star``, the
 loop-rotation operator ``delta`` and the constant-loop inclusion ``iota``.
-Identities between these operations are encoded as rewrite rules; a chain of
-rule applications that ends in a constant-loop identity is packaged as a
-machine-checkable certificate whose total filtration bounds the width of the
-target class.  The chain starts from leaves: generators the scenario declares,
-each at the threshold symbol its table gives, and iota classes at threshold 0.
-The conclusion is read off the chain, and the checker replays the chain
-against the scenario, checks every leaf against its generator table and reads
-the conclusion again from the replayed steps.
+The operations rewrite nothing.  Identities between them are rewrite rules,
+each coded only in its ``RULES`` entry, so replaying a step runs exactly the
+rule its label names.  A chain of rule applications that ends in a
+constant-loop identity is packaged as a machine-checkable certificate whose
+total filtration bounds the width of the target class.  The chain starts
+from leaves: generators the scenario declares, each at the threshold symbol
+its table gives, and iota classes at threshold 0.  The conclusion is read off
+the chain, and the checker replays the chain against the scenario, checks
+every leaf against its generator table and reads the conclusion again from
+the replayed steps.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from .errors import IncompatibleBindingError, MissingAxiomError
 
@@ -153,69 +155,36 @@ class FilteredClass:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite-rule table
+# Operations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RewriteRule:
-    id: str
-    statement: str
+def iota(beta_label: str, cycle: str = "pt") -> FilteredClass:
+    """Constant-loop class of a cohomology label; valid at every positive
+    filtration, recorded as threshold 0."""
+    return FilteredClass(Iota(beta_label, cycle), fnum(0.0))
 
 
-# the comment above a rule states its side condition, where it has one
-RULES: dict[str, RewriteRule] = {
-    r.id: r
-    for r in (
-        # g1, g2 transverse; for rotated plain loops the intersection is
-        # read off the scenario's intersection table
-        RewriteRule(
-            "CS1",
-            "A[g1,+] * A[g2,-] = const[g1 cap g2], valid at the sum of the "
-            "two sweep thresholds",
-        ),
-        # g1, g2 transverse
-        RewriteRule(
-            "CS2",
-            "A[g1,s] * const[g2] = A[g1 cap g2, s], valid at the sweep "
-            "threshold of g1",
-        ),
-        RewriteRule(
-            "CS3",
-            "Delta(A[g,s]) = A[swept(g), s], same threshold",
-        ),
-        # an open-book scenario registering the axiom
-        RewriteRule(
-            "ACTION_IS_BV",
-            "Delta(B[s]) = A[id,s] at the sweep threshold of the page "
-            "rotation; B is supported on the doubled page",
-        ),
-        # a diagonal-action open-book scenario registering the axiom
-        RewriteRule(
-            "OB_BV2",
-            "Delta(D) = C, where C represents the diagonal action class of "
-            "the deformed open book, at the diagonal sweep threshold",
-        ),
-        # the 4-axis structure with dim >= 3; the threshold equals the
-        # diagonal orbit sweep value
-        RewriteRule(
-            "HOPF_CONTRACT",
-            "A[id,s] = const[id]: the diagonal circle action is homotopic "
-            "to the trivial action through loops below the threshold",
-        ),
-        RewriteRule(
-            "STAR_COMM",
-            "a * b = b * a; star factors are kept in canonical order",
-        ),
-        # a single orbit class contracts to a constant loop first when the
-        # scenario declares a nonempty page boundary
-        RewriteRule(
-            "IOTA_CONST",
-            "const[c] = iota[beta(c)]; a constant-loop class is the image "
-            "of the dual cohomology label under the constant-loop inclusion",
-        ),
-    )
-}
+def delta(c: FilteredClass) -> FilteredClass:
+    """Loop-rotation operator; the filtration is preserved.  It rewrites
+    nothing: CS3 and the BV axioms evaluate rotations."""
+    return FilteredClass(Delta(c.term), c.filtration)
 
+
+def _flatten(t: Term) -> tuple[Term, ...]:
+    return t.factors if isinstance(t, Star) else (t,)
+
+
+def star(a: FilteredClass, b: FilteredClass) -> FilteredClass:
+    """Concatenation-intersection product; filtrations add and the factors
+    canonicalize to a sorted multiset (the product is commutative and
+    associative).  It rewrites nothing: CS1 and CS2 evaluate products."""
+    factors = tuple(sorted(_flatten(a.term) + _flatten(b.term), key=str))
+    return FilteredClass(Star(factors), a.filtration + b.filtration)
+
+
+# ---------------------------------------------------------------------------
+# Rewrite rules (shared between derivation and replay)
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class RuleContext:
@@ -247,74 +216,75 @@ class RuleContext:
         raise IncompatibleBindingError(f"no dual cohomology label declared for cycle {cycle!r}")
 
 
-EMPTY_CONTEXT = RuleContext()
+Inputs = tuple[FilteredClass, ...]
 
 
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class RewriteRule:
+    """A rule: the identity it states and ``apply``, its code, which maps a
+    step's inputs in a scenario's rule context to the step's output, or
+    raises where the rule does not apply to them."""
 
-def iota(beta_label: str, cycle: str = "pt") -> FilteredClass:
-    """Constant-loop class of a cohomology label; valid at every positive
-    filtration, recorded as threshold 0."""
-    return FilteredClass(Iota(beta_label, cycle), fnum(0.0))
-
-
-def delta(c: FilteredClass, ctx: RuleContext = EMPTY_CONTEXT) -> FilteredClass:
-    """Loop-rotation operator.  Filtration is preserved.  Action classes
-    rewrite eagerly, and registered BV-preimage axioms resolve immediately."""
-    t = c.term
-    if isinstance(t, ActionClass):
-        return FilteredClass(ActionClass(ctx.sweep(t.g), t.sign), c.filtration)
-    if isinstance(t, BVPreimage) and t.axiom in ctx.axioms:
-        return FilteredClass(t.of, c.filtration)
-    return FilteredClass(Delta(t), c.filtration)
+    id: str
+    statement: str
+    apply: Callable[[Inputs, RuleContext], FilteredClass]
 
 
-def _flatten(t: Term) -> tuple[Term, ...]:
-    return t.factors if isinstance(t, Star) else (t,)
+RULES: dict[str, RewriteRule] = {}
 
 
-def star(a: FilteredClass, b: FilteredClass, ctx: RuleContext = EMPTY_CONTEXT) -> FilteredClass:
-    """Concatenation-intersection product; filtrations add, known patterns
-    rewrite eagerly and generic products canonicalize to a sorted factor
-    multiset (the product is commutative and associative)."""
+def _rule(rule_id: str, statement: str):
+    """Enter the decorated function in ``RULES`` as the code of ``rule_id``."""
+
+    def enter(apply):
+        RULES[rule_id] = RewriteRule(rule_id, statement, apply)
+        return apply
+
+    return enter
+
+
+# the comment above a rule states its side condition, where it has one
+
+# g1, g2 transverse; for rotated plain loops the intersection is read off the
+# scenario's intersection table
+@_rule("CS1", "A[g1,+] * A[g2,-] = const[g1 cap g2], valid at the sum of the two sweep thresholds")
+def _cs1(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    a, b = inputs
     filt = a.filtration + b.filtration
-    ta, tb = a.term, b.term
-
-    # CS1 on opposite-sign action classes
-    for x, y in ((ta, tb), (tb, ta)):
-        if (
-            isinstance(x, ActionClass)
-            and isinstance(y, ActionClass)
-            and x.sign > 0 > y.sign
-        ):
+    for x, y in ((a.term, b.term), (b.term, a.term)):
+        if isinstance(x, ActionClass) and isinstance(y, ActionClass) and x.sign > 0 > y.sign:
             return FilteredClass(ConstantLoops(ctx.intersect(x.g, y.g)), filt)
-    # CS1 on rotated plain loop families with a declared intersection
-    if isinstance(ta, Delta) and isinstance(tb, Delta):
-        ia, ib = ta.of, tb.of
-        if isinstance(ia, LoopCycle) and isinstance(ib, LoopCycle):
-            key = (ia.label, ib.label)
-            rkey = (ib.label, ia.label)
-            table = ctx.intersection_table
-            if key in table or rkey in table:
-                return FilteredClass(ConstantLoops(table.get(key, table.get(rkey))), filt)
-    # CS2: action class against constant loops (or an iota class)
-    for x, y in ((ta, tb), (tb, ta)):
+    loops = [t.of.label for t in (a.term, b.term) if isinstance(t, Delta) and isinstance(t.of, LoopCycle)]
+    if len(loops) == 2:
+        return FilteredClass(ConstantLoops(ctx.intersect(*loops)), filt)
+    raise IncompatibleBindingError("CS1 expects opposite action classes or two rotated loops")
+
+
+# g1, g2 transverse; an iota class stands for the constant loops of its cycle
+@_rule("CS2", "A[g1,s] * const[g2] = A[g1 cap g2, s], valid at the sweep threshold of g1")
+def _cs2(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    a, b = inputs
+    for x, y in ((a.term, b.term), (b.term, a.term)):
         if isinstance(x, ActionClass) and isinstance(y, (ConstantLoops, Iota)):
-            g2 = y.cycle
-            return FilteredClass(ActionClass(ctx.intersect(x.g, g2), x.sign), filt)
-
-    factors = tuple(sorted(_flatten(ta) + _flatten(tb), key=str))
-    return FilteredClass(Star(factors), filt)
+            filt = a.filtration + b.filtration
+            return FilteredClass(ActionClass(ctx.intersect(x.g, y.cycle), x.sign), filt)
+    raise IncompatibleBindingError("CS2 expects an action class and constant loops")
 
 
-# ---------------------------------------------------------------------------
-# Rule application (shared between derivation and replay)
-# ---------------------------------------------------------------------------
+@_rule("CS3", "Delta(A[g,s]) = A[swept(g), s], same threshold")
+def _cs3(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    (c,) = inputs
+    if not isinstance(c.term, ActionClass):
+        raise IncompatibleBindingError("CS3 expects an action class")
+    return FilteredClass(ActionClass(ctx.sweep(c.term.g), c.term.sign), c.filtration)
 
-def apply_rule(rule_id: str, inputs: tuple[FilteredClass, ...], ctx: RuleContext) -> FilteredClass:
-    if rule_id == "ACTION_IS_BV" or rule_id == "OB_BV2":
+
+def _bv_axiom(rule_id: str, statement: str) -> None:
+    """Enter an axiom that resolves the rotation of a BV preimage it
+    justifies to the class it is the preimage of, at the same threshold."""
+
+    @_rule(rule_id, statement)
+    def apply(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
         (c,) = inputs
         t = c.term
         if not (isinstance(t, BVPreimage) and t.axiom == rule_id):
@@ -322,43 +292,67 @@ def apply_rule(rule_id: str, inputs: tuple[FilteredClass, ...], ctx: RuleContext
         if rule_id not in ctx.axioms:
             raise MissingAxiomError(rule_id)
         return FilteredClass(t.of, c.filtration)
-    if rule_id == "CS1":
-        a, b = inputs
-        out = star(a, b, ctx)
-        if not isinstance(out.term, ConstantLoops):
-            raise IncompatibleBindingError("CS1 inputs did not reduce to constant loops")
-        return out
-    if rule_id == "CS2":
-        a, b = inputs
-        out = star(a, b, ctx)
-        if not isinstance(out.term, ActionClass):
-            raise IncompatibleBindingError("CS2 inputs did not reduce to an action class")
-        return out
-    if rule_id == "CS3":
-        (c,) = inputs
-        if not isinstance(c.term, ActionClass):
-            raise IncompatibleBindingError("CS3 expects an action class")
-        return delta(c, ctx)
-    if rule_id == "HOPF_CONTRACT":
-        (c,) = inputs
-        if "HOPF_CONTRACT" not in ctx.axioms:
-            raise MissingAxiomError("HOPF_CONTRACT")
-        if not (isinstance(c.term, ActionClass) and c.term.g == "id"):
-            raise IncompatibleBindingError("HOPF_CONTRACT expects the full action class")
-        return FilteredClass(ConstantLoops("id"), c.filtration)
-    if rule_id == "IOTA_CONST":
-        (c,) = inputs
-        t = c.term
-        if isinstance(t, ConstantLoops):
-            return FilteredClass(Iota(ctx.iota_label(t.cycle), t.cycle), fnum(0.0))
-        if isinstance(t, ActionClass) and t.g == "pt" and ctx.boundary_nonempty:
-            # a single orbit contracts to a constant loop through the binding
-            return FilteredClass(Iota(ctx.iota_label("pt"), "pt"), fnum(0.0))
-        raise IncompatibleBindingError("IOTA_CONST expects a constant-loop class")
-    if rule_id == "STAR_COMM":
-        a, b = inputs
-        return star(a, b, ctx)
-    raise IncompatibleBindingError(f"unknown rule {rule_id!r}")
+
+
+# an open-book scenario registering the axiom
+_bv_axiom(
+    "ACTION_IS_BV",
+    "Delta(B[s]) = A[id,s] at the sweep threshold of the page rotation; B is "
+    "supported on the doubled page",
+)
+# a diagonal-action open-book scenario registering the axiom
+_bv_axiom(
+    "OB_BV2",
+    "Delta(D) = C, where C represents the diagonal action class of the "
+    "deformed open book, at the diagonal sweep threshold",
+)
+
+
+# the 4-axis structure with dim >= 3; the threshold equals the diagonal orbit
+# sweep value
+@_rule(
+    "HOPF_CONTRACT",
+    "A[id,s] = const[id]: the diagonal circle action is homotopic to the "
+    "trivial action through loops below the threshold",
+)
+def _hopf_contract(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    (c,) = inputs
+    if "HOPF_CONTRACT" not in ctx.axioms:
+        raise MissingAxiomError("HOPF_CONTRACT")
+    if not (isinstance(c.term, ActionClass) and c.term.g == "id"):
+        raise IncompatibleBindingError("HOPF_CONTRACT expects the full action class")
+    return FilteredClass(ConstantLoops("id"), c.filtration)
+
+
+@_rule("STAR_COMM", "a * b = b * a; star factors are kept in canonical order")
+def _star_comm(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    a, b = inputs
+    return star(a, b)
+
+
+# a single orbit class contracts to a constant loop first when the scenario
+# declares a nonempty page boundary
+@_rule(
+    "IOTA_CONST",
+    "const[c] = iota[beta(c)]; a constant-loop class is the image of the dual "
+    "cohomology label under the constant-loop inclusion",
+)
+def _iota_const(inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    (c,) = inputs
+    t = c.term
+    if isinstance(t, ConstantLoops):
+        return iota(ctx.iota_label(t.cycle), t.cycle)
+    if isinstance(t, ActionClass) and t.g == "pt" and ctx.boundary_nonempty:
+        # a single orbit contracts to a constant loop through the binding
+        return iota(ctx.iota_label("pt"), "pt")
+    raise IncompatibleBindingError("IOTA_CONST expects a constant-loop class")
+
+
+def apply_rule(rule_id: str, inputs: Inputs, ctx: RuleContext) -> FilteredClass:
+    """The output of rule ``rule_id`` on ``inputs``: the rule's own code."""
+    if rule_id not in RULES:
+        raise IncompatibleBindingError(f"unknown rule {rule_id!r}")
+    return RULES[rule_id].apply(inputs, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +373,13 @@ class ConclusionFactor:
     alpha: Union[FilteredClass, str]
 
 
+# the note every certificate's JSON carries
+_CERTIFICATE_NOTE = (
+    "thresholds are computed suprema; the strict/closed filtration "
+    "distinction is below reported tolerance"
+)
+
+
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """A rewrite derivation of iota(beta) = Delta(a_1) * ... * iota(a_{k+1})
@@ -391,7 +392,6 @@ class Certificate:
     beta: str
     steps: tuple[CertificateStep, ...]
     factors: tuple[ConclusionFactor, ...]
-    note: str = ""
 
     @property
     def filtration(self) -> FiltExpr:
@@ -420,7 +420,7 @@ class Certificate:
                     for f in self.factors
                 ],
             },
-            "note": self.note,
+            "note": _CERTIFICATE_NOTE,
         }
 
     def to_json(self, **kw) -> str:
@@ -505,10 +505,7 @@ def check_certificate(cert: Certificate) -> ValidationReport:
             else:
                 if out != step.output:
                     msg = f"replayed output {out} differs from recorded {step.output}"
-                elif not filt_leq(
-                    out.filtration,
-                    _sum_filt([c.filtration for c in step.inputs]),
-                ):
+                elif not filt_leq(out.filtration, sum((c.filtration for c in step.inputs), fnum(0.0))):
                     msg = "rule inflated the filtration threshold"
         reports.append(StepReport(step.rule, msg))
         available.append(step.output)
@@ -547,7 +544,7 @@ def _conclusion_fault(cert: Certificate) -> str:
     deltas = [f.alpha.filtration for f in cert.factors if f.kind == "delta"]
     if not deltas or len(cert.factors) - len(deltas) > 1:
         return "conclusion factors are not of the required shape"
-    total = _sum_filt(deltas)
+    total = sum(deltas, fnum(0.0))
     if total != cert.filtration:
         return (
             f"conclusion filtration {cert.filtration} does not equal the sum "
@@ -588,7 +585,7 @@ def open_book_fundamental_recipe(d: _Derivation, sign: int):
             "the single-orientation bound needs a page with boundary"
         )
     a_s = d.apply("ACTION_IS_BV", d.leaf(_page_rotation(sign)))
-    a_pt = d.apply("CS2", a_s, iota("T*M_pt", "pt"), note="cut down to a single fiber")
+    a_pt = d.apply("CS2", a_s, iota(d.ctx.iota_label("pt"), "pt"), note="cut down to a single fiber")
     d.apply("IOTA_CONST", a_pt, note="the single orbit contracts through the binding")
 
 
@@ -649,15 +646,4 @@ def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
         beta=target.declared_nonzero_pairing,
         steps=tuple(d.steps),
         factors=_conclusion(d.steps),
-        note=(
-            "thresholds are computed suprema; the strict/closed filtration "
-            "distinction is below reported tolerance"
-        ),
     )
-
-
-def _sum_filt(filts) -> FiltExpr:
-    total = fnum(0.0)
-    for f in filts:
-        total = total + f
-    return total

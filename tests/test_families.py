@@ -432,6 +432,35 @@ def test_an_infinite_trial_row_raises_with_its_params():
     assert "'vertical'" in str(exc.value)
 
 
+def test_an_overflowing_length_raises_for_the_first_row_that_fails():
+    # at u = 2/3 every sample is 1e308, finite, but their trapezoid sum is
+    # not; at u = 1 every sample is infinite
+    def scale(u, v):
+        return np.where(u > 0.9, np.inf, np.where(u > 0.5, 1e308, 1.0))
+
+    domain = _scaled_torus(scale)
+    fam = _vertical_family(ParamGrid((GridAxis(0.0, 1.0, 4), GridAxis(0.0, 0.0, 1))))
+    P = fam.grid.points()
+    quad = QuadratureSpec(panels=8)
+    with pytest.raises(InfiniteLengthError) as exc:
+        loop_length(domain, fam.loop_at(P[2]), quad)
+    assert math.isnan(exc.value.t)
+    assert str(exc.value) == "infinite length: the trapezoid sum overflowed"
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(domain, fam, P, quad)
+    np.testing.assert_array_equal(exc.value.params, P[2])
+    assert math.isnan(exc.value.t)
+    assert str(exc.value) == f"family 'vertical' has infinite length at params {P[2]!r} (the trapezoid sum overflowed)"
+    # in reverse row order the infinite samples come first
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(domain, fam, P[::-1], quad)
+    np.testing.assert_array_equal(exc.value.params, P[3])
+    assert exc.value.t == 0.0
+    with pytest.raises(InfiniteLengthError) as exc:
+        extremal_lengths(domain, fam, quad)
+    np.testing.assert_array_equal(exc.value.params, P[2])
+
+
 @PROPERTY
 @given(
     st.sampled_from(CASES),

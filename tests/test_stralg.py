@@ -24,7 +24,6 @@ from stringcap.stralg import (
     Certificate,
     ConclusionFactor,
     ConstantLoops,
-    Delta,
     FiltExpr,
     FilteredClass,
     Iota,
@@ -114,7 +113,7 @@ def test_opposite_orientation_product_gives_constant_loops():
     ctx = RuleContext()
     a = FilteredClass(ActionClass("id", +1), fsym("E+"))
     b = FilteredClass(ActionClass("id", -1), fsym("E-"))
-    out = star(a, b, ctx)
+    out = apply_rule("CS1", (a, b), ctx)
     assert out.term == ConstantLoops("id")
     assert out.filtration == fsym("E+") + fsym("E-")
 
@@ -122,7 +121,7 @@ def test_opposite_orientation_product_gives_constant_loops():
 def test_action_against_constant_loops_keeps_action_form():
     ctx = RuleContext()
     a = FilteredClass(ActionClass("id", +1), fnum(1.5))
-    out = star(a, iota("beta", "pt"), ctx)
+    out = apply_rule("CS2", (a, iota("beta", "pt")), ctx)
     assert out.term == ActionClass("pt", +1)
     assert out.filtration == fnum(1.5)
 
@@ -130,7 +129,7 @@ def test_action_against_constant_loops_keeps_action_form():
 def test_rotation_of_action_class_sweeps_label():
     ctx = RuleContext(sweep_table={"g": "zg"})
     c = FilteredClass(ActionClass("g", -1), fnum(2.0))
-    out = delta(c, ctx)
+    out = apply_rule("CS3", (c,), ctx)
     assert out.term == ActionClass("zg", -1)
     assert out.filtration == fnum(2.0)
 
@@ -138,11 +137,11 @@ def test_rotation_of_action_class_sweeps_label():
 def test_rotation_resolves_registered_bv_preimages():
     ctx = RuleContext(axioms=frozenset({"ACTION_IS_BV"}))
     c = FilteredClass(BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"), fsym("E+"))
-    out = delta(c, ctx)
+    out = apply_rule("ACTION_IS_BV", (c,), ctx)
     assert out.term == ActionClass("id", +1)
-    # without the axiom it stays wrapped
-    out2 = delta(c, RuleContext())
-    assert isinstance(out2.term, Delta)
+    # without the axiom the rotation does not resolve
+    with pytest.raises(MissingAxiomError):
+        apply_rule("ACTION_IS_BV", (c,), RuleContext())
 
 
 def test_iota_is_threshold_free():
@@ -155,7 +154,7 @@ def test_undeclared_intersection_is_rejected():
     a = FilteredClass(ActionClass("g1", +1), fnum(1.0))
     b = FilteredClass(ActionClass("g2", -1), fnum(1.0))
     with pytest.raises(IncompatibleBindingError):
-        star(a, b, ctx)
+        apply_rule("CS1", (a, b), ctx)
 
 
 def _five_derivations():
@@ -333,6 +332,9 @@ def _single_field_mutations(cert: Certificate):
             yield f"factor {i} swapped", with_factors(factors[:i] + [swapped] + factors[i + 1:])
     for i, step in enumerate(steps):
         yield f"step {i} dropped", with_steps(steps[:i] + steps[i + 1:])
+        for rule_id in (r for r in RULES if r != step.rule):
+            relabeled = dataclasses.replace(step, rule=rule_id)
+            yield f"step {i} relabeled {rule_id}", with_steps(steps[:i] + [relabeled] + steps[i + 1:])
         if not step.output.filtration.is_zero:
             zeroed = dataclasses.replace(step, output=dataclasses.replace(step.output, filtration=fnum(0.0)))
             yield f"step {i} output threshold zeroed", with_steps(steps[:i] + [zeroed] + steps[i + 1:])
@@ -348,7 +350,7 @@ def test_every_single_field_mutation_of_a_catalog_certificate_is_rejected():
             count += 1
             if check_certificate(mutant).passed:
                 passed.append(f"{key}: {what}")
-    assert count == 228
+    assert count == 760
     assert passed == []
 
 
