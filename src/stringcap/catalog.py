@@ -373,7 +373,7 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
     def oracle(q: BasePoint, v: TangentVector):
         w = v.components
         c = w[:, -1]
-        finite = ~(w[:, :-1] != 0.0).any(axis=1)
+        finite = ~np.not_equal(w[:, :-1].T, 0.0, order="C").any(axis=0)
         if q.chart_id != "camel:q1zero":
             finite &= c <= 0.0
         return np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)

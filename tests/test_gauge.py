@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from stringcap.catalog import (
@@ -325,6 +327,146 @@ def test_every_catalog_oracle_returns_one_float_array(domain):
         values = _batched(domain, coords, chart, rng.standard_normal(coords.shape))
         assert type(values) is np.ndarray
         assert values.dtype == np.float64 and values.shape == (m,)
+
+
+# the oracles sum over a coordinate-major layout, checked against row-major
+# references: bitwise below 8 summed coordinates, where numpy's pairwise sum
+# adds a short axis left to right, and to rtol 1e-15 per coordinate from 8 on
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SPECIAL_ROWS = ("zero", "negzero", "inf", "neginf", "nan", "both_infs", "huge", "tiny")
+
+
+def _special_row(kind, d, rng):
+    row = rng.standard_normal(d)
+    j = rng.integers(d)
+    if kind in ("zero", "negzero"):
+        row[:] = 0.0 if kind == "zero" else -0.0
+    elif kind in ("inf", "neginf", "nan"):
+        row[j] = {"inf": math.inf, "neginf": -math.inf, "nan": math.nan}[kind]
+    elif kind == "both_infs":
+        row[j], row[(j + 1) % d] = math.inf, -math.inf
+    else:
+        row *= 1e200 if kind == "huge" else 1e-200
+    return row
+
+
+def _vectors(m, d, specials, seed):
+    """(m, d) normal rows, some of them replaced by special rows."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, d)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+    for i, kind in zip(rng.permutation(m), specials):
+        w[i] = _special_row(kind, d, rng)
+    return w, rng
+
+
+def _assert_same_sums(got, want, summed):
+    if summed < 8:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15 * summed, atol=0.0)
+
+
+@pytest.mark.parametrize("form", ["flat", "matrix", "stack"])
+@PROPERTY
+@given(
+    m=st.sampled_from([1, 2, 7, 4097]),
+    d=st.integers(1, 12),
+    jac_rows=st.integers(1, 12),
+    specials=st.lists(st.sampled_from(SPECIAL_ROWS), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_codisk_oracle_matches_the_row_major_formula(form, m, d, jac_rows, specials, seed):
+    w, rng = _vectors(m, d, specials, seed)
+    radius = rng.uniform(0.1, 3.0)
+    coords = rng.uniform(-1.0, 1.0, (m, d))
+    # well-conditioned maps, so that a regrouped sum moves the norm by rounding only
+    jac = np.eye(jac_rows, d) + 0.2 * rng.standard_normal((jac_rows, d))
+    stack = jac + 0.2 * rng.standard_normal((m, jac_rows, d))
+    if form == "flat":
+        metric, pushed, summed = MetricSpec(radius=radius), w, d
+    elif form == "matrix":
+        metric, pushed, summed = MetricSpec(lambda q: jac, radius), None, max(d, jac_rows)
+    else:
+        metric, pushed, summed = MetricSpec(lambda q: stack, radius), None, max(d, jac_rows)
+    dom = codisk_domain(BaseDescriptor("torus", d, ("torus",)), metric)
+    with np.errstate(all="ignore"):
+        if form == "matrix":
+            pushed = w @ jac.T
+        elif form == "stack":
+            pushed = np.einsum("mij,mj->mi", stack, w)
+        want = radius * np.sqrt(np.add.reduce(pushed * pushed, axis=-1))
+        got = _batched(dom, coords, "torus", w)
+    assert got.shape == (m,) and got.dtype == np.float64
+    _assert_same_sums(got, want, summed)
+
+
+@PROPERTY
+@given(
+    m=st.sampled_from([1, 2, 7, 4097]),
+    d=st.integers(1, 12),
+    chart=st.sampled_from(["camel", "camel:q1zero"]),
+    specials=st.lists(st.sampled_from(SPECIAL_ROWS), max_size=6),
+    on_axis=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_camel_oracle_matches_the_row_major_rule(m, d, chart, specials, on_axis, seed):
+    eps, delta = 0.4, 0.01
+    w, rng = _vectors(m, d, specials, seed)
+    w[rng.uniform(size=m) < on_axis, :-1] = 0.0
+    lo, hi = eps / 2.0 + delta, eps / 2.0 + 2.0 * delta
+    c = w[:, -1]
+    finite = ~(w[:, :-1] != 0.0).any(axis=1)
+    if chart != "camel:q1zero":
+        finite &= c <= 0.0
+    want = np.where(finite, np.where(c < 0.0, -c * lo, c * hi), math.inf)
+    np.testing.assert_array_equal(_batched(camel_domain(d, eps, delta), w, chart, w), want)
+
+
+def _row_major_sample_pairs(dim, plan):
+    """The sphere sampler's batches, summed over the rows' own axis."""
+    rng = np.random.default_rng(plan.seed)
+    done, size = 0, 1
+    while done < plan.count:
+        k = min(size, plan.count - done)
+        z = rng.standard_normal((k, 2, dim + 1))
+        qc = z[:, 0] / np.sqrt(np.add.reduce(z[:, 0] * z[:, 0], axis=-1))[:, None]
+        yield qc, z[:, 1] - np.add.reduce(z[:, 1] * qc, axis=-1)[:, None] * qc, np.abs(z[:, 1]).max(axis=1)
+        done += k
+        size *= 2
+
+
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_sphere_sample_pairs_match_the_row_major_sampler(dim):
+    seen = []
+
+    def recording(q, v):
+        seen.append((q.coords, v.components))
+        return np.zeros(q.coords.shape[0])
+
+    dom = GaugeDomain(BaseDescriptor("sphere", dim, ("embedding",)), recording)
+    plan = SamplePlan(count=300, seed=dim)
+    assert domain_contains(dom, dom, plan)
+    want = list(_row_major_sample_pairs(dim, plan))
+    got = seen[::2]  # inner and outer see each batch
+    assert [q.shape for q, _ in got] == [q.shape for q, _, _ in want]
+    for (gq, gv), (wq, wv, size) in zip(got, want):
+        _assert_same_sums(gq, wq, dim + 1)
+        if dim + 1 < 8:
+            np.testing.assert_array_equal(gv, wv)
+        else:  # v cancels a multiple of q, so its error scales with the draw
+            assert (np.abs(gv - wv) <= 1e-15 * (dim + 1) * size[:, None]).all()
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5])
+def test_codisk_radius_must_be_finite_and_nonnegative(radius):
+    # a NaN or infinite radius gave a NaN support at v = 0
+    with pytest.raises(InvalidInputError):
+        MetricSpec(radius=radius)
+    with pytest.raises(InvalidInputError):
+        MetricSpec(lambda q: np.eye(2), radius)
+    with pytest.raises(InvalidInputError):
+        flat_torus_domain(2, radius=radius)
 
 
 def _ref_sample_pairs(base, plan):
