@@ -357,6 +357,8 @@ def flat_torus_domain(
     else:
         if len(lengths) != d:
             raise ScenarioParameterError("lengths must have one entry per factor")
+        if not all(0.0 < length < math.inf for length in lengths):
+            raise ScenarioParameterError(f"lengths must be finite and > 0, got {lengths}")
         jac = np.diag(np.asarray(lengths, dtype=float))
         metric = MetricSpec(lambda q: jac, radius)
     return codisk_domain(base, metric)

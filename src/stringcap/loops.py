@@ -26,7 +26,8 @@ have not converged double together, in oracle calls of at most
 ``family_lengths`` on a whole parameter grid.  The sup and inf of a family
 are taken on that grid and refined together by a compass search that stays
 within one grid gap of their grid points, one ``family_lengths`` call per
-round (``_refine``).
+round (``_refine``); each extremum's rounds until its next move are built
+ahead, in one array operation, as its failure ladder.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -228,7 +230,8 @@ MAX_QUAD_PANELS = 2**16
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
     doubled up to ``_MAX_DOUBLINGS`` (six) times until two levels agree to
-    qtol; ``panels`` lies in [8, ``MAX_QUAD_PANELS``]."""
+    qtol; ``panels`` lies in [8, ``MAX_QUAD_PANELS``] and qtol is finite and
+    >= 0."""
 
     panels: int = 512
     qtol: float = 1e-7
@@ -236,6 +239,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 8 <= self.panels <= MAX_QUAD_PANELS:
             raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
+        if not 0.0 <= self.qtol < math.inf:
+            raise InvalidInputError(f"qtol must be finite and >= 0, got {self.qtol}")
 
 
 # at most this many (row, t) samples go into one support-oracle call of the
@@ -482,7 +487,7 @@ class RefineSpec:
     an extremum stops once its step is below ``xtol`` on every axis, or when
     one more round would take its length evaluations past ``budget``, which
     is at least 1 (a budget of 1 leaves a family with a parameter at its
-    grid values)."""
+    grid values); ``xtol`` is finite and > 0."""
 
     budget: int = 200  # length evaluations per extremum
     xtol: float = 1e-6
@@ -490,6 +495,8 @@ class RefineSpec:
     def __post_init__(self):
         if self.budget < 1:
             raise InvalidInputError(f"refine_budget must be >= 1, got {self.budget}")
+        if not 0.0 < self.xtol < math.inf:
+            raise InvalidInputError(f"xtol must be finite and > 0, got {self.xtol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,23 +524,8 @@ def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
 
     if not periodic.any():
         return clip
-    return lambda x: np.where(periodic, los + np.mod(x - los, his - los), clip(x))
-
-
-@dataclass(eq=False)
-class _Compass:
-    """One extremum's compass search: its start ``x0``, its point ``x``
-    unwrapped and ``at`` as evaluated, its length ``f``, ``sign`` -1 for a sup
-    and 1 for an inf, and the step ``h`` per axis."""
-
-    x0: np.ndarray
-    x: np.ndarray
-    at: np.ndarray
-    f: float
-    sign: float
-    h: np.ndarray
-    evals: int = 0
-    rounds: int = 0
+    spans = np.where(periodic, his - los, 1.0)  # a clipped axis may have width 0: mod by 1 there
+    return lambda x: np.where(periodic, los + np.mod(x - los, spans), clip(x))
 
 
 def _refine(lengths, grid: ParamGrid, starts, budget: int, xtol: float) -> list[tuple]:
@@ -546,29 +538,48 @@ def _refine(lengths, grid: ParamGrid, starts, budget: int, xtol: float) -> list[
     otherwise, and stops when h < xtol on every axis or when its next round
     would take its evaluations past ``budget``.  Trial points stay within one
     grid gap of the start on every axis and go through ``_folder``, so
-    periodic axes wrap across the seam and the others are clipped.  Returns
-    (point, length, evals, rounds) per start."""
+    periodic axes wrap across the seam and the others are clipped.  The
+    rounds an extremum would take if no trial improved, its failure ladder,
+    are built in one array operation when it starts or moves, and a round
+    reads one rung of each.  Returns (point, length, evals, rounds) per start."""
     p = grid.dim
     fold = _folder(grid)
     # a periodic axis excludes hi, so its count points split it into count gaps
     gap = np.array([(ax.hi - ax.lo) / (ax.count if ax.periodic else max(ax.count - 1, 1)) for ax in grid.axes])
     moves = np.concatenate([np.eye(p), -np.eye(p)])
-    searches = [_Compass(x0, x0, x0, f0, sign, gap / 2) for x0, f0, sign in starts]
+
+    def climb(s: SimpleNamespace, x: np.ndarray, h: np.ndarray) -> None:
+        """Give search ``s`` its ladder at x with step h: rung k, the round
+        after k failures, has step ``steps[k, 0]`` = h / 2**k and trial points
+        x +- steps[k] e_i, ``raw[k]`` clipped to the box and ``trials[k]``
+        folded; ``rung`` is the next round's."""
+        k, hk = 0, max(h.tolist(), default=0.0)
+        while hk >= xtol and 2 * p * (s.rounds + k + 1) <= budget:
+            k, hk = k + 1, hk / 2
+        steps = np.full((k, 1, p), 0.5)
+        steps[:1, 0] = h
+        s.steps = steps.cumprod(axis=0)  # halving, as h / 2 each round would
+        s.raw = (x + s.steps * moves).clip(s.lo, s.hi)
+        s.trials, s.rung = fold(s.raw), 0
+
+    # each search: its box, its point ``at`` as evaluated and its length f
+    searches = [SimpleNamespace(lo=x0 - gap, hi=x0 + gap, at=x0, f=f0, sign=sign, rounds=0) for x0, f0, sign in starts]
+    for s in searches:
+        climb(s, s.at, gap / 2)
     while True:
-        going = [s for s in searches if (s.h >= xtol).any() and s.evals + 2 * p <= budget]
+        going = [s for s in searches if s.rung < s.steps.shape[0]]
         if not going:
-            return [(s.at, s.f, s.evals, s.rounds) for s in searches]
-        raw = [np.clip(s.x + s.h * moves, s.x0 - gap, s.x0 + gap) for s in going]
-        trials = [fold(r) for r in raw]
-        values = lengths(np.concatenate(trials)).reshape(len(going), 2 * p)
-        for s, r, t, v in zip(going, raw, trials, values):
-            j = int(np.argmin(s.sign * v))
-            if s.sign * v[j] < s.sign * s.f:
-                s.x, s.at, s.f = r[j], t[j], float(v[j])
-            else:
-                s.h = s.h / 2
-            s.evals += 2 * p
+            return [(s.at, s.f, 2 * p * s.rounds, s.rounds) for s in searches]
+        values = lengths(np.concatenate([s.trials[s.rung] for s in going])).reshape(len(going), 2 * p)
+        signed = np.array([[s.sign] for s in going]) * values
+        for s, v, row, j in zip(going, values.tolist(), signed.tolist(), signed.argmin(axis=1).tolist()):
+            k = s.rung
             s.rounds += 1
+            if row[j] < s.sign * s.f:
+                s.at, s.f = s.trials[k, j], v[j]
+                climb(s, s.raw[k, j], s.steps[k, 0])
+            else:
+                s.rung += 1
 
 
 def extremal_lengths(

@@ -23,6 +23,7 @@ from stringcap.catalog import (
     product_torus_scenario,
 )
 from stringcap.errors import ScenarioParameterError
+from stringcap.gauge import BasePoint, TangentVector, support
 from stringcap.loops import check_loop, extremal_lengths
 
 TWO_PI = 2.0 * math.pi
@@ -148,6 +149,18 @@ def test_parameter_validation():
         klein_bottle_scenario(0.0, 1.0)
     with pytest.raises(ScenarioParameterError):
         open_book_scenario("moebius", 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lengths", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-2.0, 1.0), (1.0, -0.0)])
+def test_flat_torus_lengths_must_be_finite_and_positive(lengths):
+    # NaN gave a NaN support at v = 0, 0 a zero support of (1, 0) and -2 a
+    # support of 2
+    with pytest.raises(ScenarioParameterError, match="lengths must be finite and > 0"):
+        catalog.flat_torus_domain(2, lengths=lengths)
+    domain = catalog.flat_torus_domain(2, radius=0.5, lengths=(2.0, 3.0))
+    q = BasePoint(np.array([0.1, 0.2]), "torus")
+    assert support(domain, q, TangentVector(np.array([1.0, 0.0]), q)) == 1.0
+    assert support(domain, q, TangentVector(np.zeros(2), q)) == 0.0
 
 
 def test_config_round_trip_and_schema_rejection():

@@ -520,3 +520,104 @@ def test_a_family_needs_loops_or_both_array_forms():
         LoopFamily("half", grid, points=forms)
     with pytest.raises(TypeError):
         LoopFamily("other half", grid, velocities=forms)
+
+
+@dataclasses.dataclass(eq=False)
+class _Compass:
+    """One extremum of the reference compass search below."""
+
+    x0: np.ndarray
+    x: np.ndarray
+    at: np.ndarray
+    f: float
+    sign: float
+    h: np.ndarray
+    evals: int = 0
+    rounds: int = 0
+
+
+def _round_by_round_refine(lengths, grid, starts, budget, xtol):
+    """``loops._refine`` as a compass search that builds each round's trial
+    points anew: x +- h e_i, clipped to one grid gap around the start and
+    folded, for every extremum whose h is not below xtol on every axis and
+    whose next round fits the budget; a strict improvement moves, anything
+    else halves h."""
+    p = grid.dim
+    fold = loops._folder(grid)
+    gap = np.array([(ax.hi - ax.lo) / (ax.count if ax.periodic else max(ax.count - 1, 1)) for ax in grid.axes])
+    moves = np.concatenate([np.eye(p), -np.eye(p)])
+    searches = [_Compass(x0, x0, x0, f0, sign, gap / 2) for x0, f0, sign in starts]
+    while True:
+        going = [s for s in searches if (s.h >= xtol).any() and s.evals + 2 * p <= budget]
+        if not going:
+            return [(s.at, s.f, s.evals, s.rounds) for s in searches]
+        raw = [np.clip(s.x + s.h * moves, s.x0 - gap, s.x0 + gap) for s in going]
+        trials = [fold(r) for r in raw]
+        values = lengths(np.concatenate(trials)).reshape(len(going), 2 * p)
+        for s, r, t, v in zip(going, raw, trials, values):
+            j = int(np.argmin(s.sign * v))
+            if s.sign * v[j] < s.sign * s.f:
+                s.x, s.at, s.f = r[j], t[j], float(v[j])
+            else:
+                s.h = s.h / 2
+            s.evals += 2 * p
+            s.rounds += 1
+
+
+@st.composite
+def _axes(draw, xtol: float):
+    """A periodic or clipped axis of 1 to 9 points; some widths are xtol
+    times a power of two, so that a step can land on xtol exactly."""
+    periodic = draw(st.booleans())
+    lo = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    widths = [st.floats(0.01, 3.0), st.integers(1, int(math.log2(4.0 / xtol))).map(lambda m: xtol * 2.0**m)]
+    width = draw(st.one_of(*widths) if periodic else st.one_of(st.just(0.0), *widths))
+    return GridAxis(lo, lo + width, draw(st.integers(1, 9)), periodic)
+
+
+def _test_function(kind: str, grid: ParamGrid, slopes):
+    """A constant, a function that peaks on a corner of the box, or a
+    product of cosines that peaks a twentieth of the box below each axis's
+    upper end, across the seam from lo on a periodic axis."""
+    lo = np.array([ax.lo for ax in grid.axes])
+    width = np.array([max(ax.hi - ax.lo, 1.0) for ax in grid.axes])
+    if kind == "constant":
+        return lambda P: np.full(P.shape[0], 0.75)
+    if kind == "edge":
+        return lambda P: 1.0 + ((P - lo) * slopes).sum(axis=1)
+    return lambda P: 2.0 + np.cos(TWO_PI * (P - (lo + 0.95 * width)) / width).prod(axis=1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["constant", "edge", "seam"]),
+    data=st.data(),
+    budget=st.integers(1, 200),
+    xtol=st.sampled_from([1e-2, 1e-6, 1e-9]),
+)
+def test_the_failure_ladder_makes_the_calls_of_the_round_by_round_compass(kind, data, budget, xtol):
+    grid = ParamGrid(tuple(data.draw(st.lists(_axes(xtol), min_size=0, max_size=3))))
+    slopes = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=grid.dim, max_size=grid.dim)))
+    f = _test_function(kind, grid, slopes)
+    pts = grid.points()
+    values = f(pts)
+    pick = st.tuples(st.integers(0, pts.shape[0] - 1), st.sampled_from([-1.0, 1.0]))
+    picks = data.draw(st.lists(pick, min_size=1, max_size=3))
+    starts = [(pts[i], values[i], sign) for i, sign in picks]
+
+    def recording(calls):
+        def lengths(P):
+            calls.append(np.array(P))
+            return f(P)
+
+        return lengths
+
+    ladder_calls, compass_calls = [], []
+    got = loops._refine(recording(ladder_calls), grid, starts, budget, xtol)
+    expected = _round_by_round_refine(recording(compass_calls), grid, starts, budget, xtol)
+    assert len(ladder_calls) == len(compass_calls)
+    for a, b in zip(ladder_calls, compass_calls):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for (x, fx, evals, rounds), (y, fy, e, r) in zip(got, expected, strict=True):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (float(fx).hex(), evals, rounds) == (float(fy).hex(), e, r)

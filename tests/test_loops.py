@@ -209,6 +209,23 @@ def test_refine_spec_validation():
             loops.RefineSpec(budget=budget)
 
 
+@pytest.mark.parametrize("qtol", [math.nan, math.inf, -math.inf, -1e-7])
+def test_quadrature_spec_needs_a_finite_nonnegative_qtol(qtol):
+    # at qtol = NaN the rule stopped after one doubling and reported a NaN
+    # tolerance
+    with pytest.raises(InvalidInputError, match="qtol must be finite and >= 0"):
+        QuadratureSpec(qtol=qtol)
+    QuadratureSpec(qtol=0.0)
+
+
+@pytest.mark.parametrize("xtol", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_refine_spec_needs_a_finite_positive_xtol(xtol):
+    # NaN and inf skipped refinement; 0 and below bounded it only by the budget
+    with pytest.raises(InvalidInputError, match="xtol must be finite and > 0"):
+        loops.RefineSpec(xtol=xtol)
+    loops.RefineSpec(xtol=5e-324)
+
+
 def test_grid_points_are_an_array_in_product_order():
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True), GridAxis(-0.5, 0.5, 3)))
     P = grid.points()
