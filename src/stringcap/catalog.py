@@ -173,25 +173,20 @@ def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
     t -> (x, rho cos(2 pi s t), rho sin(2 pi s t)) with rho = sqrt(1-|x|^2)."""
     w = TWO_PI * sign
 
-    def rho(X: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, 1.0 - np.vecdot(X, X)))[:, None]
+    def samples(X: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k, ang = X.shape[1], w * ts
+        r = np.sqrt(np.maximum(0.0, 1.0 - np.vecdot(X, X)))[:, None]
+        cos, sin = np.cos(ang), np.sin(ang)
+        q, v = np.empty((2, k + 2, X.shape[0], ts.shape[0]))  # coordinate-major
+        q[:k] = X.T[:, :, None]
+        np.multiply(r, cos, out=q[k])
+        np.multiply(r, sin, out=q[k + 1])
+        v[:k] = 0.0
+        np.multiply(-w * r, sin, out=v[k])
+        np.multiply(w * r, cos, out=v[k + 1])
+        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    def points(X: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        k, r, ang = X.shape[1], rho(X), w * ts
-        out = np.empty((X.shape[0], ts.shape[0], k + 2))
-        out[:, :, :k] = X[:, None, :]
-        out[:, :, k] = r * np.cos(ang)
-        out[:, :, k + 1] = r * np.sin(ang)
-        return out
-
-    def velocities(X: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        k, r, ang = X.shape[1], rho(X), w * ts
-        out = np.zeros((X.shape[0], ts.shape[0], k + 2))
-        out[:, :, k] = -w * r * np.sin(ang)
-        out[:, :, k + 1] = w * r * np.cos(ang)
-        return out
-
-    return LoopFamily(name, grid, points=points, velocities=velocities, chart="embedding")
+    return LoopFamily(name, grid, samples, chart="embedding")
 
 
 def _page_grid(page_dim: int) -> ParamGrid:
@@ -310,23 +305,18 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
 
     # orbits of the diagonal action at radius r = params[:, 0], of length
     # 2 pi a r, longest at r = 1
-    def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        r = P[:, :1]
-        out = np.zeros((P.shape[0], ts.shape[0], n + 1))
-        out[:, :, 0] = np.sqrt(np.maximum(0.0, 1.0 - r * r))
-        out[:, :, n - 1] = r * np.cos(TWO_PI * ts)
-        out[:, :, n] = r * np.sin(TWO_PI * ts)
-        return out
+    def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, ang = P[:, :1], TWO_PI * ts
+        cos, sin = np.cos(ang), np.sin(ang)
+        q, v = np.zeros((2, n + 1, P.shape[0], ts.shape[0]))  # coordinate-major
+        q[0] = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+        np.multiply(r, cos, out=q[n - 1])
+        np.multiply(r, sin, out=q[n])
+        np.multiply(-TWO_PI * r, sin, out=v[n - 1])
+        np.multiply(TWO_PI * r, cos, out=v[n])
+        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        r = P[:, :1]
-        out = np.zeros((P.shape[0], ts.shape[0], n + 1))
-        out[:, :, n - 1] = -TWO_PI * r * np.sin(TWO_PI * ts)
-        out[:, :, n] = TWO_PI * r * np.cos(TWO_PI * ts)
-        return out
-
-    grid = ParamGrid((GridAxis(0.0, 1.0, 17),))
-    orbits = LoopFamily("orbits", grid, points=points, velocities=velocities, chart="embedding")
+    orbits = LoopFamily("orbits", ParamGrid((GridAxis(0.0, 1.0, 17),)), samples, chart="embedding")
     ball = "matching lower bound by an explicit ball family"
     ctx = RuleContext(
         axioms=frozenset({"OB_BV2", "HOPF_CONTRACT"}),
@@ -388,26 +378,14 @@ def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, cou
     one per parameter p of the torus grid with ``count`` points per axis; the
     closure check folds back into the fundamental domain."""
 
-    def points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((P.shape[0], ts.shape[0], d))
-        out[:, :, :zeros] = 0.0
-        out[:, :, zeros:-1] = P[:, None, :]
-        out[:, :, -1] = sign * ts
-        return out
+    def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q, v = np.zeros((2, d, P.shape[0], ts.shape[0]))  # coordinate-major
+        q[zeros:-1] = P.T[:, :, None]
+        np.multiply(sign, ts, out=q[-1])
+        v[-1] = sign
+        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    def velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        out = np.zeros((P.shape[0], ts.shape[0], d))
-        out[:, :, -1] = sign
-        return out
-
-    return LoopFamily(
-        name,
-        _torus_grid(d - zeros - 1, count),
-        points=points,
-        velocities=velocities,
-        chart=chart,
-        identify=_unit_torus_fold,
-    )
+    return LoopFamily(name, _torus_grid(d - zeros - 1, count), samples, chart=chart, identify=_unit_torus_fold)
 
 
 def _unit_torus_fold(c: np.ndarray) -> np.ndarray:
@@ -502,17 +480,6 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     fold = klein_identify(a, b)
     x0 = a / 4.0
 
-    # the straight loop at y0 = params[:, 0] moves from (x0, y0) by the step
-    # (a, -2 y0) along a profile phi(t); it closes in the quotient, where
-    # (x0 + a, -y0) folds back to (x0, y0)
-    def along(P: np.ndarray, phi: np.ndarray, origin: bool) -> np.ndarray:
-        """origin + phi * step (origin=True) or phi * step, shape (G, m, 2)."""
-        y0 = P[:, :1]
-        out = np.empty((P.shape[0], phi.shape[0], 2))
-        out[:, :, 0] = x0 + phi * a if origin else phi * a
-        out[:, :, 1] = y0 + phi * (-2.0 * y0) if origin else phi * (-2.0 * y0)
-        return out
-
     # out along the straight loop and back along its reverse; closes in the
     # lift, so its length is l(q) + l(reverse q)
     def split(ts: np.ndarray):
@@ -520,18 +487,24 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         outward = t < 0.5
         return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
 
-    def doubled_points(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        _, s = split(ts)
-        return along(P, cutoff(s), True)
-
-    def doubled_velocities(P: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # the straight loop at y0 = params[:, 0] moves from (x0, y0) by the step
+    # (a, -2 y0) along a profile phi(t); it closes in the quotient, where
+    # (x0 + a, -y0) folds back to (x0, y0)
+    def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rate, s = split(ts)
-        return along(P, rate * cutoff_deriv(s), False)
+        phi, dphi = cutoff(s), rate * cutoff_deriv(s)
+        y0 = P[:, :1]
+        step = -2.0 * y0
+        q, v = np.empty((2, 2, P.shape[0], ts.shape[0]))  # coordinate-major
+        q[0] = x0 + phi * a
+        np.multiply(phi, step, out=q[1])
+        np.add(y0, q[1], out=q[1])
+        np.multiply(dphi, a, out=v[0])
+        np.multiply(dphi, step, out=v[1])
+        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
-    doubled = LoopFamily(
-        "Ldoubled", grid, points=doubled_points, velocities=doubled_velocities, chart="klein", identify=fold
-    )
+    doubled = LoopFamily("Ldoubled", grid, samples, chart="klein", identify=fold)
     ctx = RuleContext(
         intersection_table={("q", "qbar"): "pt"},
         iota_table={"pt": "T*Sigma_pt"},

@@ -6,13 +6,17 @@ the loop's ``chart``.  A loop built from scalar closures gets its array forms
 by stacking them, once, in its constructor; validation, concatenation and
 every length then go through the array forms.
 
-A loop family has the same forms one axis up: ``points(P, ts)`` and
-``velocities(P, ts)`` map family parameters ``P`` of shape (G, p) and ``ts``
-of shape (m,) to coordinates of shape (G, m, d), and ``loop_at`` evaluates
-them on one row.  A parameter grid is likewise one (G, p) array.  A grid of
-G loops sampled at m parameters is one stack of (G * m) samples for the
-support oracle, which returns one array of supports, +inf where the fiber is
-unbounded.
+A loop family has one array form one axis up: ``samples(P, ts)`` maps
+family parameters ``P`` of shape (G, p) and ``ts`` of shape (m,) to the
+points and the velocities, each of shape (G, m, d), and ``loop_at``
+evaluates it on one row.  A form may return any (G, m, d) layout.  The
+catalog's forms compute the terms that points and velocities share once,
+fill a coordinate-major (d, G, m) buffer and return its transposed view:
+the stack below is then a view, and its transpose, the layout the oracles
+sum over, is C-contiguous.  A parameter grid is likewise one (G, p) array.
+A grid of G loops sampled at m parameters is one stack of (G * m) samples
+for the support oracle, which returns one array of supports, +inf where the
+fiber is unbounded.
 
 The length of a loop q is the integral over one period of the fiber support
 function evaluated on the velocity.  The integrand is smooth and periodic, so
@@ -34,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -386,10 +391,22 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
 
 @dataclass(frozen=True, slots=True)
 class GridAxis:
+    """``count`` >= 1 points on [lo, hi], or on [lo, hi) when ``periodic``;
+    lo <= hi are finite, and a periodic axis has hi > lo, since it wraps
+    modulo its width.  Anything else raises ``InvalidInputError``."""
+
     lo: float
     hi: float
     count: int
     periodic: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise InvalidInputError(f"a grid axis needs an int count >= 1, got {self.count!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+            raise InvalidInputError(f"a grid axis needs finite lo <= hi, got [{self.lo}, {self.hi}]")
+        if self.periodic and self.lo == self.hi:
+            raise InvalidInputError(f"a periodic grid axis needs hi > lo, got [{self.lo}, {self.hi}]")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count, endpoint=not self.periodic)
@@ -412,33 +429,34 @@ class ParamGrid:
         return np.array(list(itertools.product(*(ax.points() for ax in self.axes))), dtype=float)
 
 
-FamilyFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+FamilyFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
 class LoopFamily:
     """A named smooth family of loops over a parameter grid, given by its
-    array forms: ``points`` and ``velocities`` map parameters of shape (G, p)
-    and loop parameters ts of shape (m,) to coordinates of shape (G, m, d),
-    all in the family's ``chart``.  ``ts`` may be read-only, as for loops;
-    ``identify`` is passed on to the family's loops.
+    array form: ``samples`` maps parameters of shape (G, p) and loop
+    parameters ts of shape (m,) to (points, velocities), each of shape
+    (G, m, d), all in the family's ``chart``.  The arrays may have any
+    layout; the catalog's are views of coordinate-major (d, G, m) buffers.
+    ``ts`` may be read-only, as for loops; ``identify`` is passed on to the
+    family's loops.
     """
 
     name: str
     grid: ParamGrid
-    points: FamilyFn
-    velocities: FamilyFn
+    samples: FamilyFn
     chart: str = "default"
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def loop_at(self, p: np.ndarray) -> Loop:
-        """The loop at parameter row ``p`` of shape (p,): the array forms on
+        """The loop at parameter row ``p`` of shape (p,): the array form on
         one row."""
         P = np.asarray(p, dtype=float)[None]
-        pts, vel = self.points, self.velocities
+        samples = self.samples
         return Loop(
-            points=lambda ts: pts(P, ts)[0],
-            velocities=lambda ts: vel(P, ts)[0],
+            points=lambda ts: samples(P, ts)[0][0],
+            velocities=lambda ts: samples(P, ts)[1][0],
             chart=self.chart,
             identify=self.identify,
         )
@@ -471,7 +489,7 @@ def family_lengths(
 
     def values_at(rows, ts):
         P = params[rows]
-        pts, vel = family.points(P, ts), family.velocities(P, ts)
+        pts, vel = family.samples(P, ts)
         d = pts.shape[-1]
         return _oracle_rows(domain, family.chart, pts.reshape(-1, d), vel.reshape(-1, d), P.shape[0])
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from stringcap import loops
 from stringcap.catalog import (
+    SCENARIOS as CATALOG,
+    build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
     ellipsoid_scenario,
@@ -111,10 +113,11 @@ def test_batched_family_lengths_equal_per_point_lengths(case, quad, data):
     np.testing.assert_allclose(per_point, reference, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(batched, per_point, rtol=1e-13, atol=0.0)
     ts = np.linspace(-0.1, 1.1, 23)
+    q, v = fam.samples(P, ts)
     for i, p in enumerate(P[:3]):
         loop = fam.loop_at(p)
-        np.testing.assert_array_equal(fam.points(P, ts)[i], loop.points(ts))
-        np.testing.assert_array_equal(fam.velocities(P, ts)[i], loop.velocities(ts))
+        np.testing.assert_array_equal(q[i], loop.points(ts))
+        np.testing.assert_array_equal(v[i], loop.velocities(ts))
 
 
 def _window_family(grid: ParamGrid) -> LoopFamily:
@@ -125,15 +128,12 @@ def _window_family(grid: ParamGrid) -> LoopFamily:
     first levels see as finite does not stop at once."""
     q0 = np.array([0.2, 0.3])
 
-    def points(P, ts):
-        return np.broadcast_to(q0, (P.shape[0], ts.shape[0], 2)).copy()
+    def samples(P, ts):
+        v = np.zeros((P.shape[0], ts.shape[0], 2))
+        v[:, :, 1] = np.exp(4.0 * (np.cos(TWO_PI * (ts - P[:, :1])) - 1.0)) - P[:, 1:2]
+        return np.broadcast_to(q0, v.shape), v
 
-    def velocities(P, ts):
-        out = np.zeros((P.shape[0], ts.shape[0], 2))
-        out[:, :, 1] = np.exp(4.0 * (np.cos(TWO_PI * (ts - P[:, :1])) - 1.0)) - P[:, 1:2]
-        return out
-
-    return LoopFamily("window", grid, points=points, velocities=velocities, chart="camel")
+    return LoopFamily("window", grid, samples, chart="camel")
 
 
 CAMEL = camel_scenario(2, 0.4, 0.01).domain
@@ -320,22 +320,19 @@ def _seam_domain() -> GaugeDomain:
 
 
 def test_refinement_crosses_the_seam_of_a_periodic_axis():
-    def points(P, ts):
-        out = np.empty((P.shape[0], ts.shape[0], 2))
-        out[:, :, 0] = P[:, :1]
-        out[:, :, 1] = ts
-        return out
-
-    def velocities(P, ts):
-        out = np.zeros((P.shape[0], ts.shape[0], 2))
-        out[:, :, 1] = 1.0
-        return out
+    def samples(P, ts):
+        q = np.empty((P.shape[0], ts.shape[0], 2))
+        q[:, :, 0] = P[:, :1]
+        q[:, :, 1] = ts
+        v = np.zeros((P.shape[0], ts.shape[0], 2))
+        v[:, :, 1] = 1.0
+        return q, v
 
     # the vertical loop at u has length 1 + cos(2 pi (u - 0.95)) / 2; the
     # grid 0, 1/4, 1/2, 3/4 puts its largest value at u = 0, and the maximum
     # lies across the seam from there
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),))
-    fam = LoopFamily("vertical", grid, points=points, velocities=velocities, chart="torus")
+    fam = LoopFamily("vertical", grid, samples, chart="torus")
     rep = extremal_lengths(_seam_domain(), fam)
     assert rep.grid_E == pytest.approx(1.0 + 0.5 * math.cos(TWO_PI * 0.05), rel=1e-12)
     assert rep.E == pytest.approx(1.5, rel=1e-9)
@@ -370,18 +367,15 @@ def _vertical_family(grid: ParamGrid) -> LoopFamily:
     """Loops t -> (u, v, t) at parameters (u, v): the length of the loop at
     (u, v) is the domain's scale there."""
 
-    def points(P, ts):
-        out = np.empty((P.shape[0], ts.shape[0], 3))
-        out[:, :, :2] = P[:, None, :]
-        out[:, :, 2] = ts
-        return out
+    def samples(P, ts):
+        q = np.empty((P.shape[0], ts.shape[0], 3))
+        q[:, :, :2] = P[:, None, :]
+        q[:, :, 2] = ts
+        v = np.zeros((P.shape[0], ts.shape[0], 3))
+        v[:, :, 2] = 1.0
+        return q, v
 
-    def velocities(P, ts):
-        out = np.zeros((P.shape[0], ts.shape[0], 3))
-        out[:, :, 2] = 1.0
-        return out
-
-    return LoopFamily("vertical", grid, points=points, velocities=velocities, chart="torus")
+    return LoopFamily("vertical", grid, samples, chart="torus")
 
 
 def _bump(u, v):
@@ -511,15 +505,15 @@ def test_a_nan_support_value_counts_as_infinite(t_nan):
 def test_a_family_needs_loops_or_both_array_forms():
     grid = ParamGrid(())
 
-    def forms(P, ts):
-        return np.zeros((P.shape[0], ts.shape[0], 2))
+    def samples(P, ts):
+        zeros = np.zeros((P.shape[0], ts.shape[0], 2))
+        return zeros, zeros
 
     with pytest.raises(TypeError):
         LoopFamily("none", grid)
-    with pytest.raises(TypeError):
-        LoopFamily("half", grid, points=forms)
-    with pytest.raises(TypeError):
-        LoopFamily("other half", grid, velocities=forms)
+    with pytest.raises(TypeError):  # one form gives both arrays
+        LoopFamily("two forms", grid, points=samples, velocities=samples)
+    LoopFamily("one form", grid, samples)
 
 
 @dataclasses.dataclass(eq=False)
@@ -621,3 +615,160 @@ def test_the_failure_ladder_makes_the_calls_of_the_round_by_round_compass(kind, 
     for (x, fx, evals, rounds), (y, fy, e, r) in zip(got, expected, strict=True):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
         assert (float(fx).hex(), evals, rounds) == (float(fy).hex(), e, r)
+
+
+# ---------------------------------------------------------------------------
+# The catalog's coordinate-major form against the row-major forms it replaced
+# ---------------------------------------------------------------------------
+
+# the seven default scenario forms and the non-default ones above
+FORMS = [build_scenario({"scenario": name}) for name in CATALOG] + [
+    build_scenario({"scenario": "open_book", "page": "circle"}),
+    *SCENARIOS,
+]
+FORM_CASES = [(s, name) for s in FORMS for name in s.families]
+
+
+def _row_major_forms(s, name: str):
+    """The two row-major array forms, ``points`` and ``velocities``, that the
+    catalog gave family ``name`` of scenario ``s`` before its one
+    coordinate-major ``samples`` form, copied as they were."""
+    kind = s.params["scenario"]
+    if kind == "ellipsoid1" or (kind == "open_book" and s.params["page"] == "interval"):
+        w = TWO_PI * (1 if name == "L+" else -1)
+
+        def rho(X):
+            return np.sqrt(np.maximum(0.0, 1.0 - np.vecdot(X, X)))[:, None]
+
+        def points(X, ts):
+            k, r, ang = X.shape[1], rho(X), w * ts
+            out = np.empty((X.shape[0], ts.shape[0], k + 2))
+            out[:, :, :k] = X[:, None, :]
+            out[:, :, k] = r * np.cos(ang)
+            out[:, :, k + 1] = r * np.sin(ang)
+            return out
+
+        def velocities(X, ts):
+            k, r, ang = X.shape[1], rho(X), w * ts
+            out = np.zeros((X.shape[0], ts.shape[0], k + 2))
+            out[:, :, k] = -w * r * np.sin(ang)
+            out[:, :, k + 1] = w * r * np.cos(ang)
+            return out
+
+    elif kind == "ellipsoid2":
+        n = s.params["n"]
+
+        def points(P, ts):
+            r = P[:, :1]
+            out = np.zeros((P.shape[0], ts.shape[0], n + 1))
+            out[:, :, 0] = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+            out[:, :, n - 1] = r * np.cos(TWO_PI * ts)
+            out[:, :, n] = r * np.sin(TWO_PI * ts)
+            return out
+
+        def velocities(P, ts):
+            r = P[:, :1]
+            out = np.zeros((P.shape[0], ts.shape[0], n + 1))
+            out[:, :, n - 1] = -TWO_PI * r * np.sin(TWO_PI * ts)
+            out[:, :, n] = TWO_PI * r * np.cos(TWO_PI * ts)
+            return out
+
+    elif kind == "klein":
+        a = s.params["a"]
+        x0 = a / 4.0
+
+        def along(P, phi, origin):
+            y0 = P[:, :1]
+            out = np.empty((P.shape[0], phi.shape[0], 2))
+            out[:, :, 0] = x0 + phi * a if origin else phi * a
+            out[:, :, 1] = y0 + phi * (-2.0 * y0) if origin else phi * (-2.0 * y0)
+            return out
+
+        def split(ts):
+            t = np.mod(ts, 1.0)
+            outward = t < 0.5
+            return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
+
+        def points(P, ts):
+            _, u = split(ts)
+            return along(P, loops.cutoff(u), True)
+
+        def velocities(P, ts):
+            rate, u = split(ts)
+            return along(P, rate * loops.cutoff_deriv(u), False)
+
+    else:  # the torus lines of product_torus, camel and the circle open book
+        d = s.domain.base.dim
+        zeros = s.params.get("k", 1) if name == "L+^k" else 0
+        sign = 1 if name.startswith("L+") else -1
+
+        def points(P, ts):
+            out = np.empty((P.shape[0], ts.shape[0], d))
+            out[:, :, :zeros] = 0.0
+            out[:, :, zeros:-1] = P[:, None, :]
+            out[:, :, -1] = sign * ts
+            return out
+
+        def velocities(P, ts):
+            out = np.zeros((P.shape[0], ts.shape[0], d))
+            out[:, :, -1] = sign
+            return out
+
+    return points, velocities
+
+
+def _reference_family(s, name: str) -> LoopFamily:
+    """Family ``name`` of ``s`` rebuilt on its row-major forms."""
+    fam = s.families[name]
+    points, velocities = _row_major_forms(s, name)
+    return dataclasses.replace(fam, samples=lambda P, ts: (points(P, ts), velocities(P, ts)))
+
+
+def _assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    np.testing.assert_array_equal(a, b, strict=True)
+    assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+
+@PROPERTY
+@given(case=st.sampled_from(FORM_CASES), panels=st.sampled_from([8, 64, 512]), data=st.data())
+def test_the_coordinate_major_form_equals_the_row_major_forms_bitwise(case, panels, data):
+    s, name = case
+    fam = s.families[name]
+    points, velocities = _row_major_forms(s, name)
+    row = st.lists(st.floats(0.0, 1.0), min_size=fam.grid.dim, max_size=fam.grid.dim)
+    P = _in_range(fam.grid, data.draw(st.lists(row, min_size=1, max_size=40)))
+    levels = loops._first_levels(panels)
+    for ts in (levels, (np.arange(panels) + 0.5) / panels, np.linspace(-0.1, 1.1, 23)):
+        q, v = fam.samples(P, ts)
+        _assert_bitwise(q, points(P, ts))
+        _assert_bitwise(v, velocities(P, ts))
+
+
+@pytest.mark.parametrize("case", FORM_CASES, ids=[f"{s.id}-{name}" for s, name in FORM_CASES])
+def test_lengths_and_extrema_equal_those_of_the_row_major_forms(case):
+    s, name = case
+    fam, reference = s.families[name], _reference_family(s, name)
+    P = fam.grid.points()
+    _assert_bitwise(family_lengths(s.domain, fam, P, s.quad), family_lengths(s.domain, reference, P, s.quad))
+    got, want = extremal_lengths(s.domain, fam, s.quad), extremal_lengths(s.domain, reference, s.quad)
+    assert (got.E.hex(), got.e.hex(), got.grid_E.hex(), got.grid_e.hex()) == (
+        want.E.hex(), want.e.hex(), want.grid_E.hex(), want.grid_e.hex())
+    _assert_bitwise(got.argmax_params, want.argmax_params)
+    _assert_bitwise(got.argmin_params, want.argmin_params)
+    assert got.refinement_history == want.refinement_history
+
+
+@pytest.mark.parametrize("s", FORMS, ids=lambda s: s.id)
+def test_the_oracle_gets_coordinate_major_transposes(s):
+    # the oracles sum over the coordinates of ``.T``; a form that falls back
+    # to a row-major layout hands them strided arrays
+    calls = []
+
+    def oracle(q, v):
+        calls.append((q.coords.T.flags.c_contiguous, v.components.T.flags.c_contiguous))
+        return s.domain.support_oracle(q, v)
+
+    domain = dataclasses.replace(s.domain, support_oracle=oracle)
+    for fam in s.families.values():
+        extremal_lengths(domain, fam, s.quad)  # the grid, then each round
+    assert calls and all(q and v for q, v in calls)

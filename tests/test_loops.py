@@ -75,19 +75,16 @@ def _torus_vertical_family():
     """The loops t -> (u, t) of the flat 2-torus at parameters u on a
     periodic grid of four points."""
 
-    def points(P, ts):
-        out = np.empty((P.shape[0], ts.shape[0], 2))
-        out[:, :, 0] = P[:, :1]
-        out[:, :, 1] = ts
-        return out
-
-    def velocities(P, ts):
-        out = np.zeros((P.shape[0], ts.shape[0], 2))
-        out[:, :, 1] = 1.0
-        return out
+    def samples(P, ts):
+        q = np.empty((P.shape[0], ts.shape[0], 2))
+        q[:, :, 0] = P[:, :1]
+        q[:, :, 1] = ts
+        v = np.zeros((P.shape[0], ts.shape[0], 2))
+        v[:, :, 1] = 1.0
+        return q, v
 
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),))
-    return LoopFamily("vertical", grid, points, velocities, chart="torus", identify=lambda c: np.mod(c, 1.0))
+    return LoopFamily("vertical", grid, samples, chart="torus", identify=lambda c: np.mod(c, 1.0))
 
 
 def test_constant_loop_has_zero_length():
@@ -226,6 +223,31 @@ def test_refine_spec_needs_a_finite_positive_xtol(xtol):
     loops.RefineSpec(xtol=5e-324)
 
 
+@pytest.mark.parametrize(
+    "lo,hi,count,periodic",
+    [
+        (0.0, 1.0, 0, False),  # extremal_lengths raised IndexError
+        (0.0, 1.0, -2, False),  # ValueError
+        (0.0, 1.0, 2.5, False),  # TypeError
+        (0.0, 1.0, True, False),
+        (0.0, math.nan, 3, False),  # an InfiniteLengthError at params [nan]
+        (-math.inf, 1.0, 3, False),
+        (0.0, math.inf, 3, True),
+        (1.0, 0.0, 3, False),  # a negative gap turned each search box inside out
+        (0.5, 0.5, 3, True),  # a periodic axis wraps modulo its width
+    ],
+)
+def test_grid_axis_refuses_an_axis_that_cannot_be_searched(lo, hi, count, periodic):
+    with pytest.raises(InvalidInputError, match="grid axis"):
+        GridAxis(lo, hi, count, periodic)
+
+
+def test_grid_axis_takes_clipped_axes_of_width_zero():
+    assert GridAxis(0.0, 0.0, 1).points().tolist() == [0.0]
+    assert GridAxis(-1.0, -1.0, 3).points().tolist() == [-1.0] * 3
+    assert GridAxis(0, 1, np.int64(2), periodic=True).points().tolist() == [0.0, 0.5]
+
+
 def test_grid_points_are_an_array_in_product_order():
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True), GridAxis(-0.5, 0.5, 3)))
     P = grid.points()
@@ -271,14 +293,11 @@ def test_domain_monotonicity_of_extremal_lengths():
 def test_infinite_length_raises_with_parameters():
     s = camel_scenario(2, 0.4, 0.01)
 
-    def points(P, ts):
-        return np.broadcast_to(ts[None, :, None], (P.shape[0], ts.shape[0], 2))
-
-    def velocities(P, ts):
-        return np.ones((P.shape[0], ts.shape[0], 2))
+    def samples(P, ts):
+        return np.broadcast_to(ts[None, :, None], (P.shape[0], ts.shape[0], 2)), np.ones((P.shape[0], ts.shape[0], 2))
 
     grid = ParamGrid((GridAxis(0.0, 1.0, 3),))
-    fam = LoopFamily("diag", grid, points, velocities, chart="camel", identify=lambda c: np.mod(c, 1.0))
+    fam = LoopFamily("diag", grid, samples, chart="camel", identify=lambda c: np.mod(c, 1.0))
     with pytest.raises(InfiniteLengthError) as exc:
         extremal_lengths(s.domain, fam, s.quad)
     assert exc.value.params is not None
