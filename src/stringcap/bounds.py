@@ -142,12 +142,14 @@ def compute_bounds(
 def camel_limit_report(n: int, eps: float, delta_grid) -> dict:
     """Bound table over a grid of widths delta, with the delta -> 0 value
     recovered by linear (Richardson) extrapolation from the two smallest
-    grid entries."""
+    grid entries, which must differ."""
     deltas = sorted(float(d) for d in delta_grid)
     if len(deltas) < 2:
         raise ScenarioParameterError("need at least two delta values to extrapolate")
     if deltas[0] <= 0.0:
         raise ScenarioParameterError("delta values must be positive")
+    if deltas[0] == deltas[1]:
+        raise ScenarioParameterError(f"need two distinct delta values to extrapolate, got {deltas[0]} twice")
     rows = []
     for d in deltas:
         (b,) = compute_bounds(camel_scenario(n, eps, d))

@@ -1,15 +1,15 @@
 """Loops, loop families, the gauge length functional and its extremization.
 
-A loop is evaluated in array form only: ``points(ts)`` and ``velocities(ts)``
-map parameters ``ts`` of shape (m,) to coordinates of shape (m, d), all in
-the loop's ``chart``.  A loop built from scalar closures gets its array forms
-by stacking them, once, in its constructor; validation, concatenation and
-every length then go through the array forms.
+A loop is evaluated in array form only: ``samples(ts)`` maps parameters
+``ts`` of shape (m,) to the points and the velocities, each of shape (m, d),
+all in the loop's ``chart``.  A loop built from scalar closures gets its
+array form by stacking them, once, in its constructor; validation,
+reversal, concatenation and every length then go through ``samples``.
 
-A loop family has one array form one axis up: ``samples(P, ts)`` maps
+A loop family has the same form one axis up: ``samples(P, ts)`` maps
 family parameters ``P`` of shape (G, p) and ``ts`` of shape (m,) to the
-points and the velocities, each of shape (G, m, d), and ``loop_at``
-evaluates it on one row.  A form may return any (G, m, d) layout.  The
+points and the velocities, each of shape (G, m, d), and ``loop_at`` is
+its one-row case.  A form may return any (G, m, d) layout.  The
 catalog's forms compute the terms that points and velocities share once,
 fill a coordinate-major (d, G, m) buffer and return its transposed view:
 the stack below is then a view, and its transpose, the layout the oracles
@@ -60,52 +60,45 @@ from .gauge import BasePoint, GaugeDomain, TangentVector
 
 _FD_STEP = 1e-5  # central finite differences when no closed-form derivative
 
-ArrayFn = Callable[[np.ndarray], np.ndarray]
+# ts (m,) -> (points, velocities), each of shape (m, d)
+LoopFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(eq=False)
 class Loop:
     """A parametrized loop t in [0, 1) -> base manifold, in array form:
-    ``points`` and ``velocities`` map parameters of shape (m,) to
-    coordinates of shape (m, d) in ``chart``.
+    ``samples`` maps parameters of shape (m,) to (points, velocities), each
+    of shape (m, d) in ``chart``, the one-row case of ``LoopFamily.samples``.
 
     A loop may instead be given by the scalar closures ``point_fn`` and
-    ``deriv_fn``; they are stacked into the array forms once, here, and the
-    chart is read off ``point_fn(0.0)``.  The array forms may be handed
-    read-only ``ts`` and must not write to it.  Without a velocity form the
-    velocity is a central finite difference.  Points may be a lift (for flat
-    quotients they can leave the fundamental domain); ``identify`` maps raw
-    coordinates to a canonical representative and is used only by
+    ``deriv_fn``; they are stacked into ``samples`` once, here, and the chart
+    is read off ``point_fn(0.0)``.  Without ``deriv_fn`` the velocity is a
+    central finite difference of the points.  ``samples`` may be handed
+    read-only ``ts`` and must not write to it.  Points may be a lift (for
+    flat quotients they can leave the fundamental domain); ``identify`` maps
+    raw coordinates to a canonical representative and is used only by
     validation.
     """
 
     point_fn: Optional[Callable[[float], BasePoint]] = None
     deriv_fn: Optional[Callable[[float], TangentVector]] = None
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    points: Optional[ArrayFn] = None
-    velocities: Optional[ArrayFn] = None
+    samples: Optional[LoopFn] = None
     chart: str = "default"
 
     def __post_init__(self):
-        if self.points is None:
+        if self.samples is None:
             if self.point_fn is None:
-                raise LoopValidationError("a loop needs point_fn or points")
+                raise LoopValidationError("a loop needs point_fn or samples")
             self.chart = self.point_fn(0.0).chart_id
-            self.points = _stacked_points(self.point_fn, self.chart)
-            if self.deriv_fn is not None and self.velocities is None:
-                df = self.deriv_fn
-                self.velocities = lambda ts: np.array([df(float(t)).components for t in ts], dtype=float)
-        if self.velocities is None:
-            pts = self.points
-
-            def fd(ts: np.ndarray) -> np.ndarray:
-                return (pts(ts + _FD_STEP) - pts(ts - _FD_STEP)) / (2 * _FD_STEP)
-
-            self.velocities = fd
+            self.samples = _stacked(self.point_fn, self.deriv_fn, self.chart)
 
 
-def _stacked_points(point_fn: Callable[[float], BasePoint], chart: str) -> ArrayFn:
-    """Array form of a scalar point closure: one row per t, all in ``chart``."""
+def _stacked(
+    point_fn: Callable[[float], BasePoint], deriv_fn: Optional[Callable[[float], TangentVector]], chart: str
+) -> LoopFn:
+    """Array form of scalar closures: one row per t, all points in ``chart``;
+    without ``deriv_fn``, central finite differences of the points."""
 
     def points(ts: np.ndarray) -> np.ndarray:
         rows = []
@@ -116,24 +109,28 @@ def _stacked_points(point_fn: Callable[[float], BasePoint], chart: str) -> Array
             rows.append(q.coords)
         return np.array(rows, dtype=float)
 
-    return points
+    if deriv_fn is None:
+        return lambda ts: (points(ts), (points(ts + _FD_STEP) - points(ts - _FD_STEP)) / (2 * _FD_STEP))
+    return lambda ts: (points(ts), np.array([deriv_fn(float(t)).components for t in ts], dtype=float))
 
 
 def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
     """Validate closure (within 1e-10) and derivative consistency against a
-    central finite difference at ``samples`` interior points."""
-    p0, p1 = loop.points(np.array([0.0, 1.0]))
+    central finite difference at ``samples`` interior points; a NaN gap or
+    mismatch fails."""
+    (p0, p1), _ = loop.samples(np.array([0.0, 1.0]))
     if loop.identify is not None:
         p0, p1 = loop.identify(p0), loop.identify(p1)
-    if np.linalg.norm(p1 - p0) > 1e-10:
-        raise LoopValidationError(f"loop does not close: gap {np.linalg.norm(p1 - p0):.3e}")
+    gap = np.linalg.norm(p1 - p0)
+    if not gap <= 1e-10:
+        raise LoopValidationError(f"loop does not close: gap {gap:.3e}")
     scale = max(1.0, float(np.linalg.norm(p0)))
     # offset avoids kinks that piecewise loops place at rational points
     ts = (np.arange(samples) + 0.37) / samples
-    d = loop.velocities(ts)
-    fd = (loop.points(ts + _FD_STEP) - loop.points(ts - _FD_STEP)) / (2 * _FD_STEP)
+    d = loop.samples(ts)[1]
+    fd = (loop.samples(ts + _FD_STEP)[0] - loop.samples(ts - _FD_STEP)[0]) / (2 * _FD_STEP)
     denom = np.maximum(np.linalg.norm(d, axis=1), scale * 1e-3)
-    bad = np.linalg.norm(d - fd, axis=1) > fd_rtol * denom
+    bad = ~(np.linalg.norm(d - fd, axis=1) <= fd_rtol * denom)
     if bad.any():
         raise LoopValidationError(
             f"derivative inconsistent with finite differences at t={ts[np.argmax(bad)]:.4f}"
@@ -142,13 +139,13 @@ def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
 
 def reverse(loop: Loop) -> Loop:
     """The loop traversed in reverse; an involution up to float roundoff."""
-    pts, vel = loop.points, loop.velocities
-    return Loop(
-        points=lambda ts: pts(1.0 - ts),
-        velocities=lambda ts: -vel(1.0 - ts),
-        chart=loop.chart,
-        identify=loop.identify,
-    )
+    form = loop.samples
+
+    def samples(ts: np.ndarray):
+        pts, vel = form(1.0 - ts)
+        return pts, -vel
+
+    return Loop(samples=samples, chart=loop.chart, identify=loop.identify)
 
 
 # smooth cutoff on arrays: 0 for t <= 0, 1 for t >= 1, flat to all orders at
@@ -174,49 +171,37 @@ def cutoff_deriv(t) -> np.ndarray:
     return np.where(inside, (da * b - a * db) / ((a + b) ** 2), 0.0)
 
 
-def _halves(first: np.ndarray, s: np.ndarray, fa: ArrayFn, fb: ArrayFn) -> np.ndarray:
-    """Rows of fa(s) where ``first`` holds and of fb(s) elsewhere, each
-    function evaluated on its own rows only."""
+def _halves(first: np.ndarray, s: np.ndarray, fa: LoopFn, fb: LoopFn) -> tuple[np.ndarray, np.ndarray]:
+    """The (points, velocities) of fa(s) where ``first`` holds and of fb(s)
+    elsewhere, each form evaluated on its own rows only."""
     if first.all():
         return fa(s)
     if not first.any():
         return fb(s)
     lo, hi = fa(s[first]), fb(s[~first])
-    out = np.empty((s.shape[0], lo.shape[1]))
-    out[first] = lo
-    out[~first] = hi
-    return out
+    out = np.empty((2, s.shape[0], lo[0].shape[1]))
+    out[:, first], out[:, ~first] = lo, hi
+    return out[0], out[1]
 
 
 def concatenate(a: Loop, b: Loop) -> Loop:
     """Cutoff-reparametrized concatenation of two loops with a shared
-    basepoint; length is additive by reparametrization invariance."""
+    basepoint; length is additive by reparametrization invariance.  A NaN
+    basepoint is not shared."""
     if a.chart != b.chart:
         raise BasepointMismatchError("loops live in different charts")
-    gap = np.linalg.norm(a.points(np.zeros(1))[0] - b.points(np.zeros(1))[0])
-    if gap > 1e-9:
+    gap = np.linalg.norm(a.samples(np.zeros(1))[0][0] - b.samples(np.zeros(1))[0][0])
+    if not gap <= 1e-9:
         raise BasepointMismatchError(f"basepoints differ by {gap:.3e}")
 
-    def split(ts: np.ndarray):
+    def samples(ts: np.ndarray):
         t = np.mod(ts, 1.0)
         first = t < 0.5
-        return first, np.where(first, 2.0 * t, 2.0 * t - 1.0)
+        s = np.where(first, 2.0 * t, 2.0 * t - 1.0)
+        pts, vel = _halves(first, cutoff(s), a.samples, b.samples)
+        return pts, 2.0 * cutoff_deriv(s)[:, None] * vel
 
-    def points(ts: np.ndarray) -> np.ndarray:
-        first, s = split(ts)
-        return _halves(first, cutoff(s), a.points, b.points)
-
-    def velocities(ts: np.ndarray) -> np.ndarray:
-        first, s = split(ts)
-        inner = _halves(first, cutoff(s), a.velocities, b.velocities)
-        return 2.0 * cutoff_deriv(s)[:, None] * inner
-
-    return Loop(
-        points=points,
-        velocities=velocities,
-        chart=a.chart,
-        identify=a.identify,
-    )
+    return Loop(samples=samples, chart=a.chart, identify=a.identify)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +216,24 @@ _MAX_DOUBLINGS = 6
 MAX_QUAD_PANELS = 2**16
 
 
+def _is_int(x) -> bool:
+    """An integer of any kind but bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
     doubled up to ``_MAX_DOUBLINGS`` (six) times until two levels agree to
-    qtol; ``panels`` lies in [8, ``MAX_QUAD_PANELS``] and qtol is finite and
-    >= 0."""
+    qtol; ``panels`` is an int in [8, ``MAX_QUAD_PANELS``] and qtol is
+    finite and >= 0."""
 
     panels: int = 512
     qtol: float = 1e-7
 
     def __post_init__(self):
+        if not _is_int(self.panels):
+            raise InvalidInputError(f"quad_panels must be an int, got {self.panels!r}")
         if not 8 <= self.panels <= MAX_QUAD_PANELS:
             raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
         if not 0.0 <= self.qtol < math.inf:
@@ -348,15 +340,21 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
     return lengths, failed
 
 
-def _oracle_rows(
-    domain: GaugeDomain, chart: str, points: np.ndarray, velocities: np.ndarray, count: int
-) -> np.ndarray:
-    """Support at ``count`` rows of samples stacked as (count * m, d)
-    ``points`` and ``velocities`` in ``chart``, in one oracle call, with
-    shape (count, m)."""
+def _integrand(domain: GaugeDomain, chart: str, form: FamilyFn) -> ValuesFn:
+    """The trapezoid rule's ``values_at`` for ``form(rows, ts)``, the points
+    and the velocities of ``rows`` at ``ts``, each of shape (len(rows), m, d)
+    in ``chart``: each call stacks them as (len(rows) * m, d) for one
+    support-oracle call.  A chart the domain does not accept raises
+    ``ChartMismatchError`` here, before any sample."""
     domain.check_chart(chart)
-    q = BasePoint(points, chart)
-    return domain.support_oracle(q, TangentVector(velocities, q)).reshape(count, -1)
+
+    def values_at(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        pts, vel = form(rows, ts)
+        G, m, d = pts.shape
+        q = BasePoint(pts.reshape(-1, d), chart)
+        return domain.support_oracle(q, TangentVector(vel.reshape(-1, d), q)).reshape(G, m)
+
+    return values_at
 
 
 def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = QuadratureSpec()) -> float:
@@ -373,10 +371,11 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
     error reports the first non-finite t (inf or NaN) in level order.  A
     chart the domain does not accept raises ``ChartMismatchError``."""
 
-    def values_at(rows: np.ndarray, ts: np.ndarray):
-        return _oracle_rows(domain, loop.chart, loop.points(ts), loop.velocities(ts), 1)
+    def one_row(rows: np.ndarray, ts: np.ndarray):
+        pts, vel = loop.samples(ts)
+        return pts[None], vel[None]
 
-    lengths, failed = _trapezoid(values_at, 1, quad)
+    lengths, failed = _trapezoid(_integrand(domain, loop.chart, one_row), 1, quad)
     if failed is not None:
         t = failed[1]
         raise InfiniteLengthError(
@@ -401,7 +400,7 @@ class GridAxis:
     periodic: bool = False
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
+        if not _is_int(self.count) or self.count < 1:
             raise InvalidInputError(f"a grid axis needs an int count >= 1, got {self.count!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
             raise InvalidInputError(f"a grid axis needs finite lo <= hi, got [{self.lo}, {self.hi}]")
@@ -450,16 +449,16 @@ class LoopFamily:
     identify: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def loop_at(self, p: np.ndarray) -> Loop:
-        """The loop at parameter row ``p`` of shape (p,): the array form on
-        one row."""
+        """The loop at parameter row ``p`` of shape (p,): the family's form
+        on that one row, called once per call of the loop's ``samples``."""
         P = np.asarray(p, dtype=float)[None]
-        samples = self.samples
-        return Loop(
-            points=lambda ts: samples(P, ts)[0][0],
-            velocities=lambda ts: samples(P, ts)[1][0],
-            chart=self.chart,
-            identify=self.identify,
-        )
+        form = self.samples
+
+        def samples(ts: np.ndarray):
+            pts, vel = form(P, ts)
+            return pts[0], vel[0]
+
+        return Loop(samples=samples, chart=self.chart, identify=self.identify)
 
 
 def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
@@ -486,13 +485,7 @@ def family_lengths(
     own ``loop_length`` raises, with that row as ``params`` and the same t;
     rows after it are not evaluated further."""
     params = np.asarray(params, dtype=float)
-
-    def values_at(rows, ts):
-        P = params[rows]
-        pts, vel = family.samples(P, ts)
-        d = pts.shape[-1]
-        return _oracle_rows(domain, family.chart, pts.reshape(-1, d), vel.reshape(-1, d), P.shape[0])
-
+    values_at = _integrand(domain, family.chart, lambda rows, ts: family.samples(params[rows], ts))
     lengths, failed = _trapezoid(values_at, params.shape[0], quad)
     if failed is not None:
         raise _infinite_at(family, params[failed[0]], failed[1])
@@ -503,14 +496,16 @@ def family_lengths(
 class RefineSpec:
     """Compass refinement of a family's sup and inf from their grid points:
     an extremum stops once its step is below ``xtol`` on every axis, or when
-    one more round would take its length evaluations past ``budget``, which
-    is at least 1 (a budget of 1 leaves a family with a parameter at its
+    one more round would take its length evaluations past ``budget``, an int
+    at least 1 (a budget of 1 leaves a family with a parameter at its
     grid values); ``xtol`` is finite and > 0."""
 
     budget: int = 200  # length evaluations per extremum
     xtol: float = 1e-6
 
     def __post_init__(self):
+        if not _is_int(self.budget):
+            raise InvalidInputError(f"refine_budget must be an int, got {self.budget!r}")
         if self.budget < 1:
             raise InvalidInputError(f"refine_budget must be >= 1, got {self.budget}")
         if not 0.0 < self.xtol < math.inf:

@@ -159,6 +159,12 @@ def test_camel_limit_table_rejects_bad_grids():
         camel_limit_report(2, 1.0, [0.1])
 
 
+def test_camel_limit_table_needs_two_distinct_smallest_deltas():
+    # equal deltas divided by zero in the extrapolation
+    with pytest.raises(ScenarioParameterError, match="two distinct delta values"):
+        camel_limit_report(2, 1.0, [0.1, 0.1])
+
+
 def test_bound_dispatch_rejects_mismatched_scenarios():
     # the open-book [pt] recipe starts from a page rotation, a generator the
     # Klein bottle does not declare

@@ -425,11 +425,11 @@ def test_array_loops_match_per_sample_reference():
                 assert loop.chart == chart, (s.id, name)
                 want_q = np.array([point(t) for t in ts])
                 want_v = np.array([velocity(t) for t in ts])
-                np.testing.assert_allclose(loop.points(ts), want_q, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
-                np.testing.assert_allclose(loop.velocities(ts), want_v, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
+                np.testing.assert_allclose(loop.samples(ts)[0], want_q, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
+                np.testing.assert_allclose(loop.samples(ts)[1], want_v, rtol=0, atol=1e-12, err_msg=f"{s.id} {name}")
                 for t, q, v in zip(ts[:4], want_q, want_v):
-                    np.testing.assert_allclose(loop.points(np.array([t]))[0], q, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(loop.velocities(np.array([t]))[0], v, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(loop.samples(np.array([t]))[0][0], q, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(loop.samples(np.array([t]))[1][0], v, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

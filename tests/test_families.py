@@ -78,8 +78,8 @@ def _reference_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec) -> 
     first infinite t in level order."""
 
     def level_sum(ts):
-        q = BasePoint(loop.points(ts), loop.chart)
-        values = domain.support_oracle(q, TangentVector(loop.velocities(ts), q))
+        q = BasePoint(loop.samples(ts)[0], loop.chart)
+        values = domain.support_oracle(q, TangentVector(loop.samples(ts)[1], q))
         finite = np.isfinite(values)
         if not finite.all():
             t = float(ts[np.argmin(finite)])
@@ -116,8 +116,8 @@ def test_batched_family_lengths_equal_per_point_lengths(case, quad, data):
     q, v = fam.samples(P, ts)
     for i, p in enumerate(P[:3]):
         loop = fam.loop_at(p)
-        np.testing.assert_array_equal(q[i], loop.points(ts))
-        np.testing.assert_array_equal(v[i], loop.velocities(ts))
+        np.testing.assert_array_equal(q[i], loop.samples(ts)[0])
+        np.testing.assert_array_equal(v[i], loop.samples(ts)[1])
 
 
 def _window_family(grid: ParamGrid) -> LoopFamily:
@@ -222,6 +222,26 @@ def test_family_grid_oracle_batches():
     # 81 rows of 128 samples (levels 0 and 1) in blocks of 32 rows; the
     # constant integrands all agree after one doubling
     assert batches == [4096, 4096, 2176]
+
+
+def test_loop_at_evaluates_the_family_form_once_per_oracle_call():
+    s = klein_bottle_scenario(0.8, 1.5)
+    fam = s.families["Ldoubled"]
+    calls = []
+
+    def samples(P, ts):
+        calls.append("samples")
+        return fam.samples(P, ts)
+
+    def oracle(q, v):
+        calls.append("oracle")
+        return s.domain.support_oracle(q, v)
+
+    counted = dataclasses.replace(fam, samples=samples)
+    domain = dataclasses.replace(s.domain, support_oracle=oracle)
+    loop_length(domain, counted.loop_at(fam.grid.points()[1]), QuadratureSpec(panels=8, qtol=1e-12))
+    assert calls.count("oracle") > 1  # levels 0 and 1, then at least one doubling
+    assert calls == ["samples", "oracle"] * calls.count("oracle")
 
 
 def test_unconverged_rows_double_together():

@@ -112,8 +112,8 @@ def test_reverse_is_an_involution_pointwise():
     loop = _equator_loop()
     rr = reverse(reverse(loop))
     ts = np.linspace(0.0, 1.0, 64, endpoint=False)
-    assert np.allclose(rr.points(ts), loop.points(ts), atol=1e-12)
-    assert np.allclose(rr.velocities(ts), loop.velocities(ts), atol=1e-9)
+    assert np.allclose(rr.samples(ts)[0], loop.samples(ts)[0], atol=1e-12)
+    assert np.allclose(rr.samples(ts)[1], loop.samples(ts)[1], atol=1e-9)
 
 
 def test_reverse_preserves_length_on_symmetric_domain():
@@ -186,6 +186,48 @@ def test_check_loop_rejects_non_closing_and_bad_derivatives():
                identify=loop.identify)
     with pytest.raises(LoopValidationError):
         check_loop(bad)
+
+
+def test_check_loop_rejects_nan_points_and_nan_derivatives():
+    # a NaN gap or mismatch compared False against its tolerance and passed
+    def nan_point(t):
+        return BasePoint(np.full(2, math.nan), "torus")
+
+    with pytest.raises(LoopValidationError, match="does not close"):
+        check_loop(Loop(nan_point, lambda t: TangentVector(np.zeros(2), nan_point(t))))
+    loop = _torus_vertical_loop()
+    check_loop(loop)
+
+    def half_nan(t):
+        return TangentVector(np.array([0.0, 1.0 if t < 0.5 else math.nan]), loop.point_fn(t))
+
+    with pytest.raises(LoopValidationError, match=r"derivative inconsistent .* at t=0\.5231"):
+        check_loop(Loop(loop.point_fn, half_nan, identify=loop.identify))
+
+
+def test_concatenation_refuses_nan_basepoints():
+    def nan_point(t):
+        return BasePoint(np.array([math.nan, t]), "torus")
+
+    nan_loop = Loop(nan_point, lambda t: TangentVector(np.array([0.0, 1.0]), nan_point(t)))
+    with pytest.raises(BasepointMismatchError, match="basepoints differ by nan"):
+        concatenate(nan_loop, nan_loop)
+
+
+@pytest.mark.parametrize("panels", [16.0, True, "16", None])
+def test_quadrature_spec_needs_int_panels(panels):
+    # 16.0 was accepted and the first length raised TypeError
+    with pytest.raises(InvalidInputError, match="quad_panels must be an int"):
+        QuadratureSpec(panels=panels)
+    QuadratureSpec(panels=np.int64(16))
+
+
+@pytest.mark.parametrize("budget", [math.nan, 200.0, "x", True])
+def test_refine_spec_needs_an_int_budget(budget):
+    # NaN was accepted and skipped refinement; "x" raised TypeError
+    with pytest.raises(InvalidInputError, match="refine_budget must be an int"):
+        loops.RefineSpec(budget=budget)
+    loops.RefineSpec(budget=np.int64(3))
 
 
 def test_quadrature_spec_validation():
@@ -381,16 +423,16 @@ def test_concatenate_and_reverse_array_forms_match_per_sample_composition():
     a, b = _equator_loop(), reverse(_equator_loop())
     both = concatenate(a, b)
     ts = np.linspace(-0.2, 1.2, 57)
-    for t, q, v in zip(ts, both.points(ts), both.velocities(ts)):
+    for t, q, v in zip(ts, both.samples(ts)[0], both.samples(ts)[1]):
         u = t % 1.0
         inner, s = (a, 2.0 * u) if u < 0.5 else (b, 2.0 * u - 1.0)
         c = float(cutoff(s))
-        np.testing.assert_allclose(q, inner.points(np.array([c]))[0], rtol=0, atol=1e-14)
-        want = 2.0 * float(cutoff_deriv(s)) * inner.velocities(np.array([c]))[0]
+        np.testing.assert_allclose(q, inner.samples(np.array([c]))[0][0], rtol=0, atol=1e-14)
+        want = 2.0 * float(cutoff_deriv(s)) * inner.samples(np.array([c]))[1][0]
         np.testing.assert_allclose(v, want, rtol=0, atol=1e-12)
     rts = reverse(a)
-    np.testing.assert_allclose(rts.points(ts), [a.point_fn(1.0 - t).coords for t in ts], atol=1e-15)
-    np.testing.assert_allclose(rts.velocities(ts), [-a.deriv_fn(1.0 - t).components for t in ts], atol=1e-15)
+    np.testing.assert_allclose(rts.samples(ts)[0], [a.point_fn(1.0 - t).coords for t in ts], atol=1e-15)
+    np.testing.assert_allclose(rts.samples(ts)[1], [-a.deriv_fn(1.0 - t).components for t in ts], atol=1e-15)
 
 
 def test_scalar_loop_must_stay_in_its_chart():
