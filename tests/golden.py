@@ -1,0 +1,146 @@
+"""Golden outputs: every reference configuration's bounds and family reports,
+and the ``reproduce all`` table, as ``tests/golden.json``.
+
+``payload()`` computes them, with every float written as ``float.hex``, and
+records the numpy version and CPU features they were computed under: numpy's
+float64 ``sin``, ``cos`` and ``exp`` pick SIMD kernels by CPU feature and may
+change between versions, so another platform may differ in the last bits.
+``tests/test_golden.py`` recomputes the payload and compares it with the file.
+
+Rewrite the file from a checkout with
+
+    PYTHONPATH=src python tests/golden.py
+
+and say in the change log which fields moved and why.
+"""
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+
+from stringcap import cli
+from stringcap.bounds import compute_bounds
+from stringcap.catalog import REFERENCE_CASES, SCENARIOS, build_scenario
+
+PATH = Path(__file__).with_name("golden.json")
+
+# on another platform a float may move by this many units in the last place
+# of max(|x|, 1): the last bits of a SIMD sin or cos, summed by the trapezoid
+# rule, and a deviation from a closed form that is itself a few ulp
+ULPS = 64
+
+
+def configs() -> list[dict]:
+    """Every ``REFERENCE_CASES`` configuration and the seven default forms:
+    each ``SCENARIOS`` name with its defaults, and the closed-page open book."""
+    defaults = [{"scenario": name} for name in SCENARIOS] + [{"scenario": "open_book", "page": "circle"}]
+    return [case.config for case in REFERENCE_CASES] + defaults
+
+
+def platform() -> dict:
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {"numpy": np.__version__, "cpu_features": sorted(k for k, on in __cpu_features__.items() if on)}
+
+
+def _hex(x):
+    """``x`` with every float as its ``float.hex`` string and every array as a list."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return _hex(x.tolist())
+    if isinstance(x, dict):
+        return {str(k): _hex(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_hex(v) for v in x]
+    return x
+
+
+def _scenario_outputs(config: dict) -> dict:
+    bounds = compute_bounds(build_scenario(config))
+    return {
+        "config": config,
+        "bounds": {b.target.name: b.to_jsonable() for b in bounds},
+        "families": {
+            name: {
+                "E": r.E,
+                "e": r.e,
+                "argmax_params": r.argmax_params,
+                "argmin_params": r.argmin_params,
+                "refinement_history": r.refinement_history,
+            }
+            for name, r in bounds[0].family_reports.items()
+        },
+    }
+
+
+def _reproduce_all() -> list[dict]:
+    """The rows of ``stringcap reproduce all``, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["reproduce", "all"])
+    if code != cli.EXIT_OK:
+        raise AssertionError(f"reproduce all exited {code}")
+    return list(csv.DictReader(io.StringIO(out.getvalue())))
+
+
+def payload() -> dict:
+    scenarios = {}
+    for config in configs():
+        outputs = _scenario_outputs(config)
+        scenarios.setdefault(next(iter(outputs["bounds"].values()))["scenario"], outputs)
+    return {
+        "platform": platform(),
+        "outputs": _hex({"scenarios": scenarios, "reproduce_all": _reproduce_all()}),
+    }
+
+
+def _number(s: str):
+    """``s`` read as a decimal or a ``float.hex`` float, or None."""
+    for parse in (float, float.fromhex):
+        try:
+            return parse(s)
+        except ValueError:
+            pass
+    return None
+
+
+def _same(got, want, ulps) -> bool:
+    if got == want:
+        return True
+    if ulps is None or not (isinstance(got, str) and isinstance(want, str)):
+        return False
+    x, y = _number(got), _number(want)
+    return x is not None and y is not None and abs(x - y) <= ulps * math.ulp(max(abs(x), abs(y), 1.0))
+
+
+def first_difference(got, want, ulps=None, path: str = ""):
+    """(path, got, want) of the first field in which ``got`` differs from
+    ``want``, or None: bit for bit when ``ulps`` is None, otherwise numbers
+    within ``ulps`` units in the last place of max(|x|, 1)."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        if list(got) != list(want):
+            return (path + "/<keys>", list(got), list(want))
+        pairs = [(f"{path}/{k}", got[k], want[k]) for k in want]
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            return (path + "/<length>", len(got), len(want))
+        pairs = [(f"{path}/{i}", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return None if _same(got, want, ulps) else (path, got, want)
+    for sub, g, w in pairs:
+        found = first_difference(g, w, ulps, sub)
+        if found is not None:
+            return found
+    return None
+
+
+if __name__ == "__main__":
+    PATH.write_text(json.dumps(payload(), indent=1) + "\n")
+    print(f"wrote {PATH}")
