@@ -144,28 +144,17 @@ def _sphere_base(n: int) -> BaseDescriptor:
     return BaseDescriptor("sphere", n, ("embedding",))
 
 
-def ellipsoid_metric(n: int, a: float, stretched_axes: int = 2) -> MetricSpec:
-    """Pullback of the Euclidean metric under the linear map scaling the last
-    ``stretched_axes`` ambient coordinates by a; tangent vectors are given in
-    ambient coordinates, so the Jacobian is the constant diagonal map."""
+def ellipsoid_domain(n: int, a: float, stretched_axes: int = 2) -> GaugeDomain:
+    """Unit codisk of the metric pulled back under the constant diagonal map
+    that scales the last ``stretched_axes`` ambient coordinates by a."""
     diag = np.ones(n + 1)
     diag[n + 1 - stretched_axes:] = a
-    jac = np.diag(diag)
-    return MetricSpec(lambda q: jac, 1.0)
-
-
-def round_metric(n: int, a: float) -> MetricSpec:
-    """The comparison metric a^2 x Euclidean, i.e. scaling every direction."""
-    jac = a * np.eye(n + 1)
-    return MetricSpec(lambda q: jac, 1.0)
-
-
-def ellipsoid_domain(n: int, a: float, stretched_axes: int = 2) -> GaugeDomain:
-    return codisk_domain(_sphere_base(n), ellipsoid_metric(n, a, stretched_axes))
+    return codisk_domain(_sphere_base(n), MetricSpec(np.diag(diag)))
 
 
 def ellipsoid_round_domain(n: int, a: float) -> GaugeDomain:
-    return codisk_domain(_sphere_base(n), round_metric(n, a))
+    """Unit codisk of the comparison metric a^2 x Euclidean."""
+    return codisk_domain(_sphere_base(n), MetricSpec(a * np.eye(n + 1)))
 
 
 def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
@@ -341,17 +330,13 @@ def flat_torus_domain(
     lengths: Optional[tuple[float, ...]] = None,
     charts: tuple[str, ...] = ("torus",),
 ) -> GaugeDomain:
-    base = BaseDescriptor("torus", d, charts)
-    if lengths is None:
-        metric = MetricSpec(radius=radius)
-    else:
+    if lengths is not None:
         if len(lengths) != d:
             raise ScenarioParameterError("lengths must have one entry per factor")
         if not all(0.0 < length < math.inf for length in lengths):
             raise ScenarioParameterError(f"lengths must be finite and > 0, got {lengths}")
-        jac = np.diag(np.asarray(lengths, dtype=float))
-        metric = MetricSpec(lambda q: jac, radius)
-    return codisk_domain(base, metric)
+    jac = None if lengths is None else np.diag(np.asarray(lengths, dtype=float))
+    return codisk_domain(BaseDescriptor("torus", d, charts), MetricSpec(jac, radius))
 
 
 def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
@@ -543,7 +528,7 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
         return Scenario(
             id=f"open_book(interval,round,r={radius})",
             params=params,
-            domain=codisk_domain(_sphere_base(2), MetricSpec(lambda q: np.eye(3), radius)),
+            domain=codisk_domain(_sphere_base(2), MetricSpec(np.eye(3), radius)),
             targets=(_CONSTANT_LOOPS_TARGET, _fiber_pairing_target("[M]")),
             generators=_open_book_generators(*_page_rotation_families(1)),
             rule_context=_open_book_context(boundary_nonempty=True),
@@ -591,7 +576,9 @@ def build_scenario(config: dict) -> Scenario:
     other keys of ``config``; a key the configuration leaves out takes its
     default.  An unknown name or a key the scenario does not take raises
     ``ScenarioParameterError``, and so does every value its constructor
-    refuses."""
+    refuses, and so does a configuration that is not a ``dict``."""
+    if not isinstance(config, dict):
+        raise ScenarioParameterError(f"a scenario configuration must be a dict, got {config!r}")
     name = config.get("scenario")
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ScenarioParameterError(f"scenario must be one of {list(SCENARIOS)}, got {name!r}")

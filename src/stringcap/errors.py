@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+import numbers
+
+
+def is_int(x) -> bool:
+    """An integer of any kind but bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class StringcapError(Exception):
@@ -14,7 +20,7 @@ class InvalidInputError(StringcapError):
 
 
 class RankDeficientError(StringcapError):
-    """Embedding Jacobian is rank deficient at the evaluation point."""
+    """Embedding Jacobian has rank below its column count."""
 
 
 class BasepointMismatchError(StringcapError):

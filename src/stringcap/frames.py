@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +116,13 @@ def verify_frame_family(
     points, so the modulus should be stable under refinement. The ``count``
     pairs are drawn as (q, d) in that order from one normal stream and framed
     in one call on the stacked rows [q; q']; a NaN anywhere in the frames
-    reaches the maxima.
+    reaches the maxima.  ``n``, ``count`` and ``seed`` are ints >= 0 and
+    ``mesh`` is finite and > 0; anything else raises ``InvalidInputError``.
     """
     if not (math.isfinite(mesh) and mesh > 0.0):
         raise InvalidInputError(f"mesh must be finite and positive, got {mesh!r}")
-    if count < 0:
-        raise InvalidInputError(f"count must be non-negative, got {count!r}")
+    if not (is_int(n) and is_int(count) and is_int(seed) and min(n, count, seed) >= 0):
+        raise InvalidInputError(f"n, count and seed must be ints >= 0, got {n!r}, {count!r}, {seed!r}")
     draws = np.random.default_rng(seed).standard_normal((count, 2, n + 1))
     q = draws[:, 0] / _row_norms(draws[:, 0])[:, None]
     d = draws[:, 1] - np.vecdot(draws[:, 1], q)[:, None] * q

@@ -7,12 +7,13 @@ from it.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartMismatchError, InvalidInputError, RankDeficientError
+from .errors import ChartMismatchError, InvalidInputError, RankDeficientError, is_int
 
 
 # ---------------------------------------------------------------------------
@@ -72,45 +73,25 @@ class GaugeDomain:
 
 @dataclass(frozen=True, eq=False)
 class MetricSpec:
-    """A Riemannian metric: the pullback of the Euclidean metric under an
-    embedding with Jacobian ``embedding_jacobian``, or flat when there is no
-    Jacobian.
+    """A Riemannian metric: the pullback of the Euclidean metric under a
+    linear map with constant (D, d) Jacobian ``embedding_jacobian``, or flat
+    when there is no Jacobian, with a codisk ``radius``.  The Jacobian is a
+    nonempty, finite 2-D float array and the radius a finite real >= 0, or
+    ``InvalidInputError`` is raised.  A metric that varies with the point is
+    a ``GaugeDomain`` with its own support oracle."""
 
-    The codisk oracle calls ``embedding_jacobian`` with a batched point; it
-    returns either one (D, d) matrix for every row or an (m, D, d) stack.
-    """
-
-    embedding_jacobian: Optional[Callable[[BasePoint], np.ndarray]] = None
+    embedding_jacobian: Optional[np.ndarray] = None
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.embedding_jacobian is not None and not callable(self.embedding_jacobian):
-            raise InvalidInputError(f"embedding Jacobian must be callable, got {self.embedding_jacobian!r}")
-        if not 0.0 <= self.radius < np.inf:
-            raise InvalidInputError(f"codisk radius must be finite and nonnegative, got {self.radius}")
-
-
-def embedding_metric(
-    jacobian: Callable[[BasePoint], np.ndarray],
-    radius: float = 1.0,
-    check_points: tuple[BasePoint, ...] = (),
-    rank_tol: float = 1e-10,
-) -> MetricSpec:
-    """Build an embedding-induced metric, rank-checking at sample points."""
-    spec = MetricSpec(jacobian, radius)
-    for q in check_points:
-        _checked_jacobian(spec, q, rank_tol)
-    return spec
-
-
-def _checked_jacobian(metric: MetricSpec, q: BasePoint, tol: float = 1e-10) -> np.ndarray:
-    jac = np.asarray(metric.embedding_jacobian(q), dtype=float)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= tol * max(1.0, sv[0]):
-        raise RankDeficientError(
-            f"embedding Jacobian is rank deficient at {q.coords!r}"
-        )
-    return jac
+        jac = self.embedding_jacobian
+        if jac is not None:
+            if (not isinstance(jac, np.ndarray) or jac.dtype.kind != "f" or jac.ndim != 2 or jac.size == 0
+                    or not np.isfinite(jac).all()):
+                raise InvalidInputError(f"embedding Jacobian must be a nonempty finite float 2-D array, got {jac!r}")
+        r = self.radius
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 <= r < np.inf:
+            raise InvalidInputError(f"codisk radius must be a finite real number >= 0, got {r!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +116,15 @@ def support(domain: GaugeDomain, q: BasePoint, v: TangentVector) -> float:
 
 def metric_norm(metric: MetricSpec, q: BasePoint, v: TangentVector) -> float:
     """radius x Euclidean norm of the pushed-forward vector; equals the
-    support of the associated codisk bundle."""
+    support of the associated codisk bundle.  A Jacobian of rank below its
+    column count raises ``RankDeficientError``."""
     _validate_attachment(q, v)
-    if metric.embedding_jacobian is None:
+    jac = metric.embedding_jacobian
+    if jac is None:
         return metric.radius * float(np.linalg.norm(v.components))
-    jac = _checked_jacobian(metric, q)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    if sv.size < jac.shape[1] or sv[-1] <= 1e-10 * max(1.0, sv[0]):
+        raise RankDeficientError(f"embedding Jacobian of shape {jac.shape} has rank below {jac.shape[1]}")
     return metric.radius * float(np.linalg.norm(jac @ v.components))
 
 
@@ -158,39 +143,32 @@ def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def codisk_domain(base: BaseDescriptor, metric: MetricSpec) -> GaugeDomain:
     """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
-    r = metric.radius
-    if metric.embedding_jacobian is None:
+    r, jac = metric.radius, metric.embedding_jacobian
 
-        def oracle(q: BasePoint, v: TangentVector):
-            w = v.components.T
-            return r * np.sqrt(_coldot(w, w))
-
-    else:
-        jac_fn = metric.embedding_jacobian
-
-        def oracle(q: BasePoint, v: TangentVector):
-            jac = np.asarray(jac_fn(q))
-            w = v.components
-            pushed = jac @ w.T if jac.ndim == 2 else np.einsum("mij,mj->im", jac, w)
-            return r * np.sqrt(_coldot(pushed, pushed))
+    def oracle(q: BasePoint, v: TangentVector):
+        w = v.components.T
+        if jac is not None:
+            w = jac @ w
+        return r * np.sqrt(_coldot(w, w))
 
     return GaugeDomain(base, oracle)
 
 
 @dataclass(frozen=True, slots=True)
 class SamplePlan:
-    """How to sample (q, v) pairs for containment checks: ``count`` >= 1
-    pairs, compared with a finite relative tolerance ``tol`` >= 0; anything
-    else raises ``InvalidInputError``, since a plan that samples nothing or
-    forgives everything would report containment unchecked."""
+    """How to sample (q, v) pairs for containment checks: an int ``count``
+    >= 1 of pairs from an int ``seed`` >= 0, compared with a finite relative
+    tolerance ``tol`` >= 0; anything else raises ``InvalidInputError``, since
+    a plan that samples nothing or forgives everything would report
+    containment unchecked."""
 
     count: int = 10_000
     seed: int = 0
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidInputError(f"a sample plan needs count >= 1, got {self.count}")
+        if not (is_int(self.count) and is_int(self.seed) and self.count >= 1 and self.seed >= 0):
+            raise InvalidInputError(f"a sample plan needs int count >= 1, seed >= 0, got {self.count!r} {self.seed!r}")
         if not 0.0 <= self.tol < np.inf:
             raise InvalidInputError(f"a sample plan needs a finite tol >= 0, got {self.tol}")
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -50,6 +49,7 @@ from .errors import (
     InfiniteLengthError,
     InvalidInputError,
     LoopValidationError,
+    is_int,
 )
 from .gauge import BasePoint, GaugeDomain, TangentVector
 
@@ -116,8 +116,10 @@ def _stacked(
 
 def check_loop(loop: Loop, samples: int = 16, fd_rtol: float = 1e-4) -> None:
     """Validate closure (within 1e-10) and derivative consistency against a
-    central finite difference at ``samples`` interior points; a NaN gap or
-    mismatch fails."""
+    central finite difference at ``samples`` interior points, an int >= 1 or
+    ``InvalidInputError`` is raised; a NaN gap or mismatch fails."""
+    if not is_int(samples) or samples < 1:
+        raise InvalidInputError(f"check_loop needs an int samples >= 1, got {samples!r}")
     (p0, p1), _ = loop.samples(np.array([0.0, 1.0]))
     if loop.identify is not None:
         p0, p1 = loop.identify(p0), loop.identify(p1)
@@ -216,11 +218,6 @@ _MAX_DOUBLINGS = 6
 MAX_QUAD_PANELS = 2**16
 
 
-def _is_int(x) -> bool:
-    """An integer of any kind but bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
@@ -232,7 +229,7 @@ class QuadratureSpec:
     qtol: float = 1e-7
 
     def __post_init__(self):
-        if not _is_int(self.panels):
+        if not is_int(self.panels):
             raise InvalidInputError(f"quad_panels must be an int, got {self.panels!r}")
         if not 8 <= self.panels <= MAX_QUAD_PANELS:
             raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
@@ -400,7 +397,7 @@ class GridAxis:
     periodic: bool = False
 
     def __post_init__(self):
-        if not _is_int(self.count) or self.count < 1:
+        if not is_int(self.count) or self.count < 1:
             raise InvalidInputError(f"a grid axis needs an int count >= 1, got {self.count!r}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
             raise InvalidInputError(f"a grid axis needs finite lo <= hi, got [{self.lo}, {self.hi}]")
@@ -504,7 +501,7 @@ class RefineSpec:
     xtol: float = 1e-6
 
     def __post_init__(self):
-        if not _is_int(self.budget):
+        if not is_int(self.budget):
             raise InvalidInputError(f"refine_budget must be an int, got {self.budget!r}")
         if self.budget < 1:
             raise InvalidInputError(f"refine_budget must be >= 1, got {self.budget}")

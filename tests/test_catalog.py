@@ -176,6 +176,13 @@ def test_config_round_trip_and_schema_rejection():
         build_scenario({"scenario": "nosuch"})
 
 
+@pytest.mark.parametrize("config", [None, ["scenario"], "camel", ("scenario", "camel")])
+def test_a_configuration_that_is_not_a_dict_is_refused(config):
+    # these raised AttributeError on config.get
+    with pytest.raises(ScenarioParameterError, match="must be a dict"):
+        build_scenario(config)
+
+
 # the keys each scenario takes, one per parameter of its domain and loops
 TAKES = {
     "ellipsoid1": {"n", "a"},
@@ -293,7 +300,7 @@ def test_dimensions_past_the_ceiling_are_refused_before_any_geometry_is_built(mo
     def unbuilt(*args):
         raise AssertionError("geometry built for a refused dimension")
 
-    monkeypatch.setattr(catalog, "ellipsoid_metric", unbuilt)
+    monkeypatch.setattr(catalog, "codisk_domain", unbuilt)
     monkeypatch.setattr(catalog, "flat_torus_domain", unbuilt)
     monkeypatch.setattr(catalog, "camel_domain", unbuilt)
     for build, args in [

@@ -238,6 +238,18 @@ def test_frame_family_rejects_bad_mesh_and_count(mesh, count):
         verify_frame_family(2, mesh=mesh, count=count, seed=0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"n": -1}, {"n": 2.0}, {"n": True}, {"n": "2"}, {"count": 2.5}, {"count": True}, {"count": "3"}]
+    + [{"seed": -1}, {"seed": 1.5}, {"seed": True}],
+)
+def test_frame_family_refuses_a_dimension_count_or_seed_that_is_no_int_at_least_0(fields):
+    # n = -1 or seed = -1 raised ValueError from numpy, and n = 2.0,
+    # count = 2.5 or seed = 1.5 TypeError
+    with pytest.raises(InvalidInputError):
+        verify_frame_family(**{"n": 2, "count": 5, **fields})
+
+
 def test_frame_family_counts_the_pairs_it_framed():
     # on S^0 no draw has a tangent direction, so nothing is checked
     assert verify_frame_family(0, mesh=1e-3, count=5, seed=0).checked == 0

@@ -25,7 +25,6 @@ from stringcap.gauge import (
     TangentVector,
     codisk_domain,
     domain_contains,
-    embedding_metric,
     metric_norm,
     support,
 )
@@ -50,12 +49,12 @@ def test_metric_support_is_radius_times_pushed_forward_norm():
     base = BaseDescriptor("torus", 2, ("torus",))
     q = BasePoint(np.array([0.3, 0.4]), "torus")
     # a scaled identity Jacobian scales every support value
-    dom = codisk_domain(base, MetricSpec(lambda q: 2.0 * np.eye(2)))
+    dom = codisk_domain(base, MetricSpec(2.0 * np.eye(2)))
     assert float(support(dom, q, TangentVector(np.array([1.0, 0.0]), q))) == 2.0
     rng = np.random.default_rng(5)
     jac = np.array([[1.0, 0.5], [0.0, 3.0]])
     for r in (0.0, 0.7, 2.0):
-        dom = codisk_domain(base, MetricSpec(lambda q: jac, r))
+        dom = codisk_domain(base, MetricSpec(jac, r))
         for _ in range(20):
             q = BasePoint(rng.uniform(0.0, 1.0, 2), "torus")
             v = TangentVector(rng.standard_normal(2), q)
@@ -78,12 +77,34 @@ def test_metric_without_jacobian_is_flat():
             assert metric_norm(metric, q, v) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("jacobian", ["flat", np.eye(2), 2.0])
-def test_non_callable_jacobian_is_refused(jacobian):
+@pytest.mark.parametrize(
+    "jacobian",
+    [
+        np.array([[math.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, math.inf], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, -math.inf]]),
+        np.ones(2),
+        np.ones((2, 2, 2)),
+        np.ones((0, 2)),
+        np.array([["1", "0"], ["0", "1"]]),
+        np.eye(2, dtype=int),
+        np.array([[1.0 + 1.0j, 0.0], [0.0, 1.0]]),
+        [[1.0, 0.0], [0.0, 1.0]],
+        np.eye,
+        "eye",
+        2.0,
+    ],
+    ids=[
+        "nan", "inf", "-inf", "1-D", "3-D", "empty", "strings", "ints", "complex", "list", "callable", "string", "scalar"
+    ],
+)
+def test_malformed_jacobians_are_refused(jacobian):
+    # a NaN entry gave a NaN support at v = 0, and a callable was called per
+    # batch; a Jacobian is checked once, when the metric is built
     with pytest.raises(InvalidInputError):
         MetricSpec(jacobian)
     with pytest.raises(InvalidInputError):
-        MetricSpec(jacobian, lambda q: 5.0 * np.eye(2))
+        MetricSpec(jacobian, 0.5)
 
 
 def test_stretched_sphere_equator_support_is_constant():
@@ -168,10 +189,10 @@ def test_support_of_zero_vector_is_exactly_zero():
 def test_codisk_duality_support_equals_radius_times_unit_metric_norm():
     base = BaseDescriptor("sphere", 2, ("embedding",))
     jac = np.diag([1.0, 1.0, 0.5])
-    unit_metric = MetricSpec(lambda q: jac, 1.0)
+    unit_metric = MetricSpec(jac, 1.0)
     rng = np.random.default_rng(1)
     for r in (0.5, 1.0, 3.0):
-        dom = codisk_domain(base, MetricSpec(lambda q: jac, r))
+        dom = codisk_domain(base, MetricSpec(jac, r))
         for _ in range(50):
             qc = rng.standard_normal(3)
             qc /= np.linalg.norm(qc)
@@ -186,8 +207,8 @@ def test_metric_norm_round_vs_stretched_comparison():
     # the scaled round metric never exceeds the stretched one
     jac_s = np.diag([1.0, 0.3, 0.3])
     jac_r = 0.3 * np.eye(3)
-    ms = MetricSpec(lambda q: jac_s, 1.0)
-    mr = MetricSpec(lambda q: jac_r, 1.0)
+    ms = MetricSpec(jac_s, 1.0)
+    mr = MetricSpec(jac_r, 1.0)
     rng = np.random.default_rng(2)
     for _ in range(100):
         qc = rng.standard_normal(3)
@@ -210,16 +231,21 @@ def test_chart_mismatch_and_nan_are_rejected():
         support(dom, q, TangentVector(np.zeros(3), other))
 
 
-def test_rank_deficient_jacobian_is_rejected():
+@pytest.mark.parametrize(
+    "jac", [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 2.0]])], ids=["singular", "wide"]
+)
+def test_rank_deficient_jacobian_is_rejected_by_the_metric_norm(jac):
+    # a rank-deficient Jacobian builds a metric; its norm is refused
+    metric = MetricSpec(jac)
     q = BasePoint(np.array([0.0, 0.0]), "default")
     with pytest.raises(RankDeficientError):
-        embedding_metric(lambda q: np.array([[1.0, 0.0], [0.0, 0.0]]), check_points=(q,))
+        metric_norm(metric, q, TangentVector(np.array([0.0, 1.0]), q))
 
 
 def test_containment_reflexive_and_radius_violations():
     base = BaseDescriptor("sphere", 2, ("embedding",))
-    unit = codisk_domain(base, MetricSpec(lambda q: np.eye(3), 1.0))
-    bigger = codisk_domain(base, MetricSpec(lambda q: np.eye(3), 1.1))
+    unit = codisk_domain(base, MetricSpec(np.eye(3), 1.0))
+    bigger = codisk_domain(base, MetricSpec(np.eye(3), 1.1))
     plan = SamplePlan(count=500, seed=0)
     assert domain_contains(unit, unit, plan)
     res = domain_contains(bigger, unit, plan)
@@ -233,6 +259,18 @@ def test_sample_plans_that_check_nothing_are_refused(fields):
     # such a plan reported the larger ellipsoid inside the smaller, which a
     # plan of 100 pairs refutes
     assert not domain_contains(ellipsoid_domain(2, 0.9), ellipsoid_domain(2, 0.3), SamplePlan(count=100))
+    with pytest.raises(InvalidInputError):
+        SamplePlan(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"count": 2.5}, {"count": 2.0}, {"count": True}, {"count": "2"}]
+    + [{"seed": -1}, {"seed": 1.5}, {"seed": False}, {"seed": None}],
+)
+def test_sample_plan_counts_and_seeds_that_are_no_ints_are_refused(fields):
+    # a fractional count raised TypeError inside the sampler, and a negative
+    # seed ValueError from numpy
     with pytest.raises(InvalidInputError):
         SamplePlan(**fields)
 
@@ -269,21 +307,16 @@ def test_batched_codisk_oracles_match_row_by_row_evaluation():
     rng = np.random.default_rng(11)
     jac = np.diag([1.0, 0.3, 0.3])
     cases = [
-        (BaseDescriptor("torus", 3, ("torus",)), MetricSpec(radius=0.7), lambda q: np.eye(3)),
-        (BaseDescriptor("sphere", 2, ("embedding",)), MetricSpec(lambda q: jac, 1.3),
-         lambda q: jac),
-        # a point-dependent Jacobian, given per row
-        (BaseDescriptor("torus", 3, ("torus",)),
-         MetricSpec(lambda q: np.stack([np.diag(1.0 + c * c) for c in q.coords]), 2.0),
-         lambda q: np.diag(1.0 + q * q)),
+        (BaseDescriptor("torus", 3, ("torus",)), MetricSpec(radius=0.7), np.eye(3)),
+        (BaseDescriptor("sphere", 2, ("embedding",)), MetricSpec(jac, 1.3), jac),
     ]
-    for base, metric, jac_at in cases:
+    for base, metric, pushforward in cases:
         dom = codisk_domain(base, metric)
         V = _rows(3, rng)
         Q = rng.uniform(-1.0, 1.0, V.shape)
         vals = _batched(dom, Q, base.charts[0], V)
         fin = np.isfinite(vals)
-        want = [metric.radius * np.linalg.norm(jac_at(q) @ v) for q, v in zip(Q, V)]
+        want = [metric.radius * np.linalg.norm(pushforward @ v) for v in V]
         assert vals.shape == fin.shape == (V.shape[0],)
         assert fin.all()
         np.testing.assert_allclose(vals, want, rtol=1e-14, atol=0)
@@ -367,7 +400,7 @@ def _assert_same_sums(got, want, summed):
         np.testing.assert_allclose(got, want, rtol=1e-15 * summed, atol=0.0)
 
 
-@pytest.mark.parametrize("form", ["flat", "matrix", "stack"])
+@pytest.mark.parametrize("form", ["flat", "matrix"])
 @PROPERTY
 @given(
     m=st.sampled_from([1, 2, 7, 4097]),
@@ -382,19 +415,14 @@ def test_codisk_oracle_matches_the_row_major_formula(form, m, d, jac_rows, speci
     coords = rng.uniform(-1.0, 1.0, (m, d))
     # well-conditioned maps, so that a regrouped sum moves the norm by rounding only
     jac = np.eye(jac_rows, d) + 0.2 * rng.standard_normal((jac_rows, d))
-    stack = jac + 0.2 * rng.standard_normal((m, jac_rows, d))
     if form == "flat":
         metric, pushed, summed = MetricSpec(radius=radius), w, d
-    elif form == "matrix":
-        metric, pushed, summed = MetricSpec(lambda q: jac, radius), None, max(d, jac_rows)
     else:
-        metric, pushed, summed = MetricSpec(lambda q: stack, radius), None, max(d, jac_rows)
+        metric, pushed, summed = MetricSpec(jac, radius), None, max(d, jac_rows)
     dom = codisk_domain(BaseDescriptor("torus", d, ("torus",)), metric)
     with np.errstate(all="ignore"):
         if form == "matrix":
             pushed = w @ jac.T
-        elif form == "stack":
-            pushed = np.einsum("mij,mj->mi", stack, w)
         want = radius * np.sqrt(np.add.reduce(pushed * pushed, axis=-1))
         got = _batched(dom, coords, "torus", w)
     assert got.shape == (m,) and got.dtype == np.float64
@@ -458,13 +486,14 @@ def test_sphere_sample_pairs_match_the_row_major_sampler(dim):
             assert (np.abs(gv - wv) <= 1e-15 * (dim + 1) * size[:, None]).all()
 
 
-@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.5, "1", None, True, np.ones(1), 1j])
 def test_codisk_radius_must_be_finite_and_nonnegative(radius):
-    # a NaN or infinite radius gave a NaN support at v = 0
+    # a NaN or infinite radius gave a NaN support at v = 0, and a string
+    # raised TypeError
     with pytest.raises(InvalidInputError):
         MetricSpec(radius=radius)
     with pytest.raises(InvalidInputError):
-        MetricSpec(lambda q: np.eye(2), radius)
+        MetricSpec(np.eye(2), radius)
     with pytest.raises(InvalidInputError):
         flat_torus_domain(2, radius=radius)
 

@@ -205,6 +205,13 @@ def test_check_loop_rejects_nan_points_and_nan_derivatives():
         check_loop(Loop(loop.point_fn, half_nan, identify=loop.identify))
 
 
+@pytest.mark.parametrize("samples", [0, -1, 2.5, True, "4"])
+def test_check_loop_refuses_a_sample_count_that_is_no_int_at_least_1(samples):
+    # samples = 0 raised AxisError from numpy, and 2.5 checked three points
+    with pytest.raises(InvalidInputError):
+        check_loop(_torus_vertical_loop(), samples=samples)
+
+
 def test_concatenation_refuses_nan_basepoints():
     def nan_point(t):
         return BasePoint(np.array([math.nan, t]), "torus")
