@@ -1,5 +1,7 @@
-"""Golden outputs: every reference configuration's bounds and family reports,
-and the ``reproduce all`` table, as ``tests/golden.json``.
+"""Golden outputs: the bounds and family reports of every reference
+configuration and of seeded configurations of the paper_bounds benchmark
+workload, the ``reproduce all`` table, and the message, t and params of a
+fixed list of failing inputs, as ``tests/golden.json``.
 
 ``payload()`` computes them, with every float written as ``float.hex``, and
 records the numpy version and CPU features they were computed under: numpy's
@@ -26,7 +28,9 @@ import numpy as np
 
 from stringcap import cli
 from stringcap.bounds import compute_bounds
-from stringcap.catalog import REFERENCE_CASES, SCENARIOS, build_scenario
+from stringcap.catalog import REFERENCE_CASES, SCENARIOS, build_scenario, camel_scenario, product_torus_scenario
+from stringcap.errors import InfiniteLengthError
+from stringcap.loops import GridAxis, Loop, LoopFamily, ParamGrid, QuadratureSpec, extremal_lengths, loop_length
 
 PATH = Path(__file__).with_name("golden.json")
 
@@ -36,11 +40,41 @@ PATH = Path(__file__).with_name("golden.json")
 ULPS = 64
 
 
+# the kinds of the paper_bounds benchmark workload, drawn in turn from this
+# seed with that workload's parameter ranges; they are drawn here so that the
+# test does not depend on the benchmark's code
+PAPER_BOUNDS_KINDS = ("ellipsoid1:2", "ellipsoid1:3", "ellipsoid2:3", "ellipsoid2:4", "camel:2", "camel:3", "klein")
+PAPER_BOUNDS_COUNT = 49
+PAPER_BOUNDS_SEED = 20261019
+
+
+def _draw(rng, lo: float, hi: float) -> float:
+    return round(float(rng.uniform(lo, hi)), 4)
+
+
+def paper_bounds_configs() -> list[dict]:
+    rng = np.random.default_rng(PAPER_BOUNDS_SEED)
+    out = []
+    for i in range(PAPER_BOUNDS_COUNT):
+        name, _, n = PAPER_BOUNDS_KINDS[i % len(PAPER_BOUNDS_KINDS)].partition(":")
+        if name == "ellipsoid1":
+            out.append({"scenario": name, "n": int(n), "a": _draw(rng, 0.2, 1.0)})
+        elif name == "ellipsoid2":
+            out.append({"scenario": name, "n": int(n), "a": _draw(rng, 0.4, 1.0)})
+        elif name == "camel":
+            delta = round(10.0 ** float(rng.uniform(-3.0, -1.0)), 6)
+            out.append({"scenario": name, "n": int(n), "eps": _draw(rng, 0.4, 1.0), "delta": delta})
+        else:
+            out.append({"scenario": name, "a": _draw(rng, 0.5, 1.0), "b": _draw(rng, 1.0, 2.0)})
+    return out
+
+
 def configs() -> list[dict]:
-    """Every ``REFERENCE_CASES`` configuration and the seven default forms:
-    each ``SCENARIOS`` name with its defaults, and the closed-page open book."""
+    """Every ``REFERENCE_CASES`` configuration, the seven default forms (each
+    ``SCENARIOS`` name with its defaults, and the closed-page open book), and
+    the seeded paper_bounds configurations."""
     defaults = [{"scenario": name} for name in SCENARIOS] + [{"scenario": "open_book", "page": "circle"}]
-    return [case.config for case in REFERENCE_CASES] + defaults
+    return [case.config for case in REFERENCE_CASES] + defaults + paper_bounds_configs()
 
 
 def platform() -> dict:
@@ -90,6 +124,41 @@ def _reproduce_all() -> list[dict]:
     return list(csv.DictReader(io.StringIO(out.getvalue())))
 
 
+def _failures() -> dict:
+    """The message, t and params of the ``InfiniteLengthError`` of each
+    failing input: a length past the float range, a family row whose support
+    is infinite, and a window of infinite support 0.02 wide that the levels
+    of 64 panels hit."""
+    camel = camel_scenario(2, 0.4, 0.01)
+
+    def diagonal(P, ts):
+        shape = (P.shape[0], ts.shape[0], 2)
+        return np.broadcast_to(ts[None, :, None], shape), np.ones(shape)
+
+    def window(ts):
+        c = np.cos(2.0 * math.pi * (ts - 0.6)) - math.cos(2.0 * math.pi * 0.01)
+        return np.broadcast_to([0.2, 0.3], (ts.shape[0], 2)), np.stack([np.zeros_like(c), c], axis=1)
+
+    runs = {
+        "overflowing length": lambda: compute_bounds(product_torus_scenario(2, 1, 1e308)),
+        "infinite family row": lambda: extremal_lengths(
+            camel.domain, LoopFamily("diag", ParamGrid((GridAxis(0.0, 1.0, 3),)), diagonal, "camel"), camel.quad
+        ),
+        "narrow window at 64 panels": lambda: loop_length(
+            camel.domain, Loop(samples=window, chart="camel"), QuadratureSpec(panels=64)
+        ),
+    }
+    out = {}
+    for name, run in runs.items():
+        try:
+            run()
+        except InfiniteLengthError as exc:
+            out[name] = {"message": str(exc), "t": exc.t, "params": exc.params}
+        else:
+            raise AssertionError(f"{name}: no InfiniteLengthError")
+    return out
+
+
 def payload() -> dict:
     scenarios = {}
     for config in configs():
@@ -97,7 +166,7 @@ def payload() -> dict:
         scenarios.setdefault(next(iter(outputs["bounds"].values()))["scenario"], outputs)
     return {
         "platform": platform(),
-        "outputs": _hex({"scenarios": scenarios, "reproduce_all": _reproduce_all()}),
+        "outputs": _hex({"scenarios": scenarios, "reproduce_all": _reproduce_all(), "failures": _failures()}),
     }
 
 
