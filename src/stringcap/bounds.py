@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import Scenario, TargetClass, camel_scenario
-from .errors import ScenarioParameterError
+from .errors import ScenarioParameterError, StringcapError
 from .loops import ExtremalLengthReport, QuadratureSpec, RefineSpec, extremal_lengths
 from .stralg import Certificate, check_certificate, derive_certificate
 
@@ -102,7 +102,8 @@ def _make_bound(
 ) -> CapacityBound:
     report = check_certificate(cert)
     if not report.passed:
-        raise ScenarioParameterError(
+        # a derivation failure, not a configuration error: the CLI exits 3
+        raise StringcapError(
             f"derived certificate failed its own replay: {report.conclusion_message}"
         )
     value = cert.filtration.resolve(bindings)

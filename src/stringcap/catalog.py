@@ -181,8 +181,6 @@ def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
 def _page_grid(page_dim: int) -> ParamGrid:
     # box whose corners reach the binding |x| = 1 so the family includes the
     # degenerate constant loops there
-    if page_dim == 0:
-        return ParamGrid(())
     s = 1.0 / math.sqrt(page_dim)
     count = 17 if page_dim == 1 else 9
     return ParamGrid(tuple(GridAxis(-s, s, count) for _ in range(page_dim)))
@@ -324,19 +322,14 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
     )
 
 
-def flat_torus_domain(
-    d: int,
-    radius: float = 1.0,
-    lengths: Optional[tuple[float, ...]] = None,
-    charts: tuple[str, ...] = ("torus",),
-) -> GaugeDomain:
+def flat_torus_domain(d: int, radius: float = 1.0, lengths: Optional[tuple[float, ...]] = None) -> GaugeDomain:
     if lengths is not None:
         if len(lengths) != d:
             raise ScenarioParameterError("lengths must have one entry per factor")
         if not all(0.0 < length < math.inf for length in lengths):
             raise ScenarioParameterError(f"lengths must be finite and > 0, got {lengths}")
     jac = None if lengths is None else np.diag(np.asarray(lengths, dtype=float))
-    return codisk_domain(BaseDescriptor("torus", d, charts), MetricSpec(jac, radius))
+    return codisk_domain(BaseDescriptor("torus", d, ("torus",)), MetricSpec(jac, radius))
 
 
 def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
@@ -359,25 +352,19 @@ def camel_domain(d: int, eps: float, delta: float) -> GaugeDomain:
 
 
 def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, count: int) -> LoopFamily:
-    """Straight loops (0 x zeros, p..., sign * t) in lifted torus coordinates,
-    one per parameter p of the torus grid with ``count`` points per axis; the
-    closure check folds back into the fundamental domain."""
+    """Straight loops (0 x zeros, p..., sign * t) on the unit torus, one per
+    parameter p of the torus grid with ``count`` points per axis; the last
+    coordinate is folded into [0, 1), once on the ts row, so each loop closes
+    in the coordinates it is sampled in."""
 
     def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, v = np.zeros((2, d, P.shape[0], ts.shape[0]))  # coordinate-major
         q[zeros:-1] = P.T[:, :, None]
-        np.multiply(sign, ts, out=q[-1])
+        q[-1] = np.mod(sign * ts, 1.0)
         v[-1] = sign
         return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    return LoopFamily(name, _torus_grid(d - zeros - 1, count), samples, chart=chart, identify=_unit_torus_fold)
-
-
-def _unit_torus_fold(c: np.ndarray) -> np.ndarray:
-    """``c`` folded into [0, 1)^d; a coordinate just below an integer, whose
-    remainder rounds up to 1, folds to 0."""
-    r = np.mod(c, 1.0)
-    return np.where(r < 1.0, r, 0.0)
+    return LoopFamily(name, _torus_grid(d - zeros - 1, count), samples, chart=chart)
 
 
 def _torus_grid(dim: int, count: int) -> ParamGrid:
@@ -434,22 +421,6 @@ def camel_scenario(n: int, eps: float, delta: float) -> Scenario:
     return _torus_scenario(params, camel_domain(n, eps, delta), 1, ("camel", "camel:q1zero"))
 
 
-def klein_identify(a: float, b: float):
-    """Fold lifted plane coordinates into the fundamental domain [0, a) x
-    [0, b) of the quotient by (x, y) -> (x + a, -y) and (x, y) -> (x, y + b).
-    A coordinate just below a multiple of its period, whose remainder rounds
-    up to the period, folds to 0 across the seam."""
-
-    def fold(c: np.ndarray) -> np.ndarray:
-        k, x = divmod(float(c[0]), a)
-        if x == a:
-            k, x = k + 1, 0.0
-        y = (-float(c[1]) if k % 2 else float(c[1])) % b
-        return np.array([x, y if y < b else 0.0])
-
-    return fold
-
-
 def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
     """Flat Klein bottle; the loop class consists of straight lines with
     x-winding one, which reverse orientation, paired with their reverses.
@@ -462,7 +433,6 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         raise ScenarioParameterError("radius must be >= 0")
     base = BaseDescriptor("klein", 2, ("klein",))
     domain = codisk_domain(base, MetricSpec(radius=radius))
-    fold = klein_identify(a, b)
     x0 = a / 4.0
 
     # out along the straight loop and back along its reverse; closes in the
@@ -489,7 +459,7 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
-    doubled = LoopFamily("Ldoubled", grid, samples, chart="klein", identify=fold)
+    doubled = LoopFamily("Ldoubled", grid, samples, chart="klein")
     ctx = RuleContext(
         intersection_table={("q", "qbar"): "pt"},
         iota_table={"pt": "T*Sigma_pt"},

@@ -208,7 +208,9 @@ class RuleContext:
         raise IncompatibleBindingError(f"no declared intersection for ({g1!r}, {g2!r})")
 
     def sweep(self, g: str) -> str:
-        return self.sweep_table.get(g, f"zeta({g})")
+        if g in self.sweep_table:
+            return self.sweep_table[g]
+        raise IncompatibleBindingError(f"no declared sweep for cycle {g!r}")
 
     def iota_label(self, cycle: str) -> str:
         if cycle in self.iota_table:
@@ -423,8 +425,8 @@ class Certificate:
             "note": _CERTIFICATE_NOTE,
         }
 
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_jsonable(), indent=2, **kw)
+    def to_json(self) -> str:
+        return json.dumps(self.to_jsonable(), indent=2)
 
 
 class _Derivation:

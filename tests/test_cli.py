@@ -1,6 +1,7 @@
 """Command-line front end: configs, output formats and exit codes."""
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringcap import catalog, cli
 from stringcap.bounds import compute_bounds
-from stringcap.catalog import MAX_DIM, SCENARIOS, build_scenario
+from stringcap.catalog import MAX_DIM, SCENARIOS, TargetClass, build_scenario
 from stringcap.cli import MAX_QUAD_PANELS, main
+from stringcap.stralg import fnum, open_book_point_recipe
 
 
 def test_bound_text_output(capsys):
@@ -120,6 +123,45 @@ def test_certify_passes_and_reports_steps(capsys):
 
 def test_certify_unknown_target_exits_2():
     assert main(["certify", "--scenario", "klein", "[pt]"]) == 2
+
+
+def test_a_certificate_that_fails_its_own_replay_exits_3(monkeypatch, capsys):
+    # bound reported it as an invalid configuration and exited 2; exit code 3
+    # means a derivation failure, as in certify.  ellipsoid1's one target
+    # here declares a pairing that its recipe does not end in.
+    build = catalog.build_scenario
+    wrong = TargetClass("[pt]", "WRONG", open_book_point_recipe)
+    monkeypatch.setattr(catalog, "build_scenario", lambda config: dataclasses.replace(build(config), targets=(wrong,)))
+    assert main(["bound", "--scenario", "ellipsoid1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure: derived certificate failed its own replay: ")
+    assert main(["certify", "--scenario", "ellipsoid1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "certificate check failed for target [pt]\n"
+    (entry,) = json.loads(captured.out)
+    assert entry["checked"] is False and all(step["ok"] for step in entry["steps"])
+
+
+def test_certify_writes_the_failing_step_and_exits_3(monkeypatch, capsys):
+    derive = cli.derive_certificate
+
+    def tampered(scenario, target, sign=+1):
+        # the first step records its output at threshold 0
+        cert = derive(scenario, target, sign)
+        output = dataclasses.replace(cert.steps[0].output, filtration=fnum(0.0))
+        first = dataclasses.replace(cert.steps[0], output=output)
+        return dataclasses.replace(cert, steps=(first, *cert.steps[1:]))
+
+    monkeypatch.setattr(cli, "derive_certificate", tampered)
+    assert main(["certify", "--scenario", "ellipsoid2", "[pt]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "certificate check failed for target [pt]\n"
+    (entry,) = json.loads(captured.out)
+    assert entry["checked"] is False
+    step = entry["steps"][0]
+    assert step["rule"] == "OB_BV2" and not step["ok"]
+    assert step["message"] == "replayed output A[id,+] @ E_A differs from recorded A[id,+] @ 0"
 
 
 def test_runs_are_reproducible(tmp_path):

@@ -726,7 +726,7 @@ def _row_major_forms(s, name: str):
             out = np.empty((P.shape[0], ts.shape[0], d))
             out[:, :, :zeros] = 0.0
             out[:, :, zeros:-1] = P[:, None, :]
-            out[:, :, -1] = sign * ts
+            out[:, :, -1] = np.mod(sign * ts, 1.0)
             return out
 
         def velocities(P, ts):

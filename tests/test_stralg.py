@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stringcap.catalog import (
     SCENARIOS,
+    TargetClass,
     build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
@@ -22,6 +23,7 @@ from stringcap.stralg import (
     ActionClass,
     BVPreimage,
     Certificate,
+    CertificateStep,
     ConclusionFactor,
     ConstantLoops,
     FiltExpr,
@@ -34,6 +36,7 @@ from stringcap.stralg import (
     _conclusion,
     apply_rule,
     check_certificate,
+    closed_page_recipe,
     delta,
     derive_certificate,
     filt_leq,
@@ -142,6 +145,60 @@ def test_rotation_resolves_registered_bv_preimages():
     # without the axiom the rotation does not resolve
     with pytest.raises(MissingAxiomError):
         apply_rule("ACTION_IS_BV", (c,), RuleContext())
+
+
+def test_rotation_of_an_undeclared_cycle_is_refused():
+    # CS3 swept it to A[zeta(nowhere),+], a class that no scenario declares
+    c = FilteredClass(ActionClass("nowhere", +1), fsym("E"))
+    with pytest.raises(IncompatibleBindingError, match="no declared sweep for cycle 'nowhere'"):
+        apply_rule("CS3", (c,), RuleContext(sweep_table={"g": "zg"}))
+
+
+def test_unknown_rules_and_undeclared_labels_are_refused():
+    with pytest.raises(IncompatibleBindingError, match="unknown rule 'NOPE'"):
+        apply_rule("NOPE", (), RuleContext())
+    with pytest.raises(IncompatibleBindingError, match="no dual cohomology label declared for cycle 'pt'"):
+        RuleContext().iota_label("pt")
+
+
+def test_an_intersection_is_declared_for_either_order():
+    ctx = RuleContext(intersection_table={("q", "qbar"): "pt"})
+    assert ctx.intersect("q", "qbar") == ctx.intersect("qbar", "q") == "pt"
+
+
+def test_the_closed_page_recipe_refuses_a_page_with_boundary():
+    s = ellipsoid_scenario(2, 0.5)
+    with pytest.raises(IncompatibleBindingError, match="the page bound needs a closed page"):
+        derive_certificate(s, TargetClass("[V]", "PD_dual(V)", closed_page_recipe))
+
+
+def test_a_rule_that_inflates_the_threshold_fails_its_step(monkeypatch):
+    cs3 = RULES["CS3"]
+
+    def inflating(inputs, ctx):
+        out = cs3.apply(inputs, ctx)
+        return FilteredClass(out.term, out.filtration + fnum(1.0))
+
+    monkeypatch.setitem(RULES, "CS3", dataclasses.replace(cs3, apply=inflating))
+    s = camel_scenario(2, 0.4, 0.01)
+    report = check_certificate(derive_certificate(s, s.target("[T^k]")))
+    assert [step.rule for step in report.steps] == ["CS3", "CS3", "CS1", "IOTA_CONST"]
+    assert [step.message for step in report.steps[:2]] == ["rule inflated the filtration threshold"] * 2
+
+
+# a certificate of one step that turns its leaf into iota(beta), its factors
+# the derivation's leaves: no rotation factor, and one at threshold 0
+@pytest.mark.parametrize(
+    "leaf,beta,fault",
+    [
+        (iota("T*M_pt"), "PD(T*M)", "conclusion factors are not of the required shape"),
+        (FilteredClass(ActionClass("pt", +1), fnum(0.0)), "T*M_pt", "a rotation factor carries a zero threshold"),
+    ],
+)
+def test_a_conclusion_without_a_positive_rotation_factor_is_refused(leaf, beta, fault):
+    steps = (CertificateStep("IOTA_CONST", (leaf,), iota(beta)),)
+    cert = Certificate(ellipsoid_scenario(2, 0.5), "[pt]", beta, steps, _conclusion(steps))
+    assert check_certificate(cert).conclusion_message == fault
 
 
 def test_iota_is_threshold_free():
