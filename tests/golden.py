@@ -30,7 +30,17 @@ from stringcap import cli
 from stringcap.bounds import compute_bounds
 from stringcap.catalog import REFERENCE_CASES, SCENARIOS, build_scenario, camel_scenario, product_torus_scenario
 from stringcap.errors import InfiniteLengthError
-from stringcap.loops import GridAxis, Loop, LoopFamily, ParamGrid, QuadratureSpec, extremal_lengths, loop_length
+from stringcap.gauge import BaseDescriptor, GaugeDomain
+from stringcap.loops import (
+    GridAxis,
+    Loop,
+    LoopFamily,
+    ParamGrid,
+    QuadratureSpec,
+    extremal_lengths,
+    family_lengths,
+    loop_length,
+)
 
 PATH = Path(__file__).with_name("golden.json")
 
@@ -127,9 +137,13 @@ def _reproduce_all() -> list[dict]:
 def _failures() -> dict:
     """The message, t and params of the ``InfiniteLengthError`` of each
     failing input: a length past the float range, a family row whose support
-    is infinite, and a window of infinite support 0.02 wide that the levels
-    of 64 panels hit."""
+    is infinite, a window of infinite support 0.02 wide that the levels of 64
+    panels hit, and three grids whose failing row is not the first failure
+    the rule meets: a NaN support at a level-1 sample, an earlier row whose
+    window only level 2 hits ahead of a later row that fails at t = 0, and
+    an infinite row ahead of an overflowing one."""
     camel = camel_scenario(2, 0.4, 0.01)
+    coarse = QuadratureSpec(panels=8)
 
     def diagonal(P, ts):
         shape = (P.shape[0], ts.shape[0], 2)
@@ -139,6 +153,36 @@ def _failures() -> dict:
         c = np.cos(2.0 * math.pi * (ts - 0.6)) - math.cos(2.0 * math.pi * 0.01)
         return np.broadcast_to([0.2, 0.3], (ts.shape[0], 2)), np.stack([np.zeros_like(c), c], axis=1)
 
+    def vertical(P, ts):
+        # t -> (u, v, t) at parameters (u, v)
+        q = np.empty((P.shape[0], ts.shape[0], 3))
+        q[:, :, :2] = P[:, None, :]
+        q[:, :, 2] = ts
+        v = np.zeros_like(q)
+        v[:, :, 2] = 1.0
+        return q, v
+
+    def torus(scale):
+        # the flat-torus norm on (u, v, t), scaled by scale(u, v, t)
+        def oracle(q, v):
+            w = v.components
+            return scale(*q.coords.T) * np.sqrt((w * w).sum(axis=1))
+
+        return GaugeDomain(BaseDescriptor("torus", 3, ("torus",)), oracle)
+
+    def windows(P, ts):
+        # velocity (0, exp(4 (cos 2 pi (t - p0) - 1)) - p1): infinite support
+        # on a window around p0 when p1 < 1
+        v = np.zeros((P.shape[0], ts.shape[0], 2))
+        v[:, :, 1] = np.exp(4.0 * (np.cos(2.0 * math.pi * (ts - P[:, :1])) - 1.0)) - P[:, 1:2]
+        return np.broadcast_to([0.2, 0.3], v.shape), v
+
+    nan_torus = torus(lambda u, v, t: np.where((u > 0.5) & (t == 0.0625), np.nan, 1.0))
+    overflow_torus = torus(lambda u, v, t: np.where(u > 0.9, np.inf, np.where(u > 0.5, 1e308, 1.0)))
+    u_axis = GridAxis(0.0, 1.0, 4)
+    nan_rows = LoopFamily("vertical", ParamGrid((u_axis, GridAxis(0.0, 1.0, 2))), vertical, "torus")
+    overflow_rows = LoopFamily("vertical", ParamGrid((u_axis, GridAxis(0.0, 0.0, 1))), vertical, "torus")
+    level = math.exp(4.0 * (math.cos(2.0 * math.pi * 0.012) - 1.0))
     runs = {
         "overflowing length": lambda: compute_bounds(product_torus_scenario(2, 1, 1e308)),
         "infinite family row": lambda: extremal_lengths(
@@ -146,6 +190,18 @@ def _failures() -> dict:
         ),
         "narrow window at 64 panels": lambda: loop_length(
             camel.domain, Loop(samples=window, chart="camel"), QuadratureSpec(panels=64)
+        ),
+        "NaN support at a level-1 sample": lambda: family_lengths(
+            nan_torus, nan_rows, nan_rows.grid.points(), coarse
+        ),
+        "earlier row failing at a later level": lambda: family_lengths(
+            camel.domain,
+            LoopFamily("window", ParamGrid(()), windows, "camel"),
+            np.array([[0.5, 1.2], [0.09875, level], [0.0, 0.5]]),
+            coarse,
+        ),
+        "infinite row ahead of an overflowing row": lambda: family_lengths(
+            overflow_torus, overflow_rows, overflow_rows.grid.points()[::-1], coarse
         ),
     }
     out = {}
