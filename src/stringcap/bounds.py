@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .catalog import Scenario, TargetClass, camel_scenario
-from .errors import ScenarioParameterError, StringcapError
+from .errors import DerivationError, ScenarioParameterError
 from .loops import ExtremalLengthReport, QuadratureSpec, RefineSpec, extremal_lengths
 from .stralg import Certificate, check_certificate, derive_certificate
 
@@ -69,7 +68,7 @@ class CapacityBound:
 
 def resolve_bindings(
     scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
+    quad: QuadratureSpec = QuadratureSpec(),
     refine: RefineSpec = RefineSpec(),
 ) -> tuple[dict, dict]:
     """Extremal lengths of every family a generator selects, mapped through
@@ -77,7 +76,6 @@ def resolve_bindings(
     per-family reports).  A family grid of more than ``MAX_GRID_POINTS``
     points raises ``ScenarioParameterError`` before any family is
     evaluated."""
-    quad = quad or scenario.quad
     families = scenario.families
     for name, fam in families.items():
         size = math.prod(ax.count for ax in fam.grid.axes)
@@ -102,10 +100,7 @@ def _make_bound(
 ) -> CapacityBound:
     report = check_certificate(cert)
     if not report.passed:
-        # a derivation failure, not a configuration error: the CLI exits 3
-        raise StringcapError(
-            f"derived certificate failed its own replay: {report.conclusion_message}"
-        )
+        raise DerivationError(f"derived certificate failed its own replay: {report.conclusion_message}")
     value = cert.filtration.resolve(bindings)
     tol = sum(
         reports[scenario.symbolic_bindings[s].family.name].tolerance
@@ -123,7 +118,7 @@ def _make_bound(
 
 def compute_bounds(
     scenario: Scenario,
-    quad: Optional[QuadratureSpec] = None,
+    quad: QuadratureSpec = QuadratureSpec(),
     refine: RefineSpec = RefineSpec(),
 ) -> tuple[CapacityBound, ...]:
     """One bound per target of the scenario, in target order.  A target whose

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .loops import (
     GridAxis,
     LoopFamily,
     ParamGrid,
-    QuadratureSpec,
     cutoff,
     cutoff_deriv,
 )
@@ -110,7 +109,6 @@ class Scenario:
     targets: tuple[TargetClass, ...]
     generators: dict[Term, BindingSelector]
     rule_context: RuleContext
-    quad: ClassVar[QuadratureSpec] = QuadratureSpec(panels=64)
 
     def __post_init__(self):
         # a family's name keys its lengths and its grid values

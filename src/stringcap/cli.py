@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import bounds as _bounds
 from . import catalog as _catalog
-from .errors import InvalidInputError, ScenarioParameterError, StringcapError
+from .errors import DerivationError, InvalidInputError, ScenarioParameterError, StringcapError
 from .loops import MAX_QUAD_PANELS, QuadratureSpec, RefineSpec  # MAX_QUAD_PANELS is re-exported
 from .stralg import check_certificate, derive_certificate
 
@@ -104,7 +104,7 @@ def _format_bounds(bound_list, fmt: str) -> str:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    quad = None if args.quad_panels is None else QuadratureSpec(panels=args.quad_panels)
+    quad = QuadratureSpec() if args.quad_panels is None else QuadratureSpec(panels=args.quad_panels)
     refine = RefineSpec() if args.refine_budget is None else RefineSpec(budget=args.refine_budget)
     result = _bounds.compute_bounds(_scenario(args), quad, refine)
     _emit(_format_bounds(result, args.format), args.out)
@@ -191,6 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ScenarioParameterError, InvalidInputError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_CONFIG
+    except DerivationError as exc:
+        sys.stderr.write(f"derivation failure: {exc}\n")
+        return EXIT_NUMERIC
     except StringcapError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC

@@ -44,7 +44,11 @@ class ScenarioParameterError(StringcapError):
     """Out-of-range or inconsistent scenario parameters."""
 
 
-class MissingAxiomError(StringcapError):
+class DerivationError(StringcapError):
+    """A certificate cannot be derived, or fails its own replay."""
+
+
+class MissingAxiomError(DerivationError):
     """A certificate derivation needs a rewrite axiom the scenario lacks."""
 
     def __init__(self, rule_id: str):
@@ -52,5 +56,5 @@ class MissingAxiomError(StringcapError):
         self.rule_id = rule_id
 
 
-class IncompatibleBindingError(StringcapError):
+class IncompatibleBindingError(DerivationError):
     """Star product arguments have no declared transverse intersection."""

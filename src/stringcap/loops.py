@@ -219,7 +219,7 @@ class QuadratureSpec:
     qtol; ``panels`` is an int in [8, ``MAX_QUAD_PANELS``] and qtol is
     finite and >= 0."""
 
-    panels: int = 512
+    panels: int = 64
     qtol: float = 1e-7
 
     def __post_init__(self):
@@ -250,16 +250,6 @@ def _in_blocks(values_at: ValuesFn, rows: np.ndarray, ts: np.ndarray) -> np.ndar
     return np.concatenate([values_at(rows[i:i + step], ts) for i in range(0, rows.shape[0], step)])
 
 
-def _first_infinite(ts: np.ndarray, values: np.ndarray) -> Optional[tuple[int, float]]:
-    """The first row with a non-finite sample (inf or NaN), as (row, its
-    first non-finite t), or None."""
-    finite = np.isfinite(values)
-    if finite.all():
-        return None
-    i = int(np.argmin(finite.all(axis=1)))
-    return i, float(ts[np.argmin(finite[i])])
-
-
 @functools.lru_cache(maxsize=16)
 def _first_levels(n: int) -> np.ndarray:
     """Samples of levels 0 and 1 in level order: the n points j/n, then their
@@ -276,9 +266,9 @@ def _first_levels(n: int) -> np.ndarray:
 _OVERFLOWED = "the trapezoid sum overflowed"
 
 
-# a sample or a sum past the float range is +inf, which the callers report as
-# an InfiniteLengthError; numpy's overflow warning would only repeat it
-@np.errstate(over="ignore")
+# a sum past the float range is +inf and a failed row's samples stay in its
+# sums; the callers report both, and numpy's warnings would only repeat them
+@np.errstate(over="ignore", invalid="ignore")
 def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[list[float], Optional[tuple]]:
     """The periodic trapezoid rule for ``count`` integrands (rows) at once.
 
@@ -287,48 +277,46 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
     n midpoints); then the rows that have not converged double together.
     Each row gets the same sums, in the same order, whatever the other rows.
 
-    Returns the lengths and, if a row meets a non-finite sample or its
-    length is not finite, the first such row in row order with its first
-    non-finite t in level order, or t = NaN when its samples are finite and
-    its sum overflowed (else None); rows after it stop, and only the lengths
-    of rows before it mean anything."""
+    A row fails at its first non-finite sample (inf or NaN) in level order,
+    or with t = NaN if its samples are finite but its sum overflowed.
+    Returns the lengths and the first failed row in row order with its t
+    (else None); rows after it stop doubling, and only the lengths of rows
+    before it mean anything."""
+    failed: dict[int, float] = {}  # row -> its first non-finite t in level order
+
+    def sample(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        values = _in_blocks(values_at, rows, ts)
+        finite = np.isfinite(values)
+        if not finite.all():
+            for i in np.flatnonzero(~finite.all(axis=1)).tolist():
+                failed.setdefault(int(rows[i]), float(ts[finite[i].argmin()]))
+        return values
+
     n = quad.panels
-    ts = _first_levels(n)
-    values = _in_blocks(values_at, np.arange(count), ts)
-    failed = _first_infinite(ts, values)
-    if failed is not None:
-        values = values[:failed[0]]
-    sums = values.reshape(values.shape[0], 2, n).sum(axis=2).tolist()  # per row and level
+    sums = sample(np.arange(count), _first_levels(n)).reshape(count, 2, n).sum(axis=2).tolist()  # per row and level
     totals = [s[0] for s in sums]
     lengths = [total / n for total in totals]  # each row's latest level
-    rows = list(range(len(sums)))  # rows still doubling, in row order
+    fresh = [s[1] for s in sums]
+    rows = list(range(count))  # rows still doubling, in row order
     for k in range(_MAX_DOUBLINGS):
-        if k == 0:
-            fresh = [s[1] for s in sums]
-        else:
-            ts = (np.arange(n) + 0.5) / n
-            values = _in_blocks(values_at, np.array(rows), ts)
-            bad = _first_infinite(ts, values)
-            if bad is not None:
-                failed = (rows[bad[0]], bad[1])
-                rows, values = rows[:bad[0]], values[:bad[0]]
-            fresh = values.sum(axis=1).tolist()
+        if k:
+            fresh = sample(np.array(rows), (np.arange(n) + 0.5) / n).sum(axis=1).tolist()
         n *= 2
+        stop = min(failed) if failed else count
         going = []
         for r, f in zip(rows, fresh):
             totals[r] += f
             cur = totals[r] / n
-            if abs(cur - lengths[r]) > quad.qtol * (1.0 + abs(cur)):
+            if r < stop and abs(cur - lengths[r]) > quad.qtol * (1.0 + abs(cur)):
                 going.append(r)
             lengths[r] = cur
         rows = going
         if not rows:
             break
-    # a row before the failed one whose samples are finite but whose sum is not
-    finite = list(map(math.isfinite, lengths[:len(lengths) if failed is None else failed[0]]))
-    if not all(finite):
-        failed = (finite.index(False), float("nan"))
-    return lengths, failed
+    for r, length in enumerate(lengths):
+        if not math.isfinite(length):
+            failed.setdefault(r, math.nan)  # finite samples, an overflowed sum
+    return lengths, min(failed.items(), default=None)  # rows are unique: t is never compared
 
 
 def _integrand(domain: GaugeDomain, chart: str, form: FamilyFn) -> ValuesFn:

@@ -186,7 +186,7 @@ def _failures() -> dict:
     runs = {
         "overflowing length": lambda: compute_bounds(product_torus_scenario(2, 1, 1e308)),
         "infinite family row": lambda: extremal_lengths(
-            camel.domain, LoopFamily("diag", ParamGrid((GridAxis(0.0, 1.0, 3),)), diagonal, "camel"), camel.quad
+            camel.domain, LoopFamily("diag", ParamGrid((GridAxis(0.0, 1.0, 3),)), diagonal, "camel")
         ),
         "narrow window at 64 panels": lambda: loop_length(
             camel.domain, Loop(samples=window, chart="camel"), QuadratureSpec(panels=64)

@@ -157,8 +157,8 @@ def test_criterion_5_property_suites():
     s_big = ellipsoid_scenario(2, 0.8)
     plan = SamplePlan(count=2000, seed=1)
     ok &= bool(domain_contains(s_small.domain, s_big.domain, plan))
-    rep_small = extremal_lengths(s_small.domain, s_small.families["L+"], s_small.quad)
-    rep_big = extremal_lengths(s_big.domain, s_big.families["L+"], s_big.quad)
+    rep_small = extremal_lengths(s_small.domain, s_small.families["L+"])
+    rep_big = extremal_lengths(s_big.domain, s_big.families["L+"])
     ok &= rep_small.E <= rep_big.E + 1e-6
 
     # star filtration additivity on 1000 random terms

@@ -43,7 +43,7 @@ def test_every_family_yields_valid_loops_and_finite_lengths():
             pts = fam.grid.points()
             for p in pts[:: max(1, len(pts) // 5)]:
                 check_loop(fam.loop_at(p))
-            rep = extremal_lengths(s.domain, fam, s.quad)
+            rep = extremal_lengths(s.domain, fam)
             assert math.isfinite(rep.E) and math.isfinite(rep.e), (s.id, name)
         for bname, sel in s.symbolic_bindings.items():
             assert s.families[sel.family.name] is sel.family, (s.id, bname)
@@ -71,15 +71,15 @@ def test_every_catalog_loop_closes_in_its_own_coordinates():
 )
 def test_rotation_family_suprema(n, a, expected):
     s = ellipsoid_scenario(n, a)
-    rep = extremal_lengths(s.domain, s.families["L+"], s.quad)
+    rep = extremal_lengths(s.domain, s.families["L+"])
     assert rep.E == pytest.approx(expected, rel=1e-4)
 
 
 def test_round_limit_has_equal_suprema_both_orientations():
     for n in (2, 3):
         s = ellipsoid_scenario(n, 1.0)
-        rp = extremal_lengths(s.domain, s.families["L+"], s.quad)
-        rm = extremal_lengths(s.domain, s.families["L-"], s.quad)
+        rp = extremal_lengths(s.domain, s.families["L+"])
+        rm = extremal_lengths(s.domain, s.families["L-"])
         assert rp.E == pytest.approx(TWO_PI, rel=1e-4)
         assert rm.E == pytest.approx(TWO_PI, rel=1e-4)
 
@@ -87,30 +87,30 @@ def test_round_limit_has_equal_suprema_both_orientations():
 @pytest.mark.parametrize("n,a,expected", [(3, 0.4, 0.8 * math.pi), (4, 1.0, TWO_PI)])
 def test_diagonal_orbit_family_supremum(n, a, expected):
     s = ellipsoid2_scenario(n, a)
-    rep = extremal_lengths(s.domain, s.families["orbits"], s.quad)
+    rep = extremal_lengths(s.domain, s.families["orbits"])
     assert rep.E == pytest.approx(expected, rel=1e-4)
 
 
 def test_diagonal_orbit_supremum_is_linear_in_a():
     for a in np.linspace(0.1, 1.0, 5):
         s = ellipsoid2_scenario(3, float(a))
-        rep = extremal_lengths(s.domain, s.families["orbits"], s.quad)
+        rep = extremal_lengths(s.domain, s.families["orbits"])
         assert rep.E / a == pytest.approx(TWO_PI, rel=1e-4)
 
 
 def test_camel_family_extrema_are_exact():
     eps, delta = 0.4, 0.01
     s = camel_scenario(2, eps, delta)
-    rm = extremal_lengths(s.domain, s.families["L-"], s.quad)
-    rp = extremal_lengths(s.domain, s.families["L+^k"], s.quad)
+    rm = extremal_lengths(s.domain, s.families["L-"])
+    rp = extremal_lengths(s.domain, s.families["L+^k"])
     assert rm.E == pytest.approx(eps / 2 + delta, abs=1e-12)
     assert rp.E == pytest.approx(eps / 2 + 2 * delta, abs=1e-12)
 
 
 def test_flat_product_torus_unit_lengths():
     s = product_torus_scenario(2, 1, 1.0)
-    rm = extremal_lengths(s.domain, s.families["L-"], s.quad)
-    rp = extremal_lengths(s.domain, s.families["L+^k"], s.quad)
+    rm = extremal_lengths(s.domain, s.families["L-"])
+    rp = extremal_lengths(s.domain, s.families["L+^k"])
     assert rm.E == pytest.approx(1.0, abs=1e-8)
     assert rp.E == pytest.approx(1.0, abs=1e-8)
 
@@ -118,23 +118,23 @@ def test_flat_product_torus_unit_lengths():
 def test_zero_radius_product_torus_vanishes():
     s = product_torus_scenario(2, 1, 0.0)
     for fam in s.families.values():
-        rep = extremal_lengths(s.domain, fam, s.quad)
+        rep = extremal_lengths(s.domain, fam)
         assert rep.E == 0.0 and rep.e == 0.0
 
 
 @pytest.mark.parametrize("a,b,expected", [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
 def test_klein_doubled_family_infimum(a, b, expected):
     s = klein_bottle_scenario(a, b)
-    rep = extremal_lengths(s.domain, s.families["Ldoubled"], s.quad)
+    rep = extremal_lengths(s.domain, s.families["Ldoubled"])
     assert rep.e == pytest.approx(expected, abs=1e-6)
 
 
 def test_klein_infimum_scales_with_codisk_radius():
     base = extremal_lengths(
-        *(lambda s: (s.domain, s.families["Ldoubled"], s.quad))(klein_bottle_scenario(1.0, 1.0))
+        *(lambda s: (s.domain, s.families["Ldoubled"]))(klein_bottle_scenario(1.0, 1.0))
     ).e
     scaled = extremal_lengths(
-        *(lambda s: (s.domain, s.families["Ldoubled"], s.quad))(
+        *(lambda s: (s.domain, s.families["Ldoubled"]))(
             klein_bottle_scenario(1.0, 1.0, radius=0.5)
         )
     ).e

@@ -19,7 +19,7 @@ from stringcap import catalog, cli
 from stringcap.bounds import compute_bounds
 from stringcap.catalog import MAX_DIM, SCENARIOS, TargetClass, build_scenario
 from stringcap.cli import MAX_QUAD_PANELS, main
-from stringcap.stralg import fnum, open_book_point_recipe
+from stringcap.stralg import closed_page_recipe, fnum, open_book_point_recipe
 
 
 def test_bound_text_output(capsys):
@@ -135,12 +135,25 @@ def test_a_certificate_that_fails_its_own_replay_exits_3(monkeypatch, capsys):
     assert main(["bound", "--scenario", "ellipsoid1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numeric failure: derived certificate failed its own replay: ")
+    assert captured.err.startswith("derivation failure: derived certificate failed its own replay: ")
     assert main(["certify", "--scenario", "ellipsoid1"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "certificate check failed for target [pt]\n"
     (entry,) = json.loads(captured.out)
     assert entry["checked"] is False and all(step["ok"] for step in entry["steps"])
+
+
+@pytest.mark.parametrize("command", ["bound", "certify"])
+def test_a_certificate_that_cannot_be_derived_is_a_derivation_failure(command, monkeypatch, capsys):
+    # ellipsoid1 has no closed page, so the open book's page recipe is
+    # refused while the certificate is derived: exit 3, labelled as such
+    build = catalog.build_scenario
+    page = TargetClass("[V]", "PD_dual(V)", closed_page_recipe, both_orientations=True)
+    monkeypatch.setattr(catalog, "build_scenario", lambda config: dataclasses.replace(build(config), targets=(page,)))
+    assert main([command, "--scenario", "ellipsoid1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "derivation failure: the page bound needs a closed page\n"
 
 
 def test_certify_writes_the_failing_step_and_exits_3(monkeypatch, capsys):

@@ -218,7 +218,7 @@ def test_family_grid_oracle_batches():
     s = ellipsoid_scenario(3, 0.5)  # a 9 x 9 page grid, 64 panels
     fam = s.families["L+"]
     domain, batches = _recording(s.domain)
-    family_lengths(domain, fam, fam.grid.points(), s.quad)
+    family_lengths(domain, fam, fam.grid.points())
     # 81 rows of 128 samples (levels 0 and 1) in blocks of 32 rows; the
     # constant integrands all agree after one doubling
     assert batches == [4096, 4096, 2176]
@@ -299,7 +299,7 @@ def test_grid_is_batched_and_each_refinement_round_is_one_family_lengths_call(mo
     lengths = _counting_loop_length(monkeypatch)
     calls = _counting_family_lengths(monkeypatch)
     domain, batches = _recording(s.domain)
-    rep = extremal_lengths(domain, fam, s.quad)
+    rep = extremal_lengths(domain, fam)
     assert lengths == []
     np.testing.assert_array_equal([rep.argmax_params, rep.argmin_params], [[-0.375], [0.0]])
     assert [(h["evals"], h["rounds"]) for h in rep.refinement_history] == [(30, 15), (30, 15)]
@@ -313,7 +313,7 @@ def test_grid_is_batched_and_each_refinement_round_is_one_family_lengths_call(mo
         assert np.all(np.abs(c[2:] - rep.argmin_params) <= gap)
     # levels 0 and 1 of the whole grid, then of the four trial rows of each
     # round, all of which converge at level 1
-    assert batches == [17 * 2 * s.quad.panels] + [4 * 2 * s.quad.panels] * 15
+    assert batches == [17 * 2 * 64] + [4 * 2 * 64] * 15
 
 
 def test_zero_parameter_family_reuses_its_grid_value(monkeypatch):
@@ -321,7 +321,7 @@ def test_zero_parameter_family_reuses_its_grid_value(monkeypatch):
     fam = s.families["L+^k"]
     assert fam.grid.dim == 0
     calls = _counting_loop_length(monkeypatch)
-    rep = extremal_lengths(s.domain, fam, s.quad)
+    rep = extremal_lengths(s.domain, fam)
     assert calls == []
     assert [(h["refined"], h["evals"]) for h in rep.refinement_history] == [(rep.grid_E, 0), (rep.grid_e, 0)]
     assert rep.E == rep.e == pytest.approx(0.4 / 2 + 2 * 0.01, abs=1e-12)
@@ -520,6 +520,73 @@ def test_a_nan_support_value_counts_as_infinite(t_nan):
         family_lengths(domain, fam, P, quad)
     np.testing.assert_array_equal(exc.value.params, P[4])  # the first row with u > 1/2
     assert exc.value.t == t_nan
+
+
+def _mixed_oracle(q, v):
+    """Support of the vertical loop at (kind, a): (1 + a) (1.5 - exp(12 (cos
+    2 pi (t - 0.3) - 1))), which 8 panels double up to level 3 and 16 panels
+    up to level 2, times 5e307 where kind = 1 (finite samples up to 1.5e308,
+    an overflowing sum), NaN at t = a where kind = 2, and +inf within
+    ``_WINDOW`` of a where kind = 3."""
+    kind, a, t = q.coords.T
+    values = (1.0 + a) * (1.5 - np.exp(12.0 * (np.cos(TWO_PI * (t - 0.3)) - 1.0)))
+    values[kind == 1] *= 5e307
+    values[(kind == 2) & (t == a)] = np.nan
+    values[(kind == 3) & (np.abs(t - a) < _WINDOW)] = np.inf
+    return values
+
+
+MIXED = GaugeDomain(BaseDescriptor("torus", 3, ("torus",)), _mixed_oracle)
+# below 1/128, the distance from a level-3 sample of 16 panels to the
+# samples of the levels before it
+_WINDOW = 1 / 512
+
+
+def _mixed_row(panels: int):
+    """(kind, a): a finite row, an overflowing one, NaN at a sample of
+    levels 0 to 3, or a window at a level-2 or level-3 sample, which the
+    samples of the levels before it miss."""
+    finite = st.tuples(st.just(0.0), st.floats(0.0, 1.0))
+    overflow = st.tuples(st.just(1.0), st.floats(0.0, 1.0))
+    nan = st.tuples(st.just(2.0), st.integers(0, 8 * panels - 1).map(lambda j: j / (8 * panels)))
+    # odd multiples of the spacing of level 2, 1/(4 panels), or of level 3
+    window = st.sampled_from([4, 8]).flatmap(
+        lambda m: st.integers(0, m * panels // 2 - 1).map(lambda j: (3.0, (2 * j + 1) / (m * panels)))
+    )
+    return st.one_of(finite, overflow, nan, window)
+
+
+def _reference_failure(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec):
+    """The t of the per-row rule's failure: that of its first non-finite
+    sample, NaN if its samples are finite but its sum is not, else None."""
+    try:
+        with np.errstate(over="ignore"):
+            return None if math.isfinite(_reference_length(domain, loop, quad)) else math.nan
+    except InfiniteLengthError as exc:
+        return exc.t
+
+
+@PROPERTY
+@given(data=st.data(), panels=st.sampled_from([8, 16]))
+def test_grid_error_names_the_first_failing_row_of_mixed_failure_kinds(data, panels):
+    # rows in any order: finite, overflowing, NaN at one sample, and windows
+    # that only level 2 or later can hit, failing at different levels
+    P = np.array(data.draw(st.lists(_mixed_row(panels), min_size=1, max_size=8)))
+    fam = _vertical_family(ParamGrid(()))
+    quad = QuadratureSpec(panels=panels)
+    failures = [_reference_failure(MIXED, fam.loop_at(p), quad) for p in P]
+    failing = [i for i, t in enumerate(failures) if t is not None]
+    if not failing:
+        reference = [_reference_length(MIXED, fam.loop_at(p), quad) for p in P]
+        np.testing.assert_allclose(family_lengths(MIXED, fam, P, quad), reference, rtol=1e-13, atol=0.0)
+        return
+    row, t = failing[0], failures[failing[0]]
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(MIXED, fam, P, quad)
+    np.testing.assert_array_equal(exc.value.params, P[row])
+    np.testing.assert_array_equal(exc.value.t, t)  # NaN equals NaN here
+    where = "the trapezoid sum overflowed" if math.isnan(t) else f"t={t:.6f}"
+    assert str(exc.value) == f"family 'vertical' has infinite length at params {P[row]!r} ({where})"
 
 
 def test_a_family_needs_loops_or_both_array_forms():
@@ -769,8 +836,8 @@ def test_lengths_and_extrema_equal_those_of_the_row_major_forms(case):
     s, name = case
     fam, reference = s.families[name], _reference_family(s, name)
     P = fam.grid.points()
-    _assert_bitwise(family_lengths(s.domain, fam, P, s.quad), family_lengths(s.domain, reference, P, s.quad))
-    got, want = extremal_lengths(s.domain, fam, s.quad), extremal_lengths(s.domain, reference, s.quad)
+    _assert_bitwise(family_lengths(s.domain, fam, P), family_lengths(s.domain, reference, P))
+    got, want = extremal_lengths(s.domain, fam), extremal_lengths(s.domain, reference)
     assert (got.E.hex(), got.e.hex(), got.grid_E.hex(), got.grid_e.hex()) == (
         want.E.hex(), want.e.hex(), want.grid_E.hex(), want.grid_e.hex())
     _assert_bitwise(got.argmax_params, want.argmax_params)
@@ -790,5 +857,5 @@ def test_the_oracle_gets_coordinate_major_transposes(s):
 
     domain = dataclasses.replace(s.domain, support_oracle=oracle)
     for fam in s.families.values():
-        extremal_lengths(domain, fam, s.quad)  # the grid, then each round
+        extremal_lengths(domain, fam)  # the grid, then each round
     assert calls and all(q and v for q, v in calls)

@@ -127,8 +127,8 @@ def test_reversed_constrained_loop_probes_the_opposite_direction():
     fam = s.families["L+^k"]
     loop = fam.loop_at(np.empty(0))
     # forward: support eps/2 + 2 delta; reversed: support eps/2 + delta
-    fwd = loop_length(s.domain, loop, s.quad)
-    bwd = loop_length(s.domain, reverse(loop), s.quad)
+    fwd = loop_length(s.domain, loop)
+    bwd = loop_length(s.domain, reverse(loop))
     assert fwd == pytest.approx(0.4 / 2 + 2 * 0.01, abs=1e-12)
     assert bwd == pytest.approx(0.4 / 2 + 0.01, abs=1e-12)
 
@@ -313,7 +313,7 @@ def test_grid_points_are_an_array_in_product_order():
 
 def test_extremal_lengths_on_rotation_family():
     s = ellipsoid_scenario(2, 0.5)
-    rep = extremal_lengths(s.domain, s.families["L+"], s.quad)
+    rep = extremal_lengths(s.domain, s.families["L+"])
     assert rep.E == pytest.approx(TWO_PI * 0.5, rel=1e-4)
     assert rep.e <= rep.E
     assert rep.e == pytest.approx(0.0, abs=1e-8)  # binding loops are constant
@@ -322,7 +322,7 @@ def test_extremal_lengths_on_rotation_family():
 
 def test_extremal_lengths_constant_family_exact():
     s = camel_scenario(2, 0.4, 0.01)
-    rep = extremal_lengths(s.domain, s.families["L-"], s.quad)
+    rep = extremal_lengths(s.domain, s.families["L-"])
     assert rep.E == pytest.approx(0.4 / 2 + 0.01, abs=1e-9)
     assert rep.e == pytest.approx(0.4 / 2 + 0.01, abs=1e-9)
 
@@ -353,7 +353,7 @@ def test_infinite_length_raises_with_parameters():
     grid = ParamGrid((GridAxis(0.0, 1.0, 3),))
     fam = LoopFamily("diag", grid, samples, chart="camel")
     with pytest.raises(InfiniteLengthError) as exc:
-        extremal_lengths(s.domain, fam, s.quad)
+        extremal_lengths(s.domain, fam)
     assert exc.value.params is not None
 
 
@@ -418,7 +418,7 @@ def test_loop_length_uses_a_swapped_in_oracle_once_per_level():
     loop = _equator_loop()
     assert loop_length(swapped, loop) == pytest.approx(3.0 * TWO_PI * 0.5, rel=1e-12)
     # levels 0 and 1 share one call; the constant integrand agrees after one doubling
-    assert batches == [1024]
+    assert batches == [128]
     batches.clear()
     both = concatenate(loop, reverse(loop))
     assert loop_length(swapped, both, QuadratureSpec(panels=16)) == pytest.approx(6.0 * TWO_PI * 0.5, rel=1e-9)
