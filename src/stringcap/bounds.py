@@ -7,10 +7,10 @@ number is the reported upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .catalog import Scenario, TargetClass, camel_scenario
-from .errors import DerivationError, ScenarioParameterError
+from .errors import DerivationError, ScenarioParameterError, is_real
 from .loops import ExtremalLengthReport, QuadratureSpec, RefineSpec, extremal_lengths
 from .stralg import Certificate, check_certificate, derive_certificate
 
@@ -21,16 +21,34 @@ MAX_GRID_POINTS = 2**16
 
 @dataclass(frozen=True, eq=False)
 class CapacityBound:
-    """A certified numeric upper bound on the width of ``target``; its
-    scenario is the certificate's, and whether the width is known to equal
-    the bound is the target's."""
+    """A certified numeric upper bound on the width of the certificate's
+    target: the certificate's filtration resolved against ``bindings``, the
+    scenario's extremal lengths, from ``family_reports``.  Its scenario is the
+    certificate's, and whether the width is known to equal the bound is the
+    target's."""
 
-    target: TargetClass
-    upper_bound: float
     certificate: Certificate
-    numeric_bindings: dict
-    tolerance: float
-    family_reports: dict = field(default_factory=dict)
+    bindings: dict
+    family_reports: dict
+
+    @property
+    def target(self) -> TargetClass:
+        return self.certificate.target
+
+    @property
+    def upper_bound(self) -> float:
+        return self.certificate.filtration.resolve(self.bindings)
+
+    @property
+    def numeric_bindings(self) -> dict:
+        return {s: self.bindings[s] for s in self.certificate.filtration.symbols}
+
+    @property
+    def tolerance(self) -> float:
+        selectors = self.certificate.scenario.symbolic_bindings
+        return sum(
+            self.family_reports[selectors[s].family.name].tolerance for s in self.certificate.filtration.symbols
+        )
 
     @property
     def scenario_id(self) -> str:
@@ -57,7 +75,7 @@ class CapacityBound:
             "equality_known": self.equality_known,
             "equality_note": self.equality_note,
             "tolerance": self.tolerance,
-            "bindings": dict(self.numeric_bindings),
+            "bindings": self.numeric_bindings,
             "grid_values": {
                 name: {"grid_sup": r.grid_E, "grid_inf": r.grid_e, "sup": r.E, "inf": r.e}
                 for name, r in self.family_reports.items()
@@ -91,31 +109,6 @@ def resolve_bindings(
     return bindings, reports
 
 
-def _make_bound(
-    scenario: Scenario,
-    target: TargetClass,
-    cert: Certificate,
-    bindings: dict,
-    reports: dict,
-) -> CapacityBound:
-    report = check_certificate(cert)
-    if not report.passed:
-        raise DerivationError(f"derived certificate failed its own replay: {report.conclusion_message}")
-    value = cert.filtration.resolve(bindings)
-    tol = sum(
-        reports[scenario.symbolic_bindings[s].family.name].tolerance
-        for s in cert.filtration.symbols
-    )
-    return CapacityBound(
-        target=target,
-        upper_bound=value,
-        certificate=cert,
-        numeric_bindings={s: bindings[s] for s in cert.filtration.symbols},
-        tolerance=tol,
-        family_reports=reports,
-    )
-
-
 def compute_bounds(
     scenario: Scenario,
     quad: QuadratureSpec = QuadratureSpec(),
@@ -123,14 +116,18 @@ def compute_bounds(
 ) -> tuple[CapacityBound, ...]:
     """One bound per target of the scenario, in target order.  A target whose
     recipe holds for both rotation orientations gets the smaller of the two
-    bounds (the positive one on a tie)."""
+    bounds (the positive one on a tie).  Each derived certificate is replayed
+    first, and one that fails its own replay raises ``DerivationError``."""
     bindings, reports = resolve_bindings(scenario, quad, refine)
     out = []
     for target in scenario.targets:
-        candidates = [
-            _make_bound(scenario, target, derive_certificate(scenario, target, sign=sign), bindings, reports)
-            for sign in ((+1, -1) if target.both_orientations else (+1,))
-        ]
+        candidates = []
+        for sign in (+1, -1) if target.both_orientations else (+1,):
+            cert = derive_certificate(scenario, target, sign=sign)
+            report = check_certificate(cert)
+            if not report.passed:
+                raise DerivationError(f"derived certificate failed its own replay: {report.conclusion_message}")
+            candidates.append(CapacityBound(cert, bindings, reports))
         out.append(min(candidates, key=lambda b: b.upper_bound))
     return tuple(out)
 
@@ -138,8 +135,11 @@ def compute_bounds(
 def camel_limit_report(n: int, eps: float, delta_grid) -> dict:
     """Bound table over a grid of widths delta, with the delta -> 0 value
     recovered by linear (Richardson) extrapolation from the two smallest
-    grid entries, which must differ."""
-    deltas = sorted(float(d) for d in delta_grid)
+    grid entries, which must differ.  Every delta is a finite real number."""
+    deltas = list(delta_grid)
+    if not all(is_real(d) for d in deltas):
+        raise ScenarioParameterError(f"delta values must be finite numbers, got {deltas!r}")
+    deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 2:
         raise ScenarioParameterError("need at least two delta values to extrapolate")
     if deltas[0] <= 0.0:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ScenarioParameterError
+from .errors import ScenarioParameterError, is_real
 from .gauge import (
     BaseDescriptor,
     BasePoint,
@@ -236,13 +236,9 @@ def _real(name: str, value) -> float:
     ``ScenarioParameterError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioParameterError(f"{name} must be a number, got {value!r}")
-    try:
-        real = float(value)
-    except OverflowError:
-        real = math.inf
-    if not math.isfinite(real):
+    if not is_real(value):
         raise ScenarioParameterError(f"{name} must be finite, got {value!r}")
-    return real
+    return float(value)
 
 
 def _integer(name: str, value, minimum: int, maximum: float = math.inf) -> int:
@@ -324,7 +320,7 @@ def flat_torus_domain(d: int, radius: float = 1.0, lengths: Optional[tuple[float
     if lengths is not None:
         if len(lengths) != d:
             raise ScenarioParameterError("lengths must have one entry per factor")
-        if not all(0.0 < length < math.inf for length in lengths):
+        if not all(is_real(length) and length > 0.0 for length in lengths):
             raise ScenarioParameterError(f"lengths must be finite and > 0, got {lengths}")
     jac = None if lengths is None else np.diag(np.asarray(lengths, dtype=float))
     return codisk_domain(BaseDescriptor("torus", d, ("torus",)), MetricSpec(jac, radius))
@@ -564,10 +560,10 @@ def build_scenario(config: dict) -> Scenario:
 @dataclass(frozen=True, slots=True)
 class ReferenceCase:
     """One row of the paper's regression tables: a ``build_scenario``
-    configuration, one of its targets, that target's closed-form bound and
-    the relative tolerance the computed bound must meet."""
+    configuration, whose scenario name is the row's table id, one of its
+    targets, that target's closed-form bound and the relative tolerance the
+    computed bound must meet."""
 
-    table: str
     config: dict
     target: str
     expected: float
@@ -577,26 +573,24 @@ class ReferenceCase:
 # rows of one configuration are adjacent, in the order of its targets
 REFERENCE_CASES: tuple[ReferenceCase, ...] = (
     *(
-        ReferenceCase("ellipsoid1", {"scenario": "ellipsoid1", "n": n, "a": a}, target, expected, 1e-4)
+        ReferenceCase({"scenario": "ellipsoid1", "n": n, "a": a}, target, expected, 1e-4)
         for n in (2, 3)
         for a in (0.2, 0.5, 1.0)
         for target, expected in (("[pt]", 4 * math.pi * a), ("[S^n]", 2 * math.pi * a))
     ),
     *(
-        ReferenceCase("ellipsoid2", {"scenario": "ellipsoid2", "n": n, "a": a}, "[pt]", 2 * math.pi * a, 1e-4)
+        ReferenceCase({"scenario": "ellipsoid2", "n": n, "a": a}, "[pt]", 2 * math.pi * a, 1e-4)
         for n in (3, 4)
         for a in (0.4, 1.0)
     ),
     *(
-        ReferenceCase(
-            "camel", {"scenario": "camel", "n": n, "eps": eps, "delta": delta}, "[T^k]", eps + 3 * delta, 1e-9
-        )
+        ReferenceCase({"scenario": "camel", "n": n, "eps": eps, "delta": delta}, "[T^k]", eps + 3 * delta, 1e-9)
         for n in (2, 3)
         for eps in (0.4, 1.0)
         for delta in (0.1, 0.01, 0.001)
     ),
     *(
-        ReferenceCase("klein", {"scenario": "klein", "a": a, "b": b}, "[Sigma]", 2 * a, 1e-6)
+        ReferenceCase({"scenario": "klein", "a": a, "b": b}, "[Sigma]", 2 * a, 1e-6)
         for a, b in ((1.0, 1.0), (0.5, 2.0))
     ),
 )

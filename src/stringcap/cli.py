@@ -112,13 +112,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _table_ids() -> list[str]:
-    return ["all", *dict.fromkeys(case.table for case in _catalog.REFERENCE_CASES)]
+    return ["all", *dict.fromkeys(case.config["scenario"] for case in _catalog.REFERENCE_CASES)]
 
 
 def _reproduce_rows(table: str) -> list[dict]:
     """One row per reference case of ``table``, with one ``compute_bounds``
     per configuration."""
-    cases = [c for c in _catalog.REFERENCE_CASES if table in ("all", c.table)]
+    cases = [c for c in _catalog.REFERENCE_CASES if table in ("all", c.config["scenario"])]
     rows = []
     for config, group in itertools.groupby(cases, key=lambda c: c.config):
         computed = {b.target.name: b for b in _bounds.compute_bounds(_catalog.build_scenario(config))}

@@ -1,10 +1,22 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types and the number checks shared across the package."""
+import math
 import numbers
 
 
 def is_int(x) -> bool:
     """An integer of any kind but bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A finite real number of any kind but bool; an int past the float
+    range is not finite."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class StringcapError(Exception):

@@ -16,12 +16,11 @@ and differs in the last bits.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, is_int
+from .errors import InvalidInputError, is_int, is_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +56,10 @@ def _tangent_basis(q: np.ndarray) -> np.ndarray:
 
 def sphere_unitary_frame(n: int, q: np.ndarray) -> UnitaryFrame:
     """Unitary matrix with first column q, varying smoothly over the sphere;
-    ``q`` is one unit vector (n+1,) or a stack of them (m, n+1)."""
+    ``q`` is one unit vector (n+1,) or a stack of them (m, n+1), and ``n``
+    an int >= 0; anything else raises ``InvalidInputError``."""
+    if not (is_int(n) and n >= 0):
+        raise InvalidInputError(f"n must be an int >= 0, got {n!r}")
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != n + 1:
         raise InvalidInputError(f"q must be a vector of length {n + 1} or a stack of them")
@@ -97,8 +99,6 @@ class FrameFamilyReport:
     pair checked the residuals and the modulus are 0 by default, not by
     measurement."""
 
-    n: int
-    mesh: float
     count: int
     checked: int
     max_unitarity_residual: float
@@ -119,7 +119,7 @@ def verify_frame_family(
     reaches the maxima.  ``n``, ``count`` and ``seed`` are ints >= 0 and
     ``mesh`` is finite and > 0; anything else raises ``InvalidInputError``.
     """
-    if not (math.isfinite(mesh) and mesh > 0.0):
+    if not (is_real(mesh) and mesh > 0.0):
         raise InvalidInputError(f"mesh must be finite and positive, got {mesh!r}")
     if not (is_int(n) and is_int(count) and is_int(seed) and min(n, count, seed) >= 0):
         raise InvalidInputError(f"n, count and seed must be ints >= 0, got {n!r}, {count!r}, {seed!r}")
@@ -137,8 +137,6 @@ def verify_frame_family(
     jump = _row_norms((f.matrix[:m] - f.matrix[m:]).reshape(m, (n + 1) ** 2))
     moved = gap > 0.0
     return FrameFamilyReport(
-        n=n,
-        mesh=mesh,
         count=count,
         checked=m,
         max_unitarity_residual=float(np.max(f.unitarity_residual, initial=0.0)),

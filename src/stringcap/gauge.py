@@ -7,13 +7,12 @@ from it.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartMismatchError, InvalidInputError, RankDeficientError, is_int
+from .errors import ChartMismatchError, InvalidInputError, RankDeficientError, is_int, is_real
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ class MetricSpec:
             jac.flags.writeable = False
             object.__setattr__(self, "embedding_jacobian", jac)
         r = self.radius
-        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 <= r < np.inf:
+        if not (is_real(r) and r >= 0.0):
             raise InvalidInputError(f"codisk radius must be a finite real number >= 0, got {r!r}")
 
 
@@ -176,8 +175,14 @@ class SamplePlan:
 
 @dataclass(frozen=True, eq=False)
 class ContainmentResult:
-    contained: bool
+    """Containment holds when no sample violates it; ``witness`` is the
+    first violating (q, v, inner support, outer support)."""
+
     witness: Optional[tuple[BasePoint, TangentVector, float, float]] = None
+
+    @property
+    def contained(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.contained
@@ -233,5 +238,5 @@ def domain_contains(
         if hits.size:
             i = hits[0]
             qi = BasePoint(q.coords[i], q.chart_id)
-            return ContainmentResult(False, (qi, TangentVector(v.components[i], qi), float(si[i]), float(so[i])))
-    return ContainmentResult(True)
+            return ContainmentResult((qi, TangentVector(v.components[i], qi), float(si[i]), float(so[i])))
+    return ContainmentResult()

@@ -50,6 +50,7 @@ from .errors import (
     InvalidInputError,
     LoopValidationError,
     is_int,
+    is_real,
 )
 from .gauge import BasePoint, GaugeDomain, TangentVector
 
@@ -73,7 +74,11 @@ class Loop:
     A loop may instead be given by the scalar closures ``point_fn`` and
     ``deriv_fn``; they are stacked into ``samples`` once, here, and the chart
     is read off ``point_fn(0.0)``.  Without ``deriv_fn`` the velocity is a
-    central finite difference of the points.  ``samples`` may be handed
+    central finite difference of the points.  A loop takes one of the two
+    forms: ``samples`` with ``point_fn`` or ``deriv_fn``, ``deriv_fn``
+    without ``point_fn``, or a ``chart`` other than ``point_fn``'s raises
+    ``LoopValidationError``.  A loop given by ``samples`` alone is in chart
+    "default" unless ``chart`` says otherwise.  ``samples`` may be handed
     read-only ``ts`` and must not write to it.  A loop closes in the
     coordinates it is sampled in: a loop on a quotient folds its points into
     a fundamental domain itself.
@@ -82,14 +87,21 @@ class Loop:
     point_fn: Optional[Callable[[float], BasePoint]] = None
     deriv_fn: Optional[Callable[[float], TangentVector]] = None
     samples: Optional[LoopFn] = None
-    chart: str = "default"
+    chart: Optional[str] = None
 
     def __post_init__(self):
-        if self.samples is None:
-            if self.point_fn is None:
-                raise LoopValidationError("a loop needs point_fn or samples")
-            self.chart = self.point_fn(0.0).chart_id
-            self.samples = _stacked(self.point_fn, self.deriv_fn, self.chart)
+        if self.samples is not None:
+            if self.point_fn is not None or self.deriv_fn is not None:
+                raise LoopValidationError("a loop takes samples or point_fn and deriv_fn, not both")
+            self.chart = "default" if self.chart is None else self.chart
+            return
+        if self.point_fn is None:
+            raise LoopValidationError("deriv_fn needs point_fn" if self.deriv_fn else "a loop needs point_fn or samples")
+        chart = self.point_fn(0.0).chart_id
+        if self.chart not in (None, chart):
+            raise LoopValidationError(f"chart {self.chart!r} disagrees with point_fn's chart {chart!r}")
+        self.chart = chart
+        self.samples = _stacked(self.point_fn, self.deriv_fn, chart)
 
 
 def _stacked(
@@ -227,7 +239,7 @@ class QuadratureSpec:
             raise InvalidInputError(f"quad_panels must be an int, got {self.panels!r}")
         if not 8 <= self.panels <= MAX_QUAD_PANELS:
             raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
-        if not 0.0 <= self.qtol < math.inf:
+        if not (is_real(self.qtol) and self.qtol >= 0.0):
             raise InvalidInputError(f"qtol must be finite and >= 0, got {self.qtol}")
 
 
@@ -369,9 +381,9 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
 
 @dataclass(frozen=True, slots=True)
 class GridAxis:
-    """``count`` >= 1 points on [lo, hi], or on [lo, hi) when ``periodic``;
-    lo <= hi are finite, and a periodic axis has hi > lo, since it wraps
-    modulo its width.  Anything else raises ``InvalidInputError``."""
+    """``count`` >= 1 points on [lo, hi], or on [lo, hi) when ``periodic``, a
+    bool; lo <= hi are finite reals, and a periodic axis has hi > lo, since it
+    wraps modulo its width.  Anything else raises ``InvalidInputError``."""
 
     lo: float
     hi: float
@@ -381,8 +393,10 @@ class GridAxis:
     def __post_init__(self):
         if not is_int(self.count) or self.count < 1:
             raise InvalidInputError(f"a grid axis needs an int count >= 1, got {self.count!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+        if not (is_real(self.lo) and is_real(self.hi) and self.lo <= self.hi):
             raise InvalidInputError(f"a grid axis needs finite lo <= hi, got [{self.lo}, {self.hi}]")
+        if not isinstance(self.periodic, bool):
+            raise InvalidInputError(f"a grid axis's periodic flag must be a bool, got {self.periodic!r}")
         if self.periodic and self.lo == self.hi:
             raise InvalidInputError(f"a periodic grid axis needs hi > lo, got [{self.lo}, {self.hi}]")
 
@@ -485,13 +499,12 @@ class RefineSpec:
             raise InvalidInputError(f"refine_budget must be an int, got {self.budget!r}")
         if self.budget < 1:
             raise InvalidInputError(f"refine_budget must be >= 1, got {self.budget}")
-        if not 0.0 < self.xtol < math.inf:
+        if not (is_real(self.xtol) and self.xtol > 0.0):
             raise InvalidInputError(f"xtol must be finite and > 0, got {self.xtol}")
 
 
 @dataclass(frozen=True, eq=False)
 class ExtremalLengthReport:
-    family: str
     E: float  # sup length after refinement
     e: float  # inf length after refinement
     argmax_params: np.ndarray
@@ -605,7 +618,6 @@ def extremal_lengths(
         {"extremum": "inf", "grid": grid_e, "refined": e, "evals": n_min, "rounds": r_min},
     )
     return ExtremalLengthReport(
-        family=family.name,
         E=E,
         e=e,
         argmax_params=xmax,

@@ -385,13 +385,12 @@ _CERTIFICATE_NOTE = (
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """A rewrite derivation of iota(beta) = Delta(a_1) * ... * iota(a_{k+1})
-    in ``scenario``, ``beta`` the target's declared pairing.  ``factors`` are
+    in ``scenario``, beta the ``target``'s declared pairing.  ``factors`` are
     the derivation's leaves and ``filtration``, the threshold of the class the
     last step turns into iota(beta), upper-bounds the target's width."""
 
     scenario: object  # the catalog Scenario: rule context and generators
-    target_name: str
-    beta: str
+    target: object  # the catalog TargetClass: name and declared pairing
     steps: tuple[CertificateStep, ...]
     factors: tuple[ConclusionFactor, ...]
 
@@ -400,10 +399,11 @@ class Certificate:
         return self.steps[-1].inputs[0].filtration
 
     def to_jsonable(self) -> dict:
+        beta = self.target.declared_nonzero_pairing
         return {
             "scenario": self.scenario.id,
-            "target": self.target_name,
-            "beta": self.beta,
+            "target": self.target.name,
+            "beta": beta,
             "filtration": str(self.filtration),
             "steps": [
                 {
@@ -416,7 +416,7 @@ class Certificate:
                 for s in self.steps
             ],
             "conclusion": {
-                "lhs": f"iota[{self.beta}]",
+                "lhs": f"iota[{beta}]",
                 "rhs": [
                     f"Delta({f.alpha.term})" if f.kind == "delta" else f"iota[{f.alpha}]"
                     for f in self.factors
@@ -555,7 +555,7 @@ def _conclusion_fault(cert: Certificate) -> str:
     if any(f.is_zero for f in deltas):
         return "a rotation factor carries a zero threshold"
     final = cert.steps[-1].output
-    if not (isinstance(final.term, Iota) and final.term.label == cert.beta):
+    if not (isinstance(final.term, Iota) and final.term.label == cert.target.declared_nonzero_pairing):
         return "derivation does not end in iota(beta)"
     return ""
 
@@ -644,8 +644,7 @@ def derive_certificate(scenario, target, sign: int = +1) -> Certificate:
     target.recipe(d, sign)
     return Certificate(
         scenario=scenario,
-        target_name=target.name,
-        beta=target.declared_nonzero_pairing,
+        target=target,
         steps=tuple(d.steps),
         factors=_conclusion(d.steps),
     )

@@ -250,6 +250,16 @@ def test_frame_family_refuses_a_dimension_count_or_seed_that_is_no_int_at_least_
         verify_frame_family(**{"n": 2, "count": 5, **fields})
 
 
+@pytest.mark.parametrize(
+    "n,q",
+    [(2.0, [1.0, 0.0, 0.0]), ("2", [1.0, 0.0, 0.0]), (None, [1.0, 0.0, 0.0]), (True, [1.0, 0.0]), (-1, [])],
+)
+def test_frame_refuses_a_dimension_that_is_no_int_at_least_0(n, q):
+    # n = 2.0 and n = "2" raised TypeError, and n = True was taken as 1
+    with pytest.raises(InvalidInputError, match="n must be an int >= 0"):
+        sphere_unitary_frame(n, np.array(q))
+
+
 def test_frame_family_counts_the_pairs_it_framed():
     # on S^0 no draw has a tangent direction, so nothing is checked
     assert verify_frame_family(0, mesh=1e-3, count=5, seed=0).checked == 0

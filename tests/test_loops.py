@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stringcap import loops
+from stringcap.bounds import camel_limit_report
 from stringcap.catalog import (
     camel_scenario,
     ellipsoid_domain,
@@ -19,7 +20,9 @@ from stringcap.errors import (
     InfiniteLengthError,
     InvalidInputError,
     LoopValidationError,
+    ScenarioParameterError,
 )
+from stringcap.frames import verify_frame_family
 from stringcap.gauge import (
     BaseDescriptor,
     BasePoint,
@@ -293,6 +296,64 @@ def test_refine_spec_needs_a_finite_positive_xtol(xtol):
 def test_grid_axis_refuses_an_axis_that_cannot_be_searched(lo, hi, count, periodic):
     with pytest.raises(InvalidInputError, match="grid axis"):
         GridAxis(lo, hi, count, periodic)
+
+
+# each setting below took a string, a bool or an int past the float range,
+# raising TypeError, ValueError or nothing; each site now refuses it with the
+# message of its range check
+@pytest.mark.parametrize(
+    "make,error,match",
+    [
+        (lambda: QuadratureSpec(qtol="x"), InvalidInputError, "qtol must be finite and >= 0"),
+        (lambda: QuadratureSpec(qtol=None), InvalidInputError, "qtol must be finite and >= 0"),
+        (lambda: QuadratureSpec(qtol=True), InvalidInputError, "qtol must be finite and >= 0"),
+        (lambda: loops.RefineSpec(xtol="x"), InvalidInputError, "xtol must be finite and > 0"),
+        (lambda: loops.RefineSpec(xtol=True), InvalidInputError, "xtol must be finite and > 0"),
+        (lambda: GridAxis("a", 1, 3), InvalidInputError, "finite lo <= hi"),
+        (lambda: GridAxis(True, 2, 3), InvalidInputError, "finite lo <= hi"),
+        (lambda: GridAxis(0, 10**400, 3), InvalidInputError, "finite lo <= hi"),
+        (lambda: GridAxis(0.0, 1.0, 3, periodic="no"), InvalidInputError, "a bool"),
+        (lambda: verify_frame_family(2, mesh="x"), InvalidInputError, "mesh must be finite and positive"),
+        (lambda: verify_frame_family(2, mesh=True), InvalidInputError, "mesh must be finite and positive"),
+        (lambda: flat_torus_domain(2, 1.0, (1, "a")), ScenarioParameterError, "lengths must be finite and > 0"),
+        (lambda: MetricSpec(radius=10**400), InvalidInputError, "codisk radius must be a finite real number"),
+        (lambda: camel_limit_report(2, 1.0, ["a", 0.1]), ScenarioParameterError, "delta values must be finite"),
+        (lambda: camel_limit_report(2, 1.0, [0.1, True]), ScenarioParameterError, "delta values must be finite"),
+    ],
+    ids=[
+        "qtol-str", "qtol-None", "qtol-bool", "xtol-str", "xtol-bool", "lo-str", "lo-bool", "hi-huge-int",
+        "periodic-str", "mesh-str", "mesh-bool", "lengths-str", "radius-huge-int", "delta-str", "delta-bool",
+    ],
+)
+def test_number_settings_refuse_what_is_not_a_finite_real(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+@pytest.mark.parametrize(
+    "form,match",
+    [
+        ({"point_fn": "pt", "samples": "zeros"}, "not both"),
+        ({"deriv_fn": "vel", "samples": "zeros"}, "not both"),
+        ({"point_fn": "pt", "deriv_fn": "vel", "samples": "zeros"}, "not both"),
+        ({"deriv_fn": "vel"}, "deriv_fn needs point_fn"),
+        ({"point_fn": "pt", "chart": "torus"}, "disagrees"),
+        ({"point_fn": "pt", "deriv_fn": "vel", "chart": "default"}, "disagrees"),
+    ],
+    ids=["point_fn-samples", "deriv_fn-samples", "all-three", "deriv_fn-alone", "chart-torus", "chart-default"],
+)
+def test_a_loop_refuses_conflicting_forms(form, match):
+    # each was resolved silently: Loop(pt, samples=zeros) kept point_fn but
+    # sampled zeros in chart "default", and Loop(pt, chart="torus") reported
+    # chart "embedding"
+    loop = _equator_loop()
+    closures = {
+        "pt": loop.point_fn,
+        "vel": loop.deriv_fn,
+        "zeros": lambda ts: (np.zeros((ts.shape[0], 3)), np.zeros((ts.shape[0], 3))),
+    }
+    with pytest.raises(LoopValidationError, match=match):
+        Loop(**{key: closures.get(value, value) for key, value in form.items()})
 
 
 def test_grid_axis_takes_clipped_axes_of_width_zero():

@@ -196,8 +196,10 @@ def test_a_rule_that_inflates_the_threshold_fails_its_step(monkeypatch):
     ],
 )
 def test_a_conclusion_without_a_positive_rotation_factor_is_refused(leaf, beta, fault):
+    s = ellipsoid_scenario(2, 0.5)
+    target = dataclasses.replace(s.target("[pt]"), declared_nonzero_pairing=beta)
     steps = (CertificateStep("IOTA_CONST", (leaf,), iota(beta)),)
-    cert = Certificate(ellipsoid_scenario(2, 0.5), "[pt]", beta, steps, _conclusion(steps))
+    cert = Certificate(s, target, steps, _conclusion(steps))
     assert check_certificate(cert).conclusion_message == fault
 
 
@@ -289,7 +291,7 @@ def test_a_lowered_conclusion_cannot_be_written_down():
 def test_mismatched_pairing_fails():
     s = camel_scenario(2, 0.4, 0.01)
     cert = derive_certificate(s, s.target("[T^k]"))
-    bad = dataclasses.replace(cert, beta="something_else")
+    bad = dataclasses.replace(cert, target=dataclasses.replace(cert.target, declared_nonzero_pairing="something_else"))
     report = check_certificate(bad)
     assert not report.passed
     assert "iota(beta)" in report.conclusion_message
@@ -380,7 +382,8 @@ def _single_field_mutations(cert: Certificate):
     def with_steps(steps):
         return dataclasses.replace(cert, steps=tuple(steps))
 
-    yield "beta changed", dataclasses.replace(cert, beta=cert.beta + "'")
+    beta = cert.target.declared_nonzero_pairing + "'"
+    yield "beta changed", dataclasses.replace(cert, target=dataclasses.replace(cert.target, declared_nonzero_pairing=beta))
     factors, steps = list(cert.factors), list(cert.steps)
     for i, f in enumerate(factors):
         yield f"factor {i} dropped", with_factors(factors[:i] + factors[i + 1:])
