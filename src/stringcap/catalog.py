@@ -173,7 +173,7 @@ def _page_circle_family(name: str, grid: ParamGrid, sign: int) -> LoopFamily:
         np.multiply(w * r, cos, out=v[k + 1])
         return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    return LoopFamily(name, grid, samples, chart="embedding")
+    return LoopFamily(name, grid, samples, chart="embedding", panels=8)
 
 
 def _page_grid(page_dim: int) -> ParamGrid:
@@ -297,7 +297,7 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
         np.multiply(TWO_PI * r, cos, out=v[n])
         return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    orbits = LoopFamily("orbits", ParamGrid((GridAxis(0.0, 1.0, 17),)), samples, chart="embedding")
+    orbits = LoopFamily("orbits", ParamGrid((GridAxis(0.0, 1.0, 17),)), samples, chart="embedding", panels=8)
     ball = "matching lower bound by an explicit ball family"
     ctx = RuleContext(
         axioms=frozenset({"OB_BV2", "HOPF_CONTRACT"}),
@@ -318,8 +318,8 @@ def ellipsoid2_scenario(n: int, a: float) -> Scenario:
 
 def flat_torus_domain(d: int, radius: float = 1.0, lengths: Optional[tuple[float, ...]] = None) -> GaugeDomain:
     if lengths is not None:
-        if len(lengths) != d:
-            raise ScenarioParameterError("lengths must have one entry per factor")
+        if not isinstance(lengths, (tuple, list)) or len(lengths) != d:
+            raise ScenarioParameterError(f"lengths must be a tuple or list of {d} reals, got {lengths!r}")
         if not all(is_real(length) and length > 0.0 for length in lengths):
             raise ScenarioParameterError(f"lengths must be finite and > 0, got {lengths}")
     jac = None if lengths is None else np.diag(np.asarray(lengths, dtype=float))
@@ -358,7 +358,7 @@ def _torus_line_family(name: str, zeros: int, sign: int, d: int, chart: str, cou
         v[-1] = sign
         return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
 
-    return LoopFamily(name, _torus_grid(d - zeros - 1, count), samples, chart=chart)
+    return LoopFamily(name, _torus_grid(d - zeros - 1, count), samples, chart=chart, panels=8)
 
 
 def _torus_grid(dim: int, count: int) -> ParamGrid:

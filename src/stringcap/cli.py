@@ -104,7 +104,7 @@ def _format_bounds(bound_list, fmt: str) -> str:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    quad = QuadratureSpec() if args.quad_panels is None else QuadratureSpec(panels=args.quad_panels)
+    quad = QuadratureSpec(panels=args.quad_panels)
     refine = RefineSpec() if args.refine_budget is None else RefineSpec(budget=args.refine_budget)
     result = _bounds.compute_bounds(_scenario(args), quad, refine)
     _emit(_format_bounds(result, args.format), args.out)

@@ -27,11 +27,18 @@ integrands: the convergence test first runs after one doubling, so levels 0
 and 1 of every row share one batched support-oracle call, and the rows that
 have not converged double together, in oracle calls of at most
 ``_BLOCK_SAMPLES`` samples.  ``loop_length`` is that rule on one row,
-``family_lengths`` on a whole parameter grid.  The sup and inf of a family
-are taken on that grid and refined together by a compass search that stays
-within one grid gap of their grid points, one ``family_lengths`` call per
-round (``_refine``); each extremum's rounds until its next move are built
-ahead, in one array operation, as its failure ladder.
+``family_lengths`` on a whole parameter grid.  A family starts the rule
+from its own ``panels`` and a loop from ``DEFAULT_PANELS`` (64), unless
+``QuadratureSpec.panels`` overrides them all.  The catalog's orbit families
+(the page rotations, ellipsoid2's orbits and the torus lines) declare 8:
+each is the orbit of a rotation or translation that preserves the domain,
+so its integrand is constant in t and the rule is exact at any count, up
+to rounding.  Klein's doubled loops keep 64: their cutoff profile is not
+constant.  The sup and inf of a family are taken on that grid and refined
+together by a compass search that stays within one grid gap of their grid
+points, one ``family_lengths`` call per round (``_refine``); each
+extremum's rounds until its next move are built ahead, in one array
+operation, as its failure ladder.
 """
 from __future__ import annotations
 
@@ -223,22 +230,28 @@ _MAX_DOUBLINGS = 6
 # points at its first two levels
 MAX_QUAD_PANELS = 2**16
 
+# the panels a length starts from unless its family or the quadrature spec
+# says otherwise
+DEFAULT_PANELS = 64
+
 
 @dataclass(frozen=True, slots=True)
 class QuadratureSpec:
     """Periodic trapezoid rule: ``panels`` equally spaced samples on [0, 1),
     doubled up to ``_MAX_DOUBLINGS`` (six) times until two levels agree to
-    qtol; ``panels`` is an int in [8, ``MAX_QUAD_PANELS``] and qtol is
-    finite and >= 0."""
+    qtol.  ``panels`` None starts each family from its own ``panels`` and a
+    loop from ``DEFAULT_PANELS``; an int in [8, ``MAX_QUAD_PANELS``]
+    overrides them all.  qtol is finite and >= 0."""
 
-    panels: int = 64
+    panels: Optional[int] = None
     qtol: float = 1e-7
 
     def __post_init__(self):
-        if not is_int(self.panels):
-            raise InvalidInputError(f"quad_panels must be an int, got {self.panels!r}")
-        if not 8 <= self.panels <= MAX_QUAD_PANELS:
-            raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
+        if self.panels is not None:
+            if not is_int(self.panels):
+                raise InvalidInputError(f"quad_panels must be an int, got {self.panels!r}")
+            if not 8 <= self.panels <= MAX_QUAD_PANELS:
+                raise InvalidInputError(f"quad_panels must lie in [8, {MAX_QUAD_PANELS}], got {self.panels}")
         if not (is_real(self.qtol) and self.qtol >= 0.0):
             raise InvalidInputError(f"qtol must be finite and >= 0, got {self.qtol}")
 
@@ -281,8 +294,11 @@ _OVERFLOWED = "the trapezoid sum overflowed"
 # a sum past the float range is +inf and a failed row's samples stay in its
 # sums; the callers report both, and numpy's warnings would only repeat them
 @np.errstate(over="ignore", invalid="ignore")
-def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[list[float], Optional[tuple]]:
-    """The periodic trapezoid rule for ``count`` integrands (rows) at once.
+def _trapezoid(
+    values_at: ValuesFn, count: int, quad: QuadratureSpec, panels: int
+) -> tuple[list[float], Optional[tuple]]:
+    """The periodic trapezoid rule for ``count`` integrands (rows) at once,
+    from ``quad.panels`` panels, or from ``panels`` when that is None.
 
     The stopping test first runs after one doubling, so levels 0 and 1 of
     every row are sampled together, in level order (the n points, then their
@@ -304,7 +320,7 @@ def _trapezoid(values_at: ValuesFn, count: int, quad: QuadratureSpec) -> tuple[l
                 failed.setdefault(int(rows[i]), float(ts[finite[i].argmin()]))
         return values
 
-    n = quad.panels
+    n = panels if quad.panels is None else quad.panels
     sums = sample(np.arange(count), _first_levels(n)).reshape(count, 2, n).sum(axis=2).tolist()  # per row and level
     totals = [s[0] for s in sums]
     lengths = [total / n for total in totals]  # each row's latest level
@@ -366,7 +382,7 @@ def loop_length(domain: GaugeDomain, loop: Loop, quad: QuadratureSpec = Quadratu
         pts, vel = loop.samples(ts)
         return pts[None], vel[None]
 
-    lengths, failed = _trapezoid(_integrand(domain, loop.chart, one_row), 1, quad)
+    lengths, failed = _trapezoid(_integrand(domain, loop.chart, one_row), 1, quad, DEFAULT_PANELS)
     if failed is not None:
         t = failed[1]
         raise InfiniteLengthError(
@@ -432,12 +448,25 @@ class LoopFamily:
     (G, m, d), all in the family's ``chart``.  The arrays may have any
     layout; the catalog's are views of coordinate-major (d, G, m) buffers.
     ``ts`` may be read-only, and every loop closes, as for loops.
+
+    ``panels`` is the panel count its lengths start from unless
+    ``QuadratureSpec.panels`` overrides it, an int in [8,
+    ``MAX_QUAD_PANELS``] like that one; anything else raises
+    ``InvalidInputError``.  A family whose support integrand is constant in
+    t, such as the orbits of a rotation or translation that preserves the
+    domain, is integrated exactly at any count, so it may declare 8; the
+    others keep ``DEFAULT_PANELS``.
     """
 
     name: str
     grid: ParamGrid
     samples: FamilyFn
     chart: str = "default"
+    panels: int = DEFAULT_PANELS
+
+    def __post_init__(self):
+        if not (is_int(self.panels) and 8 <= self.panels <= MAX_QUAD_PANELS):
+            raise InvalidInputError(f"a family's panels must be an int in [8, {MAX_QUAD_PANELS}], got {self.panels!r}")
 
     def loop_at(self, p: np.ndarray) -> Loop:
         """The loop at parameter row ``p`` of shape (p,): the family's form
@@ -470,14 +499,16 @@ def family_lengths(
     """``loop_length`` of ``family.loop_at(p)`` for every row p of ``params``
     (shape (G, p)), all rows in one trapezoid rule: levels 0 and 1 of every
     row in one pass, then the rows that have not converged doubling together,
-    in oracle calls of at most ``_BLOCK_SAMPLES`` samples.
+    in oracle calls of at most ``_BLOCK_SAMPLES`` samples.  The rule starts
+    from ``quad.panels``, or from the family's own ``panels`` when that is
+    None (where ``loop_length`` would start from ``DEFAULT_PANELS``).
 
     Raises the ``InfiniteLengthError`` of the first row, in row order, whose
     own ``loop_length`` raises, with that row as ``params`` and the same t;
     rows after it are not evaluated further."""
     params = np.asarray(params, dtype=float)
     values_at = _integrand(domain, family.chart, lambda rows, ts: family.samples(params[rows], ts))
-    lengths, failed = _trapezoid(values_at, params.shape[0], quad)
+    lengths, failed = _trapezoid(values_at, params.shape[0], quad, family.panels)
     if failed is not None:
         raise _infinite_at(family, params[failed[0]], failed[1])
     return np.array(lengths)

@@ -13,15 +13,23 @@ Rewrite the file from a checkout with
 
     PYTHONPATH=src python tests/golden.py
 
-and say in the change log which fields moved and why.
+and say in the change log which fields moved and why.  To list them first,
+
+    PYTHONPATH=src python tests/golden.py --diff
+
+prints every leaf that differs between the file and a recompute, with its
+path, old value, new value and, for two numbers, their distance in units in
+the last place; it writes nothing.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -245,27 +253,83 @@ def _same(got, want, ulps) -> bool:
     return x is not None and y is not None and abs(x - y) <= ulps * math.ulp(max(abs(x), abs(y), 1.0))
 
 
-def first_difference(got, want, ulps=None, path: str = ""):
-    """(path, got, want) of the first field in which ``got`` differs from
-    ``want``, or None: bit for bit when ``ulps`` is None, otherwise numbers
-    within ``ulps`` units in the last place of max(|x|, 1)."""
+def differences(got, want, ulps=None, path: str = ""):
+    """(path, got, want) of every field in which ``got`` differs from
+    ``want``, in file order: bit for bit when ``ulps`` is None, otherwise
+    numbers within ``ulps`` units in the last place of max(|x|, 1).  Dicts
+    with other keys and lists of other lengths differ as a whole, at
+    ``path/<keys>`` or ``path/<length>``."""
     if isinstance(got, dict) and isinstance(want, dict):
         if list(got) != list(want):
-            return (path + "/<keys>", list(got), list(want))
+            yield (path + "/<keys>", list(got), list(want))
+            return
         pairs = [(f"{path}/{k}", got[k], want[k]) for k in want]
     elif isinstance(got, list) and isinstance(want, list):
         if len(got) != len(want):
-            return (path + "/<length>", len(got), len(want))
+            yield (path + "/<length>", len(got), len(want))
+            return
         pairs = [(f"{path}/{i}", g, w) for i, (g, w) in enumerate(zip(got, want))]
     else:
-        return None if _same(got, want, ulps) else (path, got, want)
+        if not _same(got, want, ulps):
+            yield (path, got, want)
+        return
     for sub, g, w in pairs:
-        found = first_difference(g, w, ulps, sub)
-        if found is not None:
-            return found
-    return None
+        yield from differences(g, w, ulps, sub)
+
+
+def first_difference(got, want, ulps=None):
+    """The first of ``differences(got, want, ulps)``, or None."""
+    return next(differences(got, want, ulps), None)
+
+
+def _ordered(x: float) -> int:
+    """An int that orders like ``x`` and steps by 1 from each float to the
+    next: the bits of x, with the negative floats counted down from 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def ulp_distance(x: float, y: float):
+    """How many floats apart x and y lie, or None if either is not finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return None
+    return abs(_ordered(x) - _ordered(y))
+
+
+def diff_lines(got: dict, want: dict) -> list[str]:
+    """One tab-separated line (path, old value, new value, ulp distance) per
+    leaf of the outputs that moved from ``want`` (the file) to ``got`` (a
+    recompute).  A number is read and shown as a decimal float, whether the
+    file holds it as ``float.hex`` or, in the ``reproduce all`` rows, as a
+    decimal, and it moved only if its value did."""
+
+    def shown(x):
+        number = _number(x) if isinstance(x, str) else None
+        return (repr(x), None) if number is None else (repr(number), number)
+
+    lines = []
+    for path, new, old in differences(got["outputs"], want["outputs"], ulps=0):
+        (old_text, x), (new_text, y) = shown(old), shown(new)
+        ulps = None if x is None or y is None else ulp_distance(x, y)
+        lines.append("\t".join([path, old_text, new_text, "-" if ulps is None else str(ulps)]))
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Rewrite tests/golden.json, or list what moved.")
+    parser.add_argument("--diff", action="store_true", help="list every moved leaf and write nothing")
+    args = parser.parse_args(argv)
+    got = payload()
+    if not args.diff:
+        PATH.write_text(json.dumps(got, indent=1) + "\n")
+        print(f"wrote {PATH}")
+        return
+    want = json.loads(PATH.read_text())
+    if got["platform"] != want["platform"]:
+        print(f"platform: file written under {want['platform']}, recomputed under {got['platform']}")
+    lines = diff_lines(got, want)
+    print("path\told\tnew\tulps", *lines, f"{len(lines)} leaves moved", sep="\n")
 
 
 if __name__ == "__main__":
-    PATH.write_text(json.dumps(payload(), indent=1) + "\n")
-    print(f"wrote {PATH}")
+    main()

@@ -13,6 +13,9 @@ import pytest
 from stringcap import bounds
 from stringcap.bounds import camel_limit_report, compute_bounds, resolve_bindings
 from stringcap.catalog import (
+    REFERENCE_CASES,
+    SCENARIOS,
+    build_scenario,
     camel_scenario,
     ellipsoid2_scenario,
     ellipsoid_scenario,
@@ -22,6 +25,7 @@ from stringcap.catalog import (
 )
 from stringcap.errors import IncompatibleBindingError, ScenarioParameterError
 from stringcap.gauge import GaugeDomain
+from stringcap.loops import QuadratureSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +126,34 @@ def test_scale_covariance_of_bounds(lam):
         scaled = dataclasses.replace(s, domain=_scaled_domain(s.domain, lam))
         for b, bs in zip(compute_bounds(s), compute_bounds(scaled)):
             assert bs.upper_bound == pytest.approx(lam * b.upper_bound, rel=1e-9)
+
+
+EQUIVALENCE_CONFIGS = list(
+    {
+        str(config): config
+        for config in [case.config for case in REFERENCE_CASES]
+        + [{"scenario": name} for name in SCENARIOS]
+        + [{"scenario": "open_book", "page": "circle"}]
+    }.values()
+)
+
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_family_panel_counts_agree_with_64_panels_everywhere(config):
+    # the orbit families start from 8 panels, exact for their constant
+    # integrands; an explicit 64 overrides every family
+    s = build_scenario(config)
+    own, at_64 = compute_bounds(s), compute_bounds(s, QuadratureSpec(panels=64))
+    for b, b64 in zip(own, at_64, strict=True):
+        assert b.upper_bound == pytest.approx(b64.upper_bound, rel=1e-12, abs=0.0)
+    for name, r in own[0].family_reports.items():
+        r64 = at_64[0].family_reports[name]
+        assert r.E == pytest.approx(r64.E, rel=1e-12, abs=0.0)
+        assert r.e == pytest.approx(r64.e, rel=1e-12, abs=0.0)
+        np.testing.assert_array_equal(r.argmax_params, r64.argmax_params)
+        np.testing.assert_array_equal(r.argmin_params, r64.argmin_params)
+        for h, h64 in zip(r.refinement_history, r64.refinement_history, strict=True):
+            assert (h["evals"], h["rounds"]) == (h64["evals"], h64["rounds"])
 
 
 def test_both_orientation_targets_keep_the_smaller_bound():

@@ -20,7 +20,7 @@ from stringcap.catalog import (
 )
 from stringcap.errors import ScenarioParameterError
 from stringcap.gauge import BasePoint, TangentVector, support
-from stringcap.loops import check_loop, extremal_lengths
+from stringcap.loops import DEFAULT_PANELS, check_loop, extremal_lengths
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,6 +172,48 @@ def test_flat_torus_lengths_must_be_finite_and_positive(lengths):
     q = BasePoint(np.array([0.1, 0.2]), "torus")
     assert support(domain, q, TangentVector(np.array([1.0, 0.0]), q)) == 1.0
     assert support(domain, q, TangentVector(np.zeros(2), q)) == 0.0
+
+
+@pytest.mark.parametrize("lengths", [1.0, 2, "ab", np.array([1.0, 2.0]), (1.0,), [1.0, 2.0, 3.0], {1.0: 2.0, 3.0: 4.0}])
+def test_flat_torus_lengths_must_be_a_sequence_of_d_reals(lengths):
+    # a scalar raised a bare TypeError from len()
+    with pytest.raises(ScenarioParameterError, match="lengths must be a tuple or list of 2 reals"):
+        catalog.flat_torus_domain(2, 1.0, lengths)
+    catalog.flat_torus_domain(2, 1.0, [2.0, 3.0])
+
+
+# every scenario name with its defaults, and the closed-page open book
+DEFAULT_FORMS = [{"scenario": name} for name in SCENARIOS] + [{"scenario": "open_book", "page": "circle"}]
+FEW_PANELS = [
+    (config, name)
+    for config in DEFAULT_FORMS
+    for name, fam in build_scenario(config).families.items()
+    if fam.panels < DEFAULT_PANELS
+]
+
+
+def test_orbit_families_declare_few_panels():
+    declared = {(config["scenario"], name) for config, name in FEW_PANELS}
+    assert {("ellipsoid1", "L+"), ("ellipsoid2", "orbits"), ("camel", "L+^k"), ("open_book", "L-")} <= declared
+    assert build_scenario({"scenario": "klein"}).families["Ldoubled"].panels == DEFAULT_PANELS
+
+
+@pytest.mark.parametrize("config, name", FEW_PANELS, ids=[f"{build_scenario(c).id}:{n}" for c, n in FEW_PANELS])
+def test_a_family_with_few_panels_has_a_constant_integrand(config, name):
+    """A family may start its trapezoid rule below ``DEFAULT_PANELS`` only
+    if its support integrand is constant in t on every grid row: the rule
+    is then exact at any panel count, and its levels agree at once.  Each
+    such family is the orbit of a rotation or translation that preserves
+    the domain; 64 samples per row must agree to about 1e-14 relative."""
+    s = build_scenario(config)
+    fam = s.families[name]
+    q, v = fam.samples(fam.grid.points(), np.arange(64) / 64)
+    G, m, d = q.shape
+    pts = BasePoint(q.reshape(-1, d), fam.chart)
+    values = s.domain.support_oracle(pts, TangentVector(v.reshape(-1, d), pts)).reshape(G, m)
+    spread = values.max(axis=1) - values.min(axis=1)
+    assert np.isfinite(values).all()
+    assert (spread <= 1e-14 * values.max(axis=1)).all(), f"largest spread {spread.max():.3e}"
 
 
 def test_config_round_trip_and_schema_rejection():

@@ -20,7 +20,7 @@ from stringcap.catalog import (
     open_book_scenario,
     product_torus_scenario,
 )
-from stringcap.errors import InfiniteLengthError
+from stringcap.errors import InfiniteLengthError, InvalidInputError
 from stringcap.gauge import BaseDescriptor, BasePoint, GaugeDomain, TangentVector
 from stringcap.loops import (
     GridAxis,
@@ -46,7 +46,8 @@ SCENARIOS = [
     klein_bottle_scenario(0.8, 1.5),
 ]
 CASES = [(s, name) for s in SCENARIOS for name in s.families]
-# the scenarios' own rule and coarse ones whose rows stop at different levels
+# 64 panels (Klein's own count, an override for the orbit families) and
+# coarse rules whose rows stop at different levels
 QUADS = [
     QuadratureSpec(panels=64),
     QuadratureSpec(panels=8),
@@ -215,13 +216,17 @@ def test_rows_after_a_failing_row_stop_doubling():
 
 
 def test_family_grid_oracle_batches():
-    s = ellipsoid_scenario(3, 0.5)  # a 9 x 9 page grid, 64 panels
+    s = ellipsoid_scenario(3, 0.5)  # a 9 x 9 page grid
     fam = s.families["L+"]
     domain, batches = _recording(s.domain)
-    family_lengths(domain, fam, fam.grid.points())
+    family_lengths(domain, fam, fam.grid.points(), QuadratureSpec(panels=64))
     # 81 rows of 128 samples (levels 0 and 1) in blocks of 32 rows; the
     # constant integrands all agree after one doubling
     assert batches == [4096, 4096, 2176]
+    batches.clear()
+    family_lengths(domain, fam, fam.grid.points())
+    # the family's own 8 panels: 81 rows of 16 samples in one call
+    assert batches == [1296]
 
 
 def test_loop_at_evaluates_the_family_form_once_per_oracle_call():
@@ -601,6 +606,15 @@ def test_a_family_needs_loops_or_both_array_forms():
     with pytest.raises(TypeError):  # one form gives both arrays
         LoopFamily("two forms", grid, points=samples, velocities=samples)
     LoopFamily("one form", grid, samples)
+
+
+@pytest.mark.parametrize("panels", [0, 4, 7, 2**16 + 1, 8.0, None, True, "8"])
+def test_a_family_declares_an_int_panel_count_in_range(panels):
+    # 0 would divide by zero in the trapezoid rule, and 4 would run a rule
+    # coarser than any override may ask for
+    with pytest.raises(InvalidInputError, match=r"a family's panels must be an int in \[8, 65536\]"):
+        LoopFamily("vertical", ParamGrid(()), lambda P, ts: None, panels=panels)
+    LoopFamily("vertical", ParamGrid(()), lambda P, ts: None, panels=np.int64(8))
 
 
 @dataclasses.dataclass(eq=False)

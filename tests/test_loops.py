@@ -230,6 +230,10 @@ def test_concatenation_refuses_nan_basepoints():
 
 @pytest.mark.parametrize("panels", [16.0, True, "16", None])
 def test_quadrature_spec_needs_int_panels(panels):
+    if panels is None:
+        # the default: each family starts from its own panel count
+        assert QuadratureSpec(panels=None) == QuadratureSpec()
+        return
     # 16.0 was accepted and the first length raised TypeError
     with pytest.raises(InvalidInputError, match="quad_panels must be an int"):
         QuadratureSpec(panels=panels)
