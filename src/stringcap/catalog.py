@@ -32,13 +32,7 @@ from .gauge import (
     TangentVector,
     codisk_domain,
 )
-from .loops import (
-    GridAxis,
-    LoopFamily,
-    ParamGrid,
-    cutoff,
-    cutoff_deriv,
-)
+from .loops import GridAxis, LoopFamily, ParamGrid
 from .stralg import (
     ActionClass,
     BVPreimage,
@@ -427,33 +421,16 @@ def klein_bottle_scenario(a: float, b: float, radius: float = 1.0) -> Scenario:
         raise ScenarioParameterError("radius must be >= 0")
     base = BaseDescriptor("klein", 2, ("klein",))
     domain = codisk_domain(base, MetricSpec(radius=radius))
-    x0 = a / 4.0
 
-    # out along the straight loop and back along its reverse; closes in the
-    # lift, so its length is l(q) + l(reverse q)
-    def split(ts: np.ndarray):
-        t = np.mod(ts, 1.0)
-        outward = t < 0.5
-        return np.where(outward, 2.0, -2.0), np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
-
-    # the straight loop at y0 = params[:, 0] moves from (x0, y0) by the step
-    # (a, -2 y0) along a profile phi(t); it closes in the quotient, where
-    # (x0 + a, -y0) folds back to (x0, y0)
-    def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rate, s = split(ts)
-        phi, dphi = cutoff(s), rate * cutoff_deriv(s)
-        y0 = P[:, :1]
-        step = -2.0 * y0
-        q, v = np.empty((2, 2, P.shape[0], ts.shape[0]))  # coordinate-major
-        q[0] = x0 + phi * a
-        np.multiply(phi, step, out=q[1])
-        np.add(y0, q[1], out=q[1])
-        np.multiply(dphi, a, out=v[0])
-        np.multiply(dphi, step, out=v[1])
-        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
+    # the straight loop at y0 = params[:, 0] steps from (a/4, y0) by (a, -2 y0)
+    # and closes in the quotient; out along it and back along its reverse,
+    # the doubled loop closes in the lift, with length l(q) + l(reverse q)
+    def segment(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y0 = P[:, 0]
+        return np.stack([np.full_like(y0, a / 4.0), y0], axis=1), np.stack([np.full_like(y0, a), -2.0 * y0], axis=1)
 
     grid = ParamGrid((GridAxis(-b / 4.0, b / 4.0, 17),))
-    doubled = LoopFamily("Ldoubled", grid, samples, chart="klein")
+    doubled = LoopFamily("Ldoubled", grid, chart="klein", segment=segment)
     ctx = RuleContext(
         intersection_table={("q", "qbar"): "pt"},
         iota_table={"pt": "T*Sigma_pt"},

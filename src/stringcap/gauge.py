@@ -59,10 +59,15 @@ class GaugeDomain:
     ``support_oracle`` is the only way in: quadrature, containment checks and
     ``support`` all call it, so a domain rebuilt with another oracle through
     ``dataclasses.replace`` is used everywhere.
+
+    ``ignores_base_point`` promises that h(q, v) depends on v alone, so
+    segment families take exact lengths; ``codisk_domain`` declares it, and
+    ``dataclasses.replace`` keeps it, so a swapped-in oracle must keep it.
     """
 
     base: BaseDescriptor
     support_oracle: Callable[[BasePoint, TangentVector], np.ndarray]
+    ignores_base_point: bool = False
 
     def check_chart(self, chart: str) -> None:
         """Raise ``ChartMismatchError`` unless the domain accepts ``chart``."""
@@ -146,7 +151,8 @@ def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def codisk_domain(base: BaseDescriptor, metric: MetricSpec) -> GaugeDomain:
-    """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain."""
+    """The codisk bundle {|p|_{g*} <= radius} of ``metric`` as a GaugeDomain,
+    whose support ignores the base point: the Jacobian is constant."""
     r, jac = metric.radius, metric.embedding_jacobian
 
     def oracle(q: BasePoint, v: TangentVector):
@@ -155,7 +161,7 @@ def codisk_domain(base: BaseDescriptor, metric: MetricSpec) -> GaugeDomain:
             w = jac @ w
         return r * np.sqrt(_coldot(w, w))
 
-    return GaugeDomain(base, oracle)
+    return GaugeDomain(base, oracle, ignores_base_point=True)
 
 
 @dataclass(frozen=True, slots=True)

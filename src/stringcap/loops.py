@@ -33,8 +33,10 @@ from its own ``panels`` and a loop from ``DEFAULT_PANELS`` (64), unless
 (the page rotations, ellipsoid2's orbits and the torus lines) declare 8:
 each is the orbit of a rotation or translation that preserves the domain,
 so its integrand is constant in t and the rule is exact at any count, up
-to rounding.  Klein's doubled loops keep 64: their cutoff profile is not
-constant.  The sup and inf of a family are taken on that grid and refined
+to rounding.  Klein's doubled loops go out along a segment w and back: on a
+domain whose support ignores the base point, ``family_lengths`` takes their
+exact length h(w) + h(-w) in one oracle call unless ``QuadratureSpec.panels``
+is set.  The sup and inf of a family are taken on that grid and refined
 together by a compass search that stays within one grid gap of their grid
 points, one ``family_lengths`` call per round (``_refine``); each
 extremum's rounds until its next move are built ahead, in one array
@@ -286,9 +288,9 @@ def _first_levels(n: int) -> np.ndarray:
     return ts
 
 
-# what an InfiniteLengthError says, with t = NaN, of a length whose samples
-# are finite but whose trapezoid sum passes the float range
-_OVERFLOWED = "the trapezoid sum overflowed"
+# what an InfiniteLengthError says, with t = NaN, of a length whose support
+# values are finite but whose sum passes the float range
+_OVERFLOWED = "the length passed the float range"
 
 
 # a sum past the float range is +inf and a failed row's samples stay in its
@@ -438,6 +440,7 @@ class ParamGrid:
 
 
 FamilyFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+SegmentFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,6 +451,12 @@ class LoopFamily:
     (G, m, d), all in the family's ``chart``.  The arrays may have any
     layout; the catalog's are views of coordinate-major (d, G, m) buffers.
     ``ts`` may be read-only, and every loop closes, as for loops.
+
+    A family may instead be a ``segment`` from parameters (G, p) to starts
+    q0 and steps w, each (G, d), whose loops go from q0 to q0 + w along the
+    cutoff profile and back; ``samples`` is derived from it.  A form set by
+    ``dataclasses.replace`` keeps the segment, so it must trace its loops.
+    A family with neither raises ``TypeError``.
 
     ``panels`` is the panel count its lengths start from unless
     ``QuadratureSpec.panels`` overrides it, an int in [8,
@@ -460,11 +469,16 @@ class LoopFamily:
 
     name: str
     grid: ParamGrid
-    samples: FamilyFn
+    samples: Optional[FamilyFn] = None
     chart: str = "default"
     panels: int = DEFAULT_PANELS
+    segment: Optional[SegmentFn] = None
 
     def __post_init__(self):
+        if self.samples is None:
+            if self.segment is None:
+                raise TypeError("a loop family needs samples or a segment")
+            object.__setattr__(self, "samples", _out_and_back(self.segment))
         if not (is_int(self.panels) and 8 <= self.panels <= MAX_QUAD_PANELS):
             raise InvalidInputError(f"a family's panels must be an int in [8, {MAX_QUAD_PANELS}], got {self.panels!r}")
 
@@ -479,6 +493,22 @@ class LoopFamily:
             return pts[0], vel[0]
 
         return Loop(samples=samples, chart=self.chart)
+
+
+def _out_and_back(segment: SegmentFn) -> FamilyFn:
+    """Loops from q0 to q0 + w for t < 1/2 and back, in (d, G, m) buffers."""
+
+    def samples(P: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q0, w = segment(P)
+        t = np.mod(ts, 1.0)
+        outward = t < 0.5
+        s = np.where(outward, 2.0 * t, 2.0 - 2.0 * t)
+        q, v = np.empty((2, w.shape[1], w.shape[0], ts.shape[0]))
+        np.add(np.multiply(w.T[:, :, None], cutoff(s), out=q), q0.T[:, :, None], out=q)
+        np.multiply(w.T[:, :, None], np.where(outward, 2.0, -2.0) * cutoff_deriv(s), out=v)
+        return q.transpose(1, 2, 0), v.transpose(1, 2, 0)
+
+    return samples
 
 
 def _infinite_at(family: LoopFamily, params: np.ndarray, t: float) -> InfiniteLengthError:
@@ -505,13 +535,37 @@ def family_lengths(
 
     Raises the ``InfiniteLengthError`` of the first row, in row order, whose
     own ``loop_length`` raises, with that row as ``params`` and the same t;
-    rows after it are not evaluated further."""
+    rows after it are not evaluated further.  With ``quad.panels`` None, a
+    segment family on a domain that ``ignores_base_point`` takes its exact
+    lengths instead (``_segment_lengths``)."""
     params = np.asarray(params, dtype=float)
+    if family.segment is not None and domain.ignores_base_point and quad.panels is None:
+        return _segment_lengths(domain, family, params)
     values_at = _integrand(domain, family.chart, lambda rows, ts: family.samples(params[rows], ts))
     lengths, failed = _trapezoid(values_at, params.shape[0], quad, family.panels)
     if failed is not None:
         raise _infinite_at(family, params[failed[0]], failed[1])
     return np.array(lengths)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _segment_lengths(domain: GaugeDomain, family: LoopFamily, params: np.ndarray) -> np.ndarray:
+    """h(w) + h(-w) per row, exact as h depends on v alone, is 1-homogeneous
+    and the profile monotone, from one oracle call on the rows (q0, w), then
+    (q0, -w).  The first row that is not finite raises with t = 1/4 or 3/4 in
+    a half whose support is not, else with t = NaN: the sum overflowed."""
+    domain.check_chart(family.chart)
+    q0, w = family.segment(params)
+    q, v = np.concatenate([q0, q0]).T.copy(), np.concatenate([w, -w]).T.copy()  # coordinate-major
+    pts = BasePoint(q.T, family.chart)
+    out, back = domain.support_oracle(pts, TangentVector(v.T, pts)).reshape(2, -1)
+    lengths = out + back
+    bad = np.flatnonzero(~np.isfinite(lengths))
+    if bad.size:
+        i = bad[0]
+        t = 0.25 if not math.isfinite(out[i]) else 0.75 if not math.isfinite(back[i]) else math.nan
+        raise _infinite_at(family, params[i], t)
+    return lengths
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from stringcap import loops
 from stringcap.catalog import (
+    REFERENCE_CASES,
     SCENARIOS as CATALOG,
     build_scenario,
     camel_scenario,
@@ -303,22 +304,79 @@ def test_grid_is_batched_and_each_refinement_round_is_one_family_lengths_call(mo
     fam = s.families["Ldoubled"]  # 17 points on [-0.375, 0.375], not periodic
     lengths = _counting_loop_length(monkeypatch)
     calls = _counting_family_lengths(monkeypatch)
-    domain, batches = _recording(s.domain)
-    rep = extremal_lengths(domain, fam)
-    assert lengths == []
-    np.testing.assert_array_equal([rep.argmax_params, rep.argmin_params], [[-0.375], [0.0]])
-    assert [(h["evals"], h["rounds"]) for h in rep.refinement_history] == [(30, 15), (30, 15)]
-    np.testing.assert_array_equal(calls[0], fam.grid.points())
-    # then one call per round, the sup's two trial rows and then the inf's,
-    # each within one grid gap of its grid point
-    gap = 0.75 / 16
-    assert [c.shape for c in calls[1:]] == [(4, 1)] * 15
-    for c in calls[1:]:
-        assert np.all(np.abs(c[:2] - rep.argmax_params) <= gap)
-        assert np.all(np.abs(c[2:] - rep.argmin_params) <= gap)
-    # levels 0 and 1 of the whole grid, then of the four trial rows of each
-    # round, all of which converge at level 1
-    assert batches == [17 * 2 * 64] + [4 * 2 * 64] * 15
+    # the trapezoid rule at 64 panels samples levels 0 and 1 of every row,
+    # all of which converge at level 1; the exact path takes each row's
+    # support at (q0, w) and (q0, -w)
+    for quad, per_row in [(QuadratureSpec(panels=64), 2 * 64), (QuadratureSpec(), 2)]:
+        calls.clear()
+        domain, batches = _recording(s.domain)
+        rep = extremal_lengths(domain, fam, quad)
+        assert lengths == []
+        np.testing.assert_array_equal([rep.argmax_params, rep.argmin_params], [[-0.375], [0.0]])
+        assert [(h["evals"], h["rounds"]) for h in rep.refinement_history] == [(30, 15), (30, 15)]
+        np.testing.assert_array_equal(calls[0], fam.grid.points())
+        # then one call per round, the sup's two trial rows and then the
+        # inf's, each within one grid gap of its grid point
+        gap = 0.75 / 16
+        assert [c.shape for c in calls[1:]] == [(4, 1)] * 15
+        for c in calls[1:]:
+            assert np.all(np.abs(c[:2] - rep.argmax_params) <= gap)
+            assert np.all(np.abs(c[2:] - rep.argmin_params) <= gap)
+        # the whole grid, then the four trial rows of each round
+        assert batches == [17 * per_row] + [4 * per_row] * 15
+
+
+# klein's default config and those of its reference rows
+KLEIN_CONFIGS = [{"scenario": "klein"}] + [c.config for c in REFERENCE_CASES if c.config["scenario"] == "klein"]
+
+
+@pytest.mark.parametrize("config", KLEIN_CONFIGS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_the_exact_path_gives_klein_lengths_in_closed_form(config):
+    # out along w = (a, -2 y0) and back: 2 r sqrt(a^2 + 4 y0^2) on the flat
+    # codisk of radius r
+    s = build_scenario(config)
+    fam, a, r = s.families["Ldoubled"], s.params["a"], s.params["radius"]
+    P = fam.grid.points()
+    y0 = P[:, 0]
+    expected = 2.0 * r * np.sqrt(a * a + 4.0 * y0 * y0)
+    got = family_lengths(s.domain, fam, P)
+    assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
+
+
+def test_a_domain_that_declares_nothing_keeps_the_trapezoid_rule():
+    s = klein_bottle_scenario(0.8, 1.5)
+    fam = s.families["Ldoubled"]
+    P = fam.grid.points()
+    plain, batches = _recording(GaugeDomain(s.domain.base, s.domain.support_oracle))
+    assert not plain.ignores_base_point
+    ruled = family_lengths(plain, fam, P)
+    # levels 0 and 1 of 64 panels for every row, all of which converge there
+    assert batches == [P.shape[0] * 2 * 64]
+    exact = family_lengths(s.domain, fam, P)
+    assert np.all(np.abs(ruled - exact) <= QuadratureSpec().qtol * (1.0 + np.abs(exact)))
+
+
+def test_a_segment_length_that_is_not_finite_raises_for_its_first_row():
+    # radius 1e308: each support value is finite, their sum is not
+    s = klein_bottle_scenario(1.0, 1.0, 1e308)
+    fam = s.families["Ldoubled"]
+    P = fam.grid.points()
+    with pytest.raises(InfiniteLengthError) as exc:
+        family_lengths(s.domain, fam, P)
+    np.testing.assert_array_equal(exc.value.params, P[0])
+    assert math.isnan(exc.value.t)
+    assert str(exc.value) == f"family 'Ldoubled' has infinite length at params {P[0]!r} (the length passed the float range)"
+    # an infinite support outward, at t = 1/4, or only on the way back, at
+    # t = 3/4, from a domain whose support still depends on v alone
+    oracle = s.domain.support_oracle
+    for sign, t in [(1.0, 0.25), (-1.0, 0.75)]:
+        domain = dataclasses.replace(
+            s.domain, support_oracle=lambda q, v, sign=sign: np.where(sign * v.components[:, 0] > 0, np.inf, oracle(q, v))
+        )
+        with pytest.raises(InfiniteLengthError) as exc:
+            family_lengths(domain, fam, P[4:])
+        np.testing.assert_array_equal(exc.value.params, P[4])
+        assert exc.value.t == t
 
 
 def test_zero_parameter_family_reuses_its_grid_value(monkeypatch):
@@ -464,12 +522,12 @@ def test_an_overflowing_length_raises_for_the_first_row_that_fails():
     with pytest.raises(InfiniteLengthError) as exc:
         loop_length(domain, fam.loop_at(P[2]), quad)
     assert math.isnan(exc.value.t)
-    assert str(exc.value) == "infinite length: the trapezoid sum overflowed"
+    assert str(exc.value) == "infinite length: the length passed the float range"
     with pytest.raises(InfiniteLengthError) as exc:
         family_lengths(domain, fam, P, quad)
     np.testing.assert_array_equal(exc.value.params, P[2])
     assert math.isnan(exc.value.t)
-    assert str(exc.value) == f"family 'vertical' has infinite length at params {P[2]!r} (the trapezoid sum overflowed)"
+    assert str(exc.value) == f"family 'vertical' has infinite length at params {P[2]!r} (the length passed the float range)"
     # in reverse row order the infinite samples come first
     with pytest.raises(InfiniteLengthError) as exc:
         family_lengths(domain, fam, P[::-1], quad)
@@ -590,7 +648,7 @@ def test_grid_error_names_the_first_failing_row_of_mixed_failure_kinds(data, pan
         family_lengths(MIXED, fam, P, quad)
     np.testing.assert_array_equal(exc.value.params, P[row])
     np.testing.assert_array_equal(exc.value.t, t)  # NaN equals NaN here
-    where = "the trapezoid sum overflowed" if math.isnan(t) else f"t={t:.6f}"
+    where = "the length passed the float range" if math.isnan(t) else f"t={t:.6f}"
     assert str(exc.value) == f"family 'vertical' has infinite length at params {P[row]!r} ({where})"
 
 
@@ -850,13 +908,17 @@ def test_lengths_and_extrema_equal_those_of_the_row_major_forms(case):
     s, name = case
     fam, reference = s.families[name], _reference_family(s, name)
     P = fam.grid.points()
-    _assert_bitwise(family_lengths(s.domain, fam, P), family_lengths(s.domain, reference, P))
-    got, want = extremal_lengths(s.domain, fam), extremal_lengths(s.domain, reference)
-    assert (got.E.hex(), got.e.hex(), got.grid_E.hex(), got.grid_e.hex()) == (
-        want.E.hex(), want.e.hex(), want.grid_E.hex(), want.grid_e.hex())
-    _assert_bitwise(got.argmax_params, want.argmax_params)
-    _assert_bitwise(got.argmin_params, want.argmin_params)
-    assert got.refinement_history == want.refinement_history
+    # a segment family's samples meet the row-major forms on the rule; its
+    # default spec takes the exact path, which reads the segment, which the
+    # reference keeps
+    for quad in [QuadratureSpec(panels=64), QuadratureSpec()] if fam.segment else [QuadratureSpec()]:
+        _assert_bitwise(family_lengths(s.domain, fam, P, quad), family_lengths(s.domain, reference, P, quad))
+        got, want = extremal_lengths(s.domain, fam, quad), extremal_lengths(s.domain, reference, quad)
+        assert (got.E.hex(), got.e.hex(), got.grid_E.hex(), got.grid_e.hex()) == (
+            want.E.hex(), want.e.hex(), want.grid_E.hex(), want.grid_e.hex())
+        _assert_bitwise(got.argmax_params, want.argmax_params)
+        _assert_bitwise(got.argmin_params, want.argmin_params)
+        assert got.refinement_history == want.refinement_history
 
 
 @pytest.mark.parametrize("s", FORMS, ids=lambda s: s.id)
@@ -871,5 +933,9 @@ def test_the_oracle_gets_coordinate_major_transposes(s):
 
     domain = dataclasses.replace(s.domain, support_oracle=oracle)
     for fam in s.families.values():
-        extremal_lengths(domain, fam)  # the grid, then each round
-    assert calls and all(q and v for q, v in calls)
+        # the grid, then each round; a segment family on the rule and on
+        # its exact path
+        for quad in [QuadratureSpec(panels=64), QuadratureSpec()] if fam.segment else [QuadratureSpec()]:
+            calls.clear()
+            extremal_lengths(domain, fam, quad)
+            assert calls and all(q and v for q, v in calls)

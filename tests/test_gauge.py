@@ -267,6 +267,58 @@ def test_a_metric_keeps_its_own_read_only_jacobian():
     assert not metric.embedding_jacobian.flags.writeable
 
 
+@pytest.mark.parametrize("s0", [0.5, 1e3])
+def test_the_metric_norm_refuses_singular_values_at_its_rank_threshold(s0):
+    # the smallest singular value must exceed 1e-10 max(1, the largest)
+    threshold = 1e-10 * max(1.0, s0)
+    q = BasePoint(np.zeros(2), "default")
+    v = TangentVector(np.array([0.0, 1.0]), q)
+    assert metric_norm(MetricSpec(np.diag([s0, 1.01 * threshold])), q, v) == 1.01 * threshold
+    with pytest.raises(RankDeficientError):
+        metric_norm(MetricSpec(np.diag([s0, 0.99 * threshold])), q, v)
+
+
+def test_containment_allows_an_excess_below_1e_9_relative():
+    # inner support so + k (1 + so): within the tolerance for k < 1e-9
+    outer = flat_torus_domain(2, radius=3.0)
+
+    def larger(k):
+        return GaugeDomain(outer.base, lambda q, v: (1.0 + k) * outer.support_oracle(q, v) + k)
+
+    plan = SamplePlan(count=200)
+    for k in (0.5e-9, 0.9e-9):
+        assert domain_contains(larger(k), outer, plan)
+    for k in (1.1e-9, 2e-9):
+        assert not domain_contains(larger(k), outer, plan)
+
+
+def _recorded_pairs(plan):
+    """The (q, v) pairs ``domain_contains`` checks under ``plan`` on the
+    sphere, in plan order."""
+    seen = []
+
+    def recording(q, v):
+        seen.append((q.coords, v.components))
+        return np.zeros(q.coords.shape[0])
+
+    dom = GaugeDomain(BaseDescriptor("sphere", 2, ("embedding",)), recording)
+    assert domain_contains(dom, dom, plan)
+    pairs = seen[::2]  # inner and outer see each batch
+    return np.concatenate([q for q, _ in pairs]), np.concatenate([v for _, v in pairs])
+
+
+def test_the_sample_plans_check_their_count_of_pairs_from_their_seed():
+    assert SamplePlan() == SamplePlan(count=10_000, seed=0)
+    q, v = _recorded_pairs(SamplePlan())
+    assert q.shape == v.shape == (10_000, 3)
+    one_q, one_v = _recorded_pairs(SamplePlan(count=1))
+    np.testing.assert_array_equal(one_q, q[:1])
+    np.testing.assert_array_equal(one_v, v[:1])
+    (ref_q, ref_v), = _ref_sample_pairs(BaseDescriptor("sphere", 2, ("embedding",)), SamplePlan(count=1))
+    np.testing.assert_allclose(one_q[0], ref_q.coords, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(one_v[0], ref_v.components, rtol=1e-14, atol=1e-15)
+
+
 @pytest.mark.parametrize("fields", [{"count": 0}, {"count": -5}])
 def test_sample_plans_that_check_nothing_are_refused(fields):
     # such a plan reported the larger ellipsoid inside the smaller, which a

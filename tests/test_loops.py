@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 from stringcap import loops
 from stringcap.bounds import camel_limit_report
@@ -13,6 +14,7 @@ from stringcap.catalog import (
     ellipsoid_domain,
     ellipsoid_scenario,
     flat_torus_domain,
+    klein_bottle_scenario,
 )
 from stringcap.errors import (
     BasepointMismatchError,
@@ -88,6 +90,32 @@ def _torus_vertical_family():
 
     grid = ParamGrid((GridAxis(0.0, 1.0, 4, periodic=True),))
     return LoopFamily("vertical", grid, samples, chart="torus")
+
+
+def test_the_trapezoid_rule_converges_geometrically_on_an_ellipse():
+    # the ellipse (a cos 2 pi t, b sin 2 pi t) on a flat codisk: its speed is
+    # not constant, and its perimeter is 4 a E(1 - b^2/a^2).  The speed is
+    # analytic where |Im 2 pi t| < alpha = atanh(b/a), so the rule's error
+    # at 2N panels is at most e^(-alpha N) times its error at N (Trefethen
+    # and Weideman, SIAM Review 2014)
+    a, b = 1.0, 0.2
+
+    def samples(ts):
+        ang = TWO_PI * ts
+        return (np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1),
+                np.stack([-TWO_PI * a * np.sin(ang), TWO_PI * b * np.cos(ang)], axis=1))
+
+    dom = codisk_domain(BaseDescriptor("plane", 2, ("default",)), MetricSpec())
+    loop = Loop(samples=samples)
+    perimeter = 4.0 * a * ellipe(1.0 - b * b / (a * a))
+    assert loop_length(dom, loop) == pytest.approx(perimeter, rel=1e-12, abs=0.0)
+    # a qtol of 1 stops every rule at level 1, so these are 16, 32 and 64
+    # panels
+    errors = [abs(loop_length(dom, loop, QuadratureSpec(panels=n, qtol=1.0)) - perimeter) for n in (8, 16, 32)]
+    alpha = math.atanh(b / a)
+    assert errors[0] > 0.0 and errors[2] > 1e3 * np.spacing(perimeter)  # not yet at rounding
+    assert errors[1] <= math.exp(-alpha * 16) * errors[0]
+    assert errors[2] <= math.exp(-alpha * 32) * errors[1]
 
 
 def test_constant_loop_has_zero_length():
@@ -525,3 +553,8 @@ def test_lengths_refuse_a_chart_the_domain_does_not_accept():
         loop_length(s.domain, fam.loop_at(P[0]))
     with pytest.raises(ChartMismatchError):
         family_lengths(s.domain, fam, P)
+    # klein's segment family, on its exact path too
+    s = klein_bottle_scenario(1.0, 1.0)
+    fam = dataclasses.replace(s.families["Ldoubled"], chart="default")
+    with pytest.raises(ChartMismatchError):
+        family_lengths(s.domain, fam, fam.grid.points())

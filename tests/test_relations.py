@@ -52,10 +52,11 @@ def test_bounds_are_homogeneous_in_the_radius(config, lam):
     support integrand, hence every length, sup and inf, by lam; a
     filtration is a positive combination of those, so every bound scales
     by lam.  The trapezoid rule's stopping test, a change below
-    qtol (1 + |length|), is not scale invariant; but on these families the
-    first two levels agree far below qtol at every radius in range (the
-    orbit integrands are constant, and klein's agree to about 1e-10), so
-    both runs stop after one doubling."""
+    qtol (1 + |length|), is not scale invariant; but on the orbit families
+    the first two levels agree far below qtol at every radius in range
+    (their integrands are constant), so both runs stop after one doubling,
+    and klein's segment family takes no rule: its length is exactly
+    h(w) + h(-w)."""
     scaled = {**config, "radius": lam * config["radius"]}
     for b, bs in zip(_bounds(config), _bounds(scaled), strict=True):
         assert bs == pytest.approx(lam * b, rel=REL, abs=0.0)
@@ -119,6 +120,8 @@ def test_the_klein_bound_does_not_depend_on_b(a, b, other_b, radius):
     2 radius sqrt(a^2 + 4 y0^2): least at y0 = 0, which the odd grid on
     [-b/4, b/4] holds exactly, and larger at every trial point of the
     refinement.  b only sets the range of y0, so the bound, half of that
-    least length for each of q and qbar, does not depend on it."""
+    least length for each of q and qbar, does not depend on it.  That
+    length is taken exactly, as h(w) + h(-w) with w = (a, 0), from no
+    value that depends on b, so the bounds are equal, not just close."""
     config = {"scenario": "klein", "a": a, "radius": radius}
-    assert _bounds({**config, "b": b}) == pytest.approx(_bounds({**config, "b": other_b}), rel=REL, abs=0.0)
+    assert _bounds({**config, "b": b}) == _bounds({**config, "b": other_b})
