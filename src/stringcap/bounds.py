@@ -45,6 +45,8 @@ class CapacityBound:
 
     @property
     def tolerance(self) -> float:
+        """Each filtration symbol's family's qtol * (1 + |E|), summed: a
+        quadrature setting, not a measured error; exact lengths carry it too."""
         selectors = self.certificate.scenario.symbolic_bindings
         return sum(
             self.family_reports[selectors[s].family.name].tolerance for s in self.certificate.filtration.symbols
@@ -90,18 +92,19 @@ def resolve_bindings(
     refine: RefineSpec = RefineSpec(),
 ) -> tuple[dict, dict]:
     """Extremal lengths of every family a generator selects, mapped through
-    the scenario's symbolic binding selectors.  Returns (bindings,
-    per-family reports).  A family grid of more than ``MAX_GRID_POINTS``
-    points raises ``ScenarioParameterError`` before any family is
-    evaluated."""
+    the scenario's symbolic binding selectors; a family refines only the
+    extrema its selectors read.  Returns (bindings, per-family reports).  A
+    family grid of more than ``MAX_GRID_POINTS`` points raises
+    ``ScenarioParameterError`` before any family is evaluated."""
     families = scenario.families
     for name, fam in families.items():
         size = math.prod(ax.count for ax in fam.grid.axes)
         if size > MAX_GRID_POINTS:
             raise ScenarioParameterError(f"family {name!r} has {size} grid points, more than {MAX_GRID_POINTS}")
-    reports: dict[str, ExtremalLengthReport] = {
-        name: extremal_lengths(scenario.domain, fam, quad, refine) for name, fam in families.items()
-    }
+    reports: dict[str, ExtremalLengthReport] = {}
+    for name, fam in families.items():
+        modes = tuple(sel.mode for sel in scenario.symbolic_bindings.values() if sel.family is fam)
+        reports[name] = extremal_lengths(scenario.domain, fam, quad, refine, modes)
     bindings = {}
     for name, sel in scenario.symbolic_bindings.items():
         rep = reports[sel.family.name]

@@ -36,16 +36,15 @@ so its integrand is constant in t and the rule is exact at any count, up
 to rounding.  Klein's doubled loops go out along a segment w and back: on a
 domain whose support ignores the base point, ``family_lengths`` takes their
 exact length h(w) + h(-w) in one oracle call unless ``QuadratureSpec.panels``
-is set.  The sup and inf of a family are taken on that grid and refined
-together by a compass search that stays within one grid gap of their grid
-points, one ``family_lengths`` call per round (``_refine``); each
-extremum's rounds until its next move are built ahead, in one array
-operation, as its failure ladder.
+is set.  The sup and inf of a family are taken on that grid, and those a
+bound reads are refined together by a compass search that stays within one
+grid gap of their grid points, one ``family_lengths`` call per round
+(``_refine``); each extremum's rounds until its next move are built ahead,
+in one array operation, as its failure ladder.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -436,7 +435,8 @@ class ParamGrid:
         """The grid points as the rows of a (G, dim) array in
         ``itertools.product`` order, the last axis varying fastest; one empty
         row, of shape (1, 0), when dim is 0."""
-        return np.array(list(itertools.product(*(ax.points() for ax in self.axes))), dtype=float)
+        axes = np.meshgrid(*(ax.points() for ax in self.axes), indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, self.dim) if axes else np.empty((1, 0))
 
 
 FamilyFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -483,8 +483,10 @@ class LoopFamily:
             raise InvalidInputError(f"a family's panels must be an int in [8, {MAX_QUAD_PANELS}], got {self.panels!r}")
 
     def loop_at(self, p: np.ndarray) -> Loop:
-        """The loop at parameter row ``p`` of shape (p,): the family's form
-        on that one row, called once per call of the loop's ``samples``."""
+        """The loop at row ``p`` of shape (p,), the family's form on that row,
+        called once per call of its ``samples``.  It has no segment, so
+        ``loop_length`` runs the trapezoid rule on it from ``DEFAULT_PANELS``,
+        up to about 4.2e-11 relative below a segment family's exact length."""
         P = np.asarray(p, dtype=float)[None]
         form = self.samples
 
@@ -597,7 +599,7 @@ class ExtremalLengthReport:
     grid_E: float
     grid_e: float
     refinement_history: tuple[dict, ...]
-    tolerance: float
+    tolerance: float  # qtol * (1 + |E|): a quadrature setting, not a measured error, on exact lengths too
 
 
 def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
@@ -618,7 +620,7 @@ def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
 
 def _refine(lengths, grid: ParamGrid, starts, budget: int, xtol: float) -> list[tuple]:
     """Batched compass search (Kolda, Lewis and Torczon, SIAM Review 2003)
-    from the grid extrema ``starts``, one (x0, f0, sign) each: the grid point,
+    from ``starts``, the extrema to refine, one (x0, f0, sign) each: the point,
     its length, and -1 to maximize or 1 to minimize.  Each starts with step h
     half a grid gap on every axis.  A round tries x +- h e_i for every
     extremum still refining, all in one ``lengths`` call on a (k, p) array;
@@ -675,15 +677,17 @@ def extremal_lengths(
     family: LoopFamily,
     quad: QuadratureSpec = QuadratureSpec(),
     refine: RefineSpec = RefineSpec(),
+    extrema: tuple[str, ...] = ("sup", "inf"),
 ) -> ExtremalLengthReport:
     """Sup and inf of loop lengths over the family's parameter space: one
     ``family_lengths`` batch over the grid, then a compass search from the
-    grid's sup and inf together (``_refine``).  Each round tries a step h
-    either way along every axis, within one grid gap of the grid point, in one
-    ``family_lengths`` call for both extrema; an extremum stops once h is
-    below ``refine.xtol`` on every axis or when its next round would take it
-    past ``refine.budget`` lengths.  Each ``refinement_history`` entry counts
-    its extremum's lengths (``evals``) and ``rounds``."""
+    grid points of the ``extrema`` named (``_refine``); one not named keeps
+    its grid point and length, with no evals, as a budget of 1 gives.  Each
+    round tries a step h either way along every axis, within one grid gap of
+    the grid point, in one ``family_lengths`` call; an extremum stops once h
+    is below ``refine.xtol`` on every axis or when its next round would take
+    it past ``refine.budget`` lengths.  Each ``refinement_history`` entry
+    counts its extremum's lengths (``evals``) and ``rounds``."""
     pts = family.grid.points()
     lengths = family_lengths(domain, family, pts, quad)
     i_max = int(np.argmax(lengths))
@@ -691,13 +695,16 @@ def extremal_lengths(
     grid_E = float(lengths[i_max])
     grid_e = float(lengths[i_min])
 
-    (xmax, E, n_max, r_max), (xmin, e, n_min, r_min) = _refine(
+    starts = {"sup": (pts[i_max], grid_E, -1.0), "inf": (pts[i_min], grid_e, 1.0)}
+    read = [m for m in starts if m in extrema]
+    found = dict(zip(read, _refine(
         lambda P: family_lengths(domain, family, P, quad),
         family.grid,
-        [(pts[i_max], grid_E, -1.0), (pts[i_min], grid_e, 1.0)],
+        [starts[m] for m in read],
         refine.budget,
         refine.xtol,
-    )
+    )))
+    (xmax, E, n_max, r_max), (xmin, e, n_min, r_min) = (found.get(m, (x, f, 0, 0)) for m, (x, f, _) in starts.items())
     history = (
         {"extremum": "sup", "grid": grid_E, "refined": E, "evals": n_max, "rounds": r_max},
         {"extremum": "inf", "grid": grid_e, "refined": e, "evals": n_min, "rounds": r_min},

@@ -25,7 +25,8 @@ from stringcap.catalog import (
 )
 from stringcap.errors import IncompatibleBindingError, ScenarioParameterError
 from stringcap.gauge import GaugeDomain
-from stringcap.loops import QuadratureSpec
+from stringcap.loops import QuadratureSpec, extremal_lengths, family_lengths
+from test_catalog import DEFAULT_FORMS
 
 TWO_PI = 2.0 * math.pi
 
@@ -227,6 +228,57 @@ def test_only_the_families_a_generator_selects_are_evaluated(monkeypatch):
     (b,) = compute_bounds(klein_bottle_scenario(1.0, 1.0))
     assert evaluated == ["Ldoubled"]
     assert list(b.to_jsonable()["grid_values"]) == ["Ldoubled"]
+
+
+def _extremum(report, mode: str) -> tuple:
+    """The value, point and history entry of ``report``'s sup or inf."""
+    value, point = (report.E, report.argmax_params) if mode == "sup" else (report.e, report.argmin_params)
+    return value, point, report.refinement_history[("sup", "inf").index(mode)]
+
+
+@pytest.mark.parametrize("config", DEFAULT_FORMS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_a_bound_refines_only_the_extrema_its_selectors_name(config):
+    s = build_scenario(config)
+    _, reports = resolve_bindings(s)
+    for name, fam in s.families.items():
+        named = {sel.mode for sel in s.symbolic_bindings.values() if sel.family is fam}
+        grid = fam.grid.points()
+        lengths = family_lengths(s.domain, fam, grid)
+        for mode, i in [("sup", int(np.argmax(lengths))), ("inf", int(np.argmin(lengths)))]:
+            value, point, h = _extremum(reports[name], mode)
+            if mode in named:
+                # the extremum of a direct call, which refines both
+                want_value, want_point, want_h = _extremum(extremal_lengths(s.domain, fam), mode)
+                assert value.hex() == want_value.hex()
+                assert (point.shape, point.tobytes()) == (want_point.shape, want_point.tobytes())
+                assert h == want_h
+            else:
+                assert (h["evals"], h["rounds"]) == (0, 0)
+                assert value.hex() == h["grid"].hex() == h["refined"].hex() == float(lengths[i]).hex()
+                assert (point.shape, point.tobytes()) == (grid[i].shape, grid[i].tobytes())
+
+
+def test_klein_refinement_rounds_carry_only_the_inf_trial_rows():
+    s = klein_bottle_scenario(1.0, 1.0)
+    batches = []
+
+    def oracle(q, v):
+        batches.append(q.coords.shape[0])
+        return s.domain.support_oracle(q, v)
+
+    counted = dataclasses.replace(s, domain=dataclasses.replace(s.domain, support_oracle=oracle))
+    # the exact segment path takes 2 oracle rows per parameter row: the
+    # 17-point grid, then one call per round with 2 trial rows per refined
+    # extremum; a direct call refines both, in 14 rounds each
+    full = extremal_lengths(counted.domain, counted.families["Ldoubled"])
+    assert [h["rounds"] for h in full.refinement_history] == [14, 14]
+    assert batches == [2 * 17] + [2 * 4] * 14
+    batches.clear()
+    (b,) = compute_bounds(counted)
+    assert batches == [2 * 17] + [2 * 2] * 14  # klein's selectors read only the inf
+    sup, inf = b.family_reports["Ldoubled"].refinement_history
+    assert (sup["evals"], sup["rounds"]) == (0, 0)
+    assert inf == full.refinement_history[1]
 
 
 def test_family_grids_past_the_limit_are_refused_before_any_evaluation(monkeypatch):

@@ -356,6 +356,18 @@ def test_a_domain_that_declares_nothing_keeps_the_trapezoid_rule():
     assert np.all(np.abs(ruled - exact) <= QuadratureSpec().qtol * (1.0 + np.abs(exact)))
 
 
+def test_a_loop_at_on_a_segment_family_keeps_the_trapezoid_rule():
+    # the Loop that loop_at returns has no segment, so loop_length runs the
+    # rule from DEFAULT_PANELS on it and falls 4.2e-11 relative short of the
+    # exact length that family_lengths takes
+    s = klein_bottle_scenario(1.0, 1.0)
+    fam = s.families["Ldoubled"]
+    p = np.array([0.0])
+    assert loop_length(s.domain, fam.loop_at(p)) == 1.999999999916092
+    assert family_lengths(s.domain, fam, p[None]).tolist() == [2.0]
+    assert loop_length(s.domain, fam.loop_at(p), QuadratureSpec(panels=loops.DEFAULT_PANELS)) == 1.999999999916092
+
+
 def test_a_segment_length_that_is_not_finite_raises_for_its_first_row():
     # radius 1e308: each support value is finite, their sum is not
     s = klein_bottle_scenario(1.0, 1.0, 1e308)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipe
 
 from stringcap import loops
@@ -402,6 +404,24 @@ def test_grid_points_are_an_array_in_product_order():
     for row, combo in zip(P, product, strict=True):
         np.testing.assert_array_equal(row, combo)
     assert ParamGrid(()).points().shape == (1, 0)
+
+
+# an axis from lo to lo + width: a periodic one needs width > 0, a clipped
+# one may have width 0
+GRID_AXES = st.one_of(
+    st.builds(lambda lo, w, n: GridAxis(lo, lo + w, n, True), st.floats(-10, 10), st.floats(0.5, 10), st.integers(1, 9)),
+    st.builds(lambda lo, w, n: GridAxis(lo, lo + w, n), st.floats(-10, 10), st.floats(0, 10), st.integers(1, 9)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(axes=st.lists(GRID_AXES, max_size=4))
+def test_grid_points_equal_the_rows_of_itertools_product(axes):
+    grid = ParamGrid(tuple(axes))
+    want = np.array(list(itertools.product(*(ax.points() for ax in axes))), dtype=float)
+    got = grid.points()
+    assert got.shape == want.shape == (math.prod(ax.count for ax in axes), len(axes))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_extremal_lengths_on_rotation_family():
