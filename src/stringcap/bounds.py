@@ -45,12 +45,13 @@ class CapacityBound:
 
     @property
     def tolerance(self) -> float:
-        """Each filtration symbol's family's qtol * (1 + |E|), summed: a
-        quadrature setting, not a measured error; exact lengths carry it too."""
+        """qtol * (1 + |x|) summed over the filtration's symbols, x the
+        extremum (E or e) the symbol's selector reads: a quadrature setting,
+        not a measured error; exact lengths carry it too."""
         selectors = self.certificate.scenario.symbolic_bindings
-        return sum(
-            self.family_reports[selectors[s].family.name].tolerance for s in self.certificate.filtration.symbols
-        )
+        reads = [selectors[s] for s in self.certificate.filtration.symbols]
+        reports = [self.family_reports[sel.family.name] for sel in reads]
+        return sum(r.qtol * (1.0 + abs(r.E if sel.mode == "sup" else r.e)) for sel, r in zip(reads, reports))
 
     @property
     def scenario_id(self) -> str:

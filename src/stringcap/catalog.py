@@ -2,11 +2,12 @@
 
 Each constructor bundles a gauge domain with the target classes its width
 bounds apply to, the intersection/sweep tables the symbolic calculus consults,
-and the generator table: every class a certificate may start from, with the
-loop family whose sup or inf length bounds its threshold.  That table is the
-one list of a scenario's numeric work: its families are read off the
-selectors, and no other family is evaluated.  Each target class carries the
-recipe that derives its certificate from those generators.  Each constructor
+and the generator table: every class some target's certificate starts from,
+and no other, with the loop family whose sup or inf length bounds its
+threshold.  That table is the one list of a scenario's numeric work: its
+families and the extrema refined on them are read off the selectors, and no
+other family or extremum is evaluated.  Each target class carries the recipe
+that derives its certificate from those generators.  Each constructor
 checks its own arguments and raises ``ScenarioParameterError`` for a value out
 of type or range.  ``SCENARIOS`` declares each scenario name once, with its
 constructor and the configuration keys it takes and their defaults, and
@@ -91,11 +92,11 @@ class BindingSelector:
 class Scenario:
     """A gauge domain with its targets and rewrite data.
 
-    ``generators`` maps each class a certificate may start from to the
-    selector of its threshold: the class lies in the filtration at the
-    selector's symbol, which resolves to the sup or inf of a family's
-    lengths.  Recipes take their leaves from this table, and the replay
-    accepts no other leaf."""
+    ``generators`` maps each class some target's certificate starts from,
+    and no other, to the selector of its threshold: the class lies in the
+    filtration at the selector's symbol, which resolves to the sup or inf of
+    a family's lengths.  Recipes take their leaves from this table, and the
+    replay accepts no other leaf."""
 
     id: str
     params: dict
@@ -184,14 +185,12 @@ def _page_rotation_families(page_dim: int) -> tuple[LoopFamily, LoopFamily]:
 
 
 def _open_book_generators(plus: LoopFamily, minus: LoopFamily) -> dict[Term, BindingSelector]:
-    """The generators of an open book with positive and negative rotation
-    families ``plus`` and ``minus``: a page rotation is bounded by the
-    longest loop, a single orbit by the shortest."""
+    """The page rotations of an open book with positive and negative rotation
+    families ``plus`` and ``minus``, each bounded by its longest loop: the
+    generators every open-book recipe starts from."""
     return {
         BVPreimage(ActionClass("id", +1), "ACTION_IS_BV"): BindingSelector("E+", plus, "sup"),
         BVPreimage(ActionClass("id", -1), "ACTION_IS_BV"): BindingSelector("E-", minus, "sup"),
-        ActionClass("pt", +1): BindingSelector("e+", plus, "inf"),
-        ActionClass("pt", -1): BindingSelector("e-", minus, "inf"),
     }
 
 
@@ -477,7 +476,9 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
 
     if page == "circle":
         # the fiber loops t -> (u, +-t) over the page points u; the page
-        # class pairs with its dual
+        # class pairs with its dual, whose recipe alone rotates a single
+        # orbit, bounded by the shortest loop
+        plus, minus = _torus_line_family("L+", 0, +1, 2, "torus", 8), _torus_line_family("L-", 0, -1, 2, "torus", 8)
         return Scenario(
             id=f"open_book(circle,trivial,r={radius},lp={len_page},lf={len_fiber})",
             params=params,
@@ -486,9 +487,11 @@ def open_book_scenario(page: str, radius: float, len_page: float, len_fiber: flo
                 _CONSTANT_LOOPS_TARGET,
                 TargetClass("[V]", "PD_dual(V)", closed_page_recipe, both_orientations=True),
             ),
-            generators=_open_book_generators(
-                _torus_line_family("L+", 0, +1, 2, "torus", 8), _torus_line_family("L-", 0, -1, 2, "torus", 8)
-            ),
+            generators={
+                **_open_book_generators(plus, minus),
+                ActionClass("pt", +1): BindingSelector("e+", plus, "inf"),
+                ActionClass("pt", -1): BindingSelector("e-", minus, "inf"),
+            },
             rule_context=_open_book_context(boundary_nonempty=False),
         )
 

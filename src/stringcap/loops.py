@@ -599,7 +599,7 @@ class ExtremalLengthReport:
     grid_E: float
     grid_e: float
     refinement_history: tuple[dict, ...]
-    tolerance: float  # qtol * (1 + |E|): a quadrature setting, not a measured error, on exact lengths too
+    qtol: float  # the quadrature tolerance the lengths were computed under
 
 
 def _folder(grid: ParamGrid) -> Callable[[np.ndarray], np.ndarray]:
@@ -717,5 +717,5 @@ def extremal_lengths(
         grid_E=grid_E,
         grid_e=grid_e,
         refinement_history=history,
-        tolerance=quad.qtol * (1.0 + abs(E)),
+        qtol=quad.qtol,
     )

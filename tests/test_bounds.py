@@ -76,10 +76,12 @@ def test_flat_torus_product_bound():
     assert b.upper_bound == pytest.approx(2.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("a,bb,expected", [(1.0, 1.0, 2.0), (0.5, 2.0, 1.0)])
-def test_klein_bound(a, bb, expected):
+@pytest.mark.parametrize("a,bb,expected,tolerance", [(1.0, 1.0, 2.0, 6e-7), (0.5, 2.0, 1.0, 4e-7)])
+def test_klein_bound(a, bb, expected, tolerance):
     (b,) = compute_bounds(klein_bottle_scenario(a, bb))
     assert b.upper_bound == pytest.approx(expected, abs=1e-6)
+    # l_q and l_qbar each read the inf e = 2a, not the unread sup
+    assert b.to_jsonable()["tolerance"] == pytest.approx(tolerance, rel=1e-12)
 
 
 def test_klein_bound_scales_with_radius():
@@ -157,13 +159,25 @@ def test_family_panel_counts_agree_with_64_panels_everywhere(config):
         assert b.upper_bound == pytest.approx(b64.upper_bound, **close)
     for name, r in own[0].family_reports.items():
         r64 = at_64[0].family_reports[name]
-        close = {"rel": 0.0, "abs": r.tolerance} if s.families[name].segment else {"rel": 1e-12, "abs": 0.0}
+        close = {"rel": 0.0, "abs": r.qtol * (1 + abs(r.E))} if s.families[name].segment else {"rel": 1e-12, "abs": 0.0}
         assert r.E == pytest.approx(r64.E, **close)
         assert r.e == pytest.approx(r64.e, **close)
         np.testing.assert_array_equal(r.argmax_params, r64.argmax_params)
         np.testing.assert_array_equal(r.argmin_params, r64.argmin_params)
         for h, h64 in zip(r.refinement_history, r64.refinement_history, strict=True):
             assert (h["evals"], h["rounds"]) == (h64["evals"], h64["rounds"])
+
+
+@pytest.mark.parametrize("config", EQUIVALENCE_CONFIGS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_a_tolerance_is_the_quadrature_setting_at_the_extremum_each_symbol_reads(config):
+    # Klein's symbols read the inf of its doubled loops; every other symbol
+    # reads a sup, or the inf of a constant-length family (the closed page's
+    # [V]), where e = E
+    s = build_scenario(config)
+    for b in compute_bounds(s):
+        reports = [b.family_reports[s.symbolic_bindings[sym].family.name] for sym in b.certificate.filtration.symbols]
+        read = [r.e if config["scenario"] == "klein" else r.E for r in reports]
+        assert b.to_jsonable()["tolerance"] == sum(QuadratureSpec().qtol * (1.0 + abs(x)) for x in read)
 
 
 def test_both_orientation_targets_keep_the_smaller_bound():
@@ -279,6 +293,26 @@ def test_klein_refinement_rounds_carry_only_the_inf_trial_rows():
     sup, inf = b.family_reports["Ldoubled"].refinement_history
     assert (sup["evals"], sup["rounds"]) == (0, 0)
     assert inf == full.refinement_history[1]
+
+
+@pytest.mark.parametrize(
+    "config, calls, samples",
+    [({"scenario": "ellipsoid1", "n": 3}, 36, 4768), ({"scenario": "ellipsoid1"}, 34, 1568), ({"scenario": "open_book"}, 34, 1568)],
+    ids=["ellipsoid1:3", "ellipsoid1:2", "open_book"],
+)
+def test_open_books_without_orbit_generators_refine_no_inf(config, calls, samples):
+    # their certificates start only from page rotations, bounded by the sups:
+    # the inf searches ran in the sups' oracle calls and took 6944 rows at
+    # n = 3 and 2592 at n = 2 and on the interval page
+    s = build_scenario(config)
+    batches = []
+
+    def oracle(q, v):
+        batches.append(q.coords.shape[0])
+        return s.domain.support_oracle(q, v)
+
+    compute_bounds(dataclasses.replace(s, domain=dataclasses.replace(s.domain, support_oracle=oracle)))
+    assert (len(batches), sum(batches)) == (calls, samples)
 
 
 def test_family_grids_past_the_limit_are_refused_before_any_evaluation(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from stringcap import catalog
 from stringcap.catalog import (
     MAX_DIM,
+    REFERENCE_CASES,
     SCENARIOS,
     BindingSelector,
     build_scenario,
@@ -21,6 +22,7 @@ from stringcap.catalog import (
 from stringcap.errors import ScenarioParameterError
 from stringcap.gauge import BasePoint, TangentVector, support
 from stringcap.loops import DEFAULT_PANELS, check_loop, extremal_lengths
+from stringcap.stralg import derive_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -190,6 +192,25 @@ FEW_PANELS = [
     for name, fam in build_scenario(config).families.items()
     if fam.panels < DEFAULT_PANELS
 ]
+
+
+GENERATOR_CONFIGS = list({str(c): c for c in DEFAULT_FORMS + [case.config for case in REFERENCE_CASES]}.values())
+
+
+@pytest.mark.parametrize("config", GENERATOR_CONFIGS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_the_generator_table_declares_exactly_the_leaves_of_the_certificates(config):
+    # the table is the one list of a scenario's numeric work, so a generator
+    # no certificate starts from would be refined for nothing; the rotation
+    # factors of a conclusion are its generator leaves, unrotated
+    s = build_scenario(config)
+    leaves = {
+        f.alpha.term
+        for target in s.targets
+        for sign in ((+1, -1) if target.both_orientations else (+1,))
+        for f in derive_certificate(s, target, sign).factors
+        if f.kind == "delta"
+    }
+    assert leaves == set(s.generators)
 
 
 def test_orbit_families_declare_few_panels():
