@@ -195,10 +195,12 @@ def _open_book_generators(plus: LoopFamily, minus: LoopFamily) -> dict[Term, Bin
 
 
 def _open_book_context(boundary_nonempty: bool) -> RuleContext:
+    """A page with boundary cuts down to a fiber ``pt``; a closed page sweeps ``pt`` to its ``orbit``."""
+    iota, sweep = ({"pt": "T*M_pt"}, {}) if boundary_nonempty else ({"orbit": "PD_dual(V)"}, {"pt": "orbit"})
     return RuleContext(
         axioms=frozenset({"ACTION_IS_BV"}),
-        iota_table={"id": "PD(T*M)", "pt": "T*M_pt", "orbit": "PD_dual(V)"},
-        sweep_table={"pt": "orbit"},
+        iota_table={"id": "PD(T*M)", **iota},
+        sweep_table=sweep,
         boundary_nonempty=boundary_nonempty,
     )
 

@@ -7,15 +7,16 @@ orthonormalized, yields A(q) in U(n+1) with A(q) e_1 = q, smoothly in q.
 
 Everything works on stacks: ``sphere_unitary_frame`` takes one point of shape
 ``(n+1,)`` or a stack of shape ``(m, n+1)`` and orthonormalizes the whole stack
-at once. A single point is a one-row stack whose fields are unstacked at the
-end. Row norms and inner products go through ``np.vecdot``, which calls the
-same BLAS dot as a one-dimensional ``@`` or ``np.linalg.norm``, so each row
-equals bit for bit the same steps done on that one point with those (the
-reference in the tests); a norm taken with ``axis=-1`` sums in another order
-and differs in the last bits.
+at once; a single point is a one-row stack, unstacked at the end. Columns are
+coordinate-major, ``C[j, k]`` component k of column j over the m rows, and a
+sum over a short axis adds its terms in a fixed order (``_sum``;
+``np.add.reduce`` rounds a lone complex row otherwise than a stack), so a
+point's frame equals bit for bit its row of any stack. ``verify_frame_family``
+normalizes with ``np.vecdot``, the BLAS dot of ``np.linalg.norm``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +47,23 @@ def _tangent_basis(q: np.ndarray) -> np.ndarray:
     constraint <x, u> + y w = 0, where iota(x, y) = (1 + iy) x, for a stack
     q of shape (m, n+1): u = (I - i x w^T) / (1 + iy) and
     w = -x / (y + i(2y^2 - 1)), whose denominator never vanishes on the
-    sphere. Returns the (m, n+1, n) stack of columns."""
+    sphere. Returns the (m, n+1, n) stack of columns, a view of a
+    coordinate-major (n, n+1, m) array."""
     n = q.shape[1] - 1
-    x, y = q[:, :n], q[:, n]
-    w = -x / (y + 1j * (2.0 * y * y - 1.0))[:, None]
-    u = (np.eye(n) - (1j * w)[:, None, :] * x[:, :, None]) / (1.0 + 1j * y)[:, None, None]
-    return np.concatenate([u, w[:, None, :]], axis=1)
+    x, y = q[:, :n].T, q[:, n]
+    w = -x / (y + 1j * (2.0 * y * y - 1.0))
+    u = (np.eye(n)[:, :, None] - (1j * w)[:, None, :] * x[None, :, :]) / (1.0 + 1j * y)
+    return np.concatenate([u, w[:, None, :]], axis=1).transpose(2, 1, 0)
+
+
+def _sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, one slice at a time in order."""
+    return functools.reduce(np.add, terms)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Norm of each column of a coordinate-major (k, m) complex array."""
+    return np.sqrt(_sum(v.real * v.real) + _sum(v.imag * v.imag))
 
 
 def sphere_unitary_frame(n: int, q: np.ndarray) -> UnitaryFrame:
@@ -66,30 +78,35 @@ def sphere_unitary_frame(n: int, q: np.ndarray) -> UnitaryFrame:
     if not np.isfinite(q).all():
         raise InvalidInputError("q must be finite")
     qs = q.reshape(-1, n + 1)
-    if (np.abs(_row_norms(qs) - 1.0) > 1e-10).any():
+    qt = qs.T
+    if (np.abs(np.sqrt(_sum(qt * qt)) - 1.0) > 1e-10).any():
         raise InvalidInputError("q must be a unit vector")
 
-    cols = np.empty((qs.shape[0], n + 1, n + 1), dtype=complex)
-    cols[:, :, 0] = qs
-    cols[:, :, 1:] = _tangent_basis(qs)
+    cols = np.empty((n + 1, n + 1, qs.shape[0]), dtype=complex)  # cols[j, k]: component k of column j
+    cols[0] = qt
+    cols[1:] = _tangent_basis(qs).transpose(2, 1, 0)
 
-    # modified Gram-Schmidt over C with q fixed first, every row at once
+    # modified Gram-Schmidt over C with q fixed first, every row at once; a
+    # column's products with itself and the earlier ones are its Gram row
+    u_sq = 0.0
     for j in range(n + 1):
-        v = cols[:, :, j]
+        v = cols[j]
         for i in range(j):
-            c = cols[:, :, i]
-            v = v - np.vecdot(c, v)[:, None] * c
-        nrm = _row_norms(v)
+            v = v - _sum(np.conj(cols[i]) * v) * cols[i]
+        nrm = _norm(v)
         if (nrm < 1e-12).any():
             raise InvalidInputError("frame vectors became linearly dependent")
-        cols[:, :, j] = v / nrm[:, None]
-
-    gram = np.conj(cols.transpose(0, 2, 1)) @ cols
-    u_res = _row_norms((gram - np.eye(n + 1)).reshape(len(qs), (n + 1) ** 2))
-    b_res = _row_norms(cols[:, :, 0] - qs)
+        cols[j] = v / nrm
+        gram = _sum((np.conj(cols[:j + 1]) * cols[j]).transpose(1, 0, 2))
+        gram[j] -= 1.0
+        sq = gram.real * gram.real + gram.imag * gram.imag
+        sq[:j] *= 2.0  # an entry off the diagonal stands for its conjugate too
+        u_sq = u_sq + _sum(sq)
+    u_res, b_res = np.sqrt(u_sq), _norm(cols[0] - qt)
+    matrix = cols.transpose(2, 1, 0)
     if q.ndim == 1:
-        cols, u_res, b_res = cols[0], float(u_res[0]), float(b_res[0])
-    return UnitaryFrame(matrix=cols, unitarity_residual=u_res, basepoint_residual=b_res)
+        matrix, u_res, b_res = matrix[0], float(u_res[0]), float(b_res[0])
+    return UnitaryFrame(matrix=matrix, unitarity_residual=u_res, basepoint_residual=b_res)
 
 
 @dataclass(frozen=True, eq=False)

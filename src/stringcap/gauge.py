@@ -194,8 +194,14 @@ class ContainmentResult:
         return self.contained
 
 
+# the most samples in one support-oracle call, here and in ``loops``, so a
+# call's temporaries stay a few hundred KB
+_BLOCK_SAMPLES = 4096
+
+
 def _sample_batches(base: BaseDescriptor, plan: SamplePlan):
-    """The plan's (q, v) pairs as batches of 1, 2, 4, ... rows.
+    """The plan's (q, v) pairs as a batch of one row and then blocks of at
+    most ``_BLOCK_SAMPLES`` rows.
 
     Sample i is drawn as if the pairs were drawn one at a time: on the sphere
     a normal point and then a normal vector, projected; on a torus or Klein
@@ -205,9 +211,9 @@ def _sample_batches(base: BaseDescriptor, plan: SamplePlan):
     chart = base.charts[0]
     if base.kind not in ("sphere", "torus", "klein"):
         raise InvalidInputError(f"no sampler for base kind {base.kind!r}")
-    done, size = 0, 1
+    done = 0
     while done < plan.count:
-        k = min(size, plan.count - done)
+        k = min(_BLOCK_SAMPLES if done else 1, plan.count - done)
         if base.kind == "sphere":
             # normal draws of one call follow on exactly as in separate calls
             z = rng.standard_normal((k, 2, base.dim + 1))
@@ -221,7 +227,6 @@ def _sample_batches(base: BaseDescriptor, plan: SamplePlan):
         q = BasePoint(qc, chart)
         yield q, TangentVector(w, q)
         done += k
-        size *= 2
 
 
 def domain_contains(
@@ -230,8 +235,9 @@ def domain_contains(
     """True iff support_inner <= support_outer, within 1e-9 relative, at
     every sampled (q, v).
 
-    Samples are checked in batches that double from one row, so a violation
-    among the first samples is found after a few oracle calls; the witness is
+    Samples are checked in a batch of one row and then in blocks of at most
+    ``_BLOCK_SAMPLES`` rows, so a violation at the first sample costs one
+    oracle call per domain and a plan of 10,000 pairs four; the witness is
     the first violating sample in plan order.
     """
     if inner.base != outer.base:

@@ -60,7 +60,7 @@ from .errors import (
     is_int,
     is_real,
 )
-from .gauge import BasePoint, GaugeDomain, TangentVector
+from .gauge import _BLOCK_SAMPLES, BasePoint, GaugeDomain, TangentVector
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +256,6 @@ class QuadratureSpec:
         if not (is_real(self.qtol) and self.qtol >= 0.0):
             raise InvalidInputError(f"qtol must be finite and >= 0, got {self.qtol}")
 
-
-# at most this many (row, t) samples go into one support-oracle call of the
-# trapezoid rule, so a grid's batch temporaries stay a few hundred KB; a
-# single row whose level is longer still goes whole
-_BLOCK_SAMPLES = 4096
 
 # values_at(rows, ts): the support of the velocity at every (row, t), of
 # shape (len(rows), len(ts))

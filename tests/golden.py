@@ -1,7 +1,8 @@
 """Golden outputs: the bounds and family reports of every reference
 configuration and of seeded configurations of the paper_bounds benchmark
-workload, the ``reproduce all`` table, and the message, t and params of a
-fixed list of failing inputs, as ``tests/golden.json``.
+workload, the ``reproduce all`` table, the message, t and params of a fixed
+list of failing inputs, and the non-bound checks (seeded containment plans
+and frame families), as ``tests/golden.json``.
 
 ``payload()`` computes them, with every float written as ``float.hex``, and
 records the numpy version and CPU features they were computed under: numpy's
@@ -36,9 +37,20 @@ import numpy as np
 
 from stringcap import cli
 from stringcap.bounds import compute_bounds
-from stringcap.catalog import REFERENCE_CASES, SCENARIOS, build_scenario, camel_scenario, product_torus_scenario
+from stringcap.catalog import (
+    REFERENCE_CASES,
+    SCENARIOS,
+    build_scenario,
+    camel_scenario,
+    ellipsoid_domain,
+    ellipsoid_round_domain,
+    flat_torus_domain,
+    klein_bottle_scenario,
+    product_torus_scenario,
+)
 from stringcap.errors import InfiniteLengthError
-from stringcap.gauge import BaseDescriptor, GaugeDomain
+from stringcap.frames import verify_frame_family
+from stringcap.gauge import BaseDescriptor, GaugeDomain, SamplePlan, domain_contains
 from stringcap.loops import (
     GridAxis,
     Loop,
@@ -223,6 +235,54 @@ def _failures() -> dict:
     return out
 
 
+def _larger_where(domain: GaugeDomain, threshold: float) -> GaugeDomain:
+    """``domain`` scaled up by half where the first vector component exceeds
+    ``threshold``: a violation that turns up some way into a plan."""
+    oracle = domain.support_oracle
+    return GaugeDomain(domain.base, lambda q, v: np.where(v.components[:, 0] > threshold, 1.5, 1.0) * oracle(q, v))
+
+
+def _checks() -> dict:
+    """The result and witness (q, v, inner and outer support) of seeded
+    containment plans on the sphere, both contained and not, and on flat
+    torus and Klein bases; and the frame family's report for n = 1, 2, 3."""
+    sphere2, sphere3 = ellipsoid_domain(2, 0.5), ellipsoid_domain(3, 0.7)
+    torus, klein = flat_torus_domain(2, radius=1.0), klein_bottle_scenario(1.0, 1.0).domain
+    plans = {
+        "sphere n=2 round in stretched a=0.3": (ellipsoid_round_domain(2, 0.3), ellipsoid_domain(2, 0.3), 2000, 1),
+        "sphere n=3 round in stretched a=0.7": (ellipsoid_round_domain(3, 0.7), sphere3, 10_000, 2),
+        "sphere n=2 a=0.8 in a=0.4": (ellipsoid_domain(2, 0.8), ellipsoid_domain(2, 0.4), 2000, 3),
+        "sphere n=3 a=0.9 in a=0.5": (ellipsoid_domain(3, 0.9), ellipsoid_domain(3, 0.5), 10_000, 4),
+        "sphere n=2 larger past 1": (_larger_where(sphere2, 1.0), sphere2, 2000, 5),
+        "sphere n=2 larger past 2.5": (_larger_where(sphere2, 2.5), sphere2, 10_000, 6),
+        "sphere n=3 larger past 3.2": (_larger_where(sphere3, 3.2), sphere3, 10_000, 7),
+        "torus radius 1 in 1.1": (torus, flat_torus_domain(2, radius=1.1), 2000, 8),
+        "torus radius 1.1 in 1": (flat_torus_domain(2, radius=1.1), torus, 2000, 9),
+        "torus larger past 3.2": (_larger_where(torus, 3.2), torus, 10_000, 10),
+        "klein in itself": (klein, klein, 2000, 11),
+        "klein larger past 3": (_larger_where(klein, 3.0), klein, 10_000, 12),
+    }
+    containment = {}
+    for name, (inner, outer, count, seed) in plans.items():
+        res = domain_contains(inner, outer, SamplePlan(count, seed))
+        out = {"contained": res.contained}
+        if not res.contained:
+            q, v, si, so = res.witness
+            out.update(q=q.coords, v=v.components, si=si, so=so)
+        containment[name] = out
+    frames = {}
+    for n, seed in ((1, 13), (2, 14), (3, 15)):
+        r = verify_frame_family(n, mesh=1e-3, count=200, seed=seed)
+        frames[f"n={n} seed={seed}"] = {
+            "count": r.count,
+            "checked": r.checked,
+            "max_unitarity_residual": r.max_unitarity_residual,
+            "max_basepoint_residual": r.max_basepoint_residual,
+            "continuity_modulus": r.continuity_modulus,
+        }
+    return {"containment": containment, "frames": frames}
+
+
 def payload() -> dict:
     scenarios = {}
     for config in configs():
@@ -230,7 +290,9 @@ def payload() -> dict:
         scenarios.setdefault(next(iter(outputs["bounds"].values()))["scenario"], outputs)
     return {
         "platform": platform(),
-        "outputs": _hex({"scenarios": scenarios, "reproduce_all": _reproduce_all(), "failures": _failures()}),
+        "outputs": _hex(
+            {"scenarios": scenarios, "reproduce_all": _reproduce_all(), "failures": _failures(), "checks": _checks()}
+        ),
     }
 
 

@@ -22,7 +22,7 @@ from stringcap.catalog import (
 from stringcap.errors import ScenarioParameterError
 from stringcap.gauge import BasePoint, TangentVector, support
 from stringcap.loops import DEFAULT_PANELS, check_loop, extremal_lengths
-from stringcap.stralg import derive_certificate
+from stringcap.stralg import check_certificate, derive_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -211,6 +211,41 @@ def test_the_generator_table_declares_exactly_the_leaves_of_the_certificates(con
         if f.kind == "delta"
     }
     assert leaves == set(s.generators)
+
+
+class _Reads(dict):
+    """A table that records every key looked up in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.keys_read = set()
+
+    def __getitem__(self, key):
+        self.keys_read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.keys_read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.keys_read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("config", GENERATOR_CONFIGS, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+def test_the_rule_context_declares_exactly_the_sweeps_and_labels_the_certificates_read(config):
+    # every open book declared the closed page's sweep pt -> orbit and its
+    # label for orbit, and the pages with boundary the label for pt too: a
+    # second, unchecked list of what a scenario's certificates use
+    s = build_scenario(config)
+    sweeps, labels = _Reads(s.rule_context.sweep_table), _Reads(s.rule_context.iota_table)
+    s = dataclasses.replace(s, rule_context=dataclasses.replace(s.rule_context, sweep_table=sweeps, iota_table=labels))
+    for target in s.targets:
+        for sign in (+1, -1) if target.both_orientations else (+1,):
+            assert check_certificate(derive_certificate(s, target, sign)).passed
+    assert sweeps.keys_read == set(sweeps)
+    assert labels.keys_read == set(labels)
 
 
 def test_orbit_families_declare_few_panels():

@@ -517,16 +517,16 @@ def test_camel_oracle_matches_the_row_major_rule(m, d, chart, specials, on_axis,
 
 
 def _row_major_sample_pairs(dim, plan):
-    """The sphere sampler's batches, summed over the rows' own axis."""
+    """The sphere sampler's batches, one row and then blocks of 4,096, summed
+    over the rows' own axis."""
     rng = np.random.default_rng(plan.seed)
-    done, size = 0, 1
+    done = 0
     while done < plan.count:
-        k = min(size, plan.count - done)
+        k = min(4096 if done else 1, plan.count - done)
         z = rng.standard_normal((k, 2, dim + 1))
         qc = z[:, 0] / np.sqrt(np.add.reduce(z[:, 0] * z[:, 0], axis=-1))[:, None]
         yield qc, z[:, 1] - np.add.reduce(z[:, 1] * qc, axis=-1)[:, None] * qc, np.abs(z[:, 1]).max(axis=1)
         done += k
-        size *= 2
 
 
 @pytest.mark.parametrize("dim", range(1, 12))
@@ -625,6 +625,53 @@ def test_containment_witness_matches_per_sample_reference():
         np.testing.assert_allclose(got_q.coords, q, rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(got_v.components, v, rtol=1e-14, atol=1e-15)
         assert got_iv == pytest.approx(iv, rel=1e-14) and got_ov == pytest.approx(ov, rel=1e-14)
-    # the first violations at 36 and 13 sit inside the batches of 32 and 8
-    # rows; the one at 3 has a second (at 6) in its batch of 4
+    # the first violations at 36, 13 and 3 sit inside the block that follows
+    # the first row, the one at 3 with a second (at 6) in it
     assert [_ref_contains(i, o, plan)[0] for i, o in cases[:3]] == [36, 13, 3]
+
+
+SAMPLED_BASES = [
+    BaseDescriptor("sphere", 2, ("embedding",)),
+    BaseDescriptor("torus", 2, ("torus",)),
+    BaseDescriptor("klein", 2, ("klein",)),
+]
+
+
+@pytest.mark.parametrize("base", SAMPLED_BASES, ids=lambda b: b.kind)
+@pytest.mark.parametrize(
+    "count, bad, sizes",
+    [
+        (2000, None, [1, 1999]),
+        (10_000, None, [1, 4096, 4096, 1807]),
+        (1, None, [1]),
+        (2000, 0, [1]),
+        (2000, 1, [1, 1999]),
+        (10_000, 4096, [1, 4096]),
+        (10_000, 4097, [1, 4096, 4096]),
+    ],
+)
+def test_a_plan_is_checked_in_one_row_and_then_blocks_of_4096(base, count, bad, sizes):
+    # batches of 1, 2, 4, ... rows took 11 oracle calls per domain for a
+    # 2,000-pair plan and 14 for the default plan of 10,000
+    seen, calls = [], []
+
+    def inner(q, v):
+        first = sum(len(c) for c, _ in seen)
+        seen.append((q.coords, v.components))
+        calls.append("inner")
+        return np.where(np.arange(first, first + len(q.coords)) == bad, 1.0, 0.0)
+
+    def outer(q, v):
+        calls.append("outer")
+        return np.zeros(len(q.coords))
+
+    plan = SamplePlan() if count == 10_000 else SamplePlan(count=count)
+    res = domain_contains(GaugeDomain(base, inner), GaugeDomain(base, outer), plan)
+    assert [len(c) for c, _ in seen] == sizes
+    assert calls == ["inner", "outer"] * len(sizes)
+    assert res.contained == (bad is None)
+    if bad is not None:
+        q, v, si, so = res.witness
+        np.testing.assert_array_equal(q.coords, np.concatenate([c for c, _ in seen])[bad])
+        np.testing.assert_array_equal(v.components, np.concatenate([w for _, w in seen])[bad])
+        assert (si, so) == (1.0, 0.0)
